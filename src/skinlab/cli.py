@@ -46,7 +46,7 @@ from .lattice_ops import (
     obc_spectrum,
     skin_localization,
 )
-from .liouvillian import build_liouvillian, liouvillian_spectrum, stationary_states
+from .liouvillian import SPECTRUM_CAP, build_liouvillian, liouvillian_spectrum, stationary_states
 from .serialize import (
     density_rows,
     frames_to_json,
@@ -267,15 +267,15 @@ def validate_config(raw: dict) -> ExperimentConfig:
         if steps < 1 or abs(steps * cfg.dt - cfg.t_final) > 1e-9:
             raise ConfigError("t_final", "must be a positive multiple of dt")
     elif experiment == "LiouvillianSpectrum":
-        if cfg.n_sites**2 > 4096:
-            raise ConfigError("n_sites", "dense superoperator needs n_sites <= 64")
+        if cfg.n_sites**2 > SPECTRUM_CAP:
+            raise ConfigError("n_sites", f"dense superoperator needs n_sites**2 <= {SPECTRUM_CAP}")
 
     if experiment == "HatanoNelson":
         if model["type"] != "hatano_nelson":
             raise ConfigError("model.type", "HatanoNelson requires a hatano_nelson model")
         cfg.include_spectrum = bool(raw.get("include_spectrum", True))
-        if cfg.include_spectrum and cfg.n_sites**2 > 4096:
-            raise ConfigError("n_sites", "spectrum output needs n_sites <= 64")
+        if cfg.include_spectrum and cfg.n_sites**2 > SPECTRUM_CAP:
+            raise ConfigError("n_sites", f"spectrum output needs n_sites**2 <= {SPECTRUM_CAP}")
 
     if experiment in ("ObcRelax", "EntropyTrace", "Trajectories", "HatanoNelson",
                       "SemiclassicalDrift"):
@@ -388,26 +388,27 @@ def _run_obc_relax(cfg: ExperimentConfig, outdir: Path) -> list[str]:
     return ["timeseries.csv", "frames.json"]
 
 
+def _write_spectrum(cfg: ExperimentConfig, outdir: Path, eigenvalues) -> str:
+    cols = ["re", "im"]
+    write_csv(outdir / "spectrum.csv", cols, ((w.real, w.imag) for w in eigenvalues),
+              _headers(cfg, "superoperator-spectrum", cols))
+    return "spectrum.csv"
+
+
 def _run_liouvillian_spectrum(cfg: ExperimentConfig, outdir: Path) -> list[str]:
     ops = _lattice(cfg.model, cfg.n_sites)
     Lm = build_liouvillian(ops)
-    eigenvalues = liouvillian_spectrum(Lm)
-    cols = ["re", "im"]
-    write_csv(outdir / "spectrum.csv", cols,
-              ((w.real, w.imag) for w in eigenvalues),
-              _headers(cfg, "superoperator-spectrum", cols))
-    outputs = ["spectrum.csv"]
-    if cfg.n_sites <= DENSE_PROPAGATION_MAX:
-        report = stationary_states(Lm, ops)
-        write_json(outdir / "stationary.json", {
-            "config": cfg.config_hash(),
-            "zero_eigenvalue_multiplicity": report.zero_eigenvalue_multiplicity,
-            "gap_ratio": report.gap_ratio,
-            "ill_conditioned": report.ill_conditioned,
-            "kernel_basis": [matrix_to_json(m) for m in report.kernel_basis],
-        })
-        outputs.append("stationary.json")
-    return outputs
+    if cfg.n_sites > DENSE_PROPAGATION_MAX:
+        return [_write_spectrum(cfg, outdir, liouvillian_spectrum(Lm))]
+    report = stationary_states(Lm, ops)
+    write_json(outdir / "stationary.json", {
+        "config": cfg.config_hash(),
+        "zero_eigenvalue_multiplicity": report.zero_eigenvalue_multiplicity,
+        "gap_ratio": report.gap_ratio,
+        "ill_conditioned": report.ill_conditioned,
+        "kernel_basis": [matrix_to_json(m) for m in report.kernel_basis],
+    })
+    return [_write_spectrum(cfg, outdir, report.eigenvalues), "stationary.json"]
 
 
 def _run_entropy_trace(cfg: ExperimentConfig, outdir: Path) -> list[str]:
@@ -415,10 +416,8 @@ def _run_entropy_trace(cfg: ExperimentConfig, outdir: Path) -> list[str]:
     Lm = build_liouvillian(ops)
     rho0 = DensityMatrix.site(cfg.n_sites, cfg.rho0_site)
     trace = entropy_trace(Lm, ops, rho0, cfg.times)
-    prop = MasterPropagator(Lm)
-    states = [prop.propagate(rho0, t) for t in cfg.times]
     cols = ["t", "entropy", "purity", "first_moment"]
-    write_csv(outdir / "entropy.csv", cols, _timeseries_rows(cfg.times, states),
+    write_csv(outdir / "entropy.csv", cols, _timeseries_rows(cfg.times, trace.states),
               _headers(cfg, "entropy-trace", cols, s_infinity=trace.s_infinity))
     write_json(outdir / "summary.json", {
         "config": cfg.config_hash(),
@@ -464,13 +463,8 @@ def _run_trajectories(cfg: ExperimentConfig, outdir: Path) -> list[str]:
 def _run_hatano_nelson(cfg: ExperimentConfig, outdir: Path) -> list[str]:
     outputs = _run_obc_relax(cfg, outdir)
     if cfg.include_spectrum:
-        ops = _lattice(cfg.model, cfg.n_sites)
-        eigenvalues = liouvillian_spectrum(build_liouvillian(ops))
-        cols = ["re", "im"]
-        write_csv(outdir / "spectrum.csv", cols,
-                  ((w.real, w.imag) for w in eigenvalues),
-                  _headers(cfg, "superoperator-spectrum", cols))
-        outputs.append("spectrum.csv")
+        Lm = build_liouvillian(_lattice(cfg.model, cfg.n_sites))
+        outputs.append(_write_spectrum(cfg, outdir, liouvillian_spectrum(Lm)))
     return outputs
 
 

@@ -1,11 +1,11 @@
 """Time propagation of density matrices and no-jump wavefunctions.
 
-Propagation is exact-exponential: the generator is diagonalized once and
-exp(L t) applied spectrally for every requested time, with a
-scaling-and-squaring fallback when the eigenbasis is too ill-conditioned.
-A fixed-step RK4 integrator of the master equation is provided as an
-independent cross-check and as the route for lattices too large for the
-dense superoperator.
+Propagation is exact-exponential: one helper diagonalizes the generator (L,
+or -i H_eff for the no-jump wavefunction) once and applies exp(A t)
+spectrally for every time, falling back to scipy expm above a per-generator
+eigenbasis condition limit.  Fixed-step RK4 of the master equation is an
+independent cross-check and the route for lattices too large for the dense
+superoperator; both master routes end in the same state checks.
 """
 
 from __future__ import annotations
@@ -80,67 +80,76 @@ class SemiclassicalState:
     method: str = "spectral"
 
 
-class MasterPropagator:
-    """Spectral propagator exp(L t) with the eigendecomposition computed once.
+def _matrix(rho: DensityMatrix | np.ndarray) -> np.ndarray:
+    return rho.rho if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
+
+
+def _checked_state(rho: np.ndarray) -> DensityMatrix:
+    """Drift check, Hermitize, renormalize, one positivity check; NumericalFailure if any fails."""
+    herm_drift = float(np.abs(rho - rho.conj().T).max())
+    trace_drift = abs(complex(np.trace(rho)) - 1.0)
+    if not max(herm_drift, trace_drift) <= DRIFT_ABORT:
+        raise NumericalFailure(
+            f"propagation drift beyond tolerance: hermiticity {herm_drift:.3e}, "
+            f"trace {trace_drift:.3e}",
+            residual=max(herm_drift, trace_drift),
+        )
+    rho = 0.5 * (rho + rho.conj().T)
+    try:
+        return DensityMatrix(rho / np.trace(rho).real)
+    except ParameterError as exc:
+        raise NumericalFailure(f"propagation lost positivity: {exc}") from exc
+
+
+class _SpectralExponential:
+    """exp(A t) x for any t from one eigendecomposition A = V diag(w) V^-1.
 
     Falls back to scaling-and-squaring (scipy expm) when the eigenbasis
-    condition number exceeds 1e8.
+    condition number exceeds ``cond_limit`` or is not finite.
     """
+
+    def __init__(self, A: np.ndarray, cond_limit: float):
+        self.A = A
+        self.eigenvalues, V = np.linalg.eig(A)
+        cond = np.linalg.cond(V)
+        self.use_expm = not np.isfinite(cond) or cond > cond_limit
+        self.V, self.V_inv = (None, None) if self.use_expm else (V, np.linalg.inv(V))
+
+    @property
+    def method(self) -> str:
+        return "expm" if self.use_expm else "spectral"
+
+    def apply(self, x: np.ndarray, t: float) -> np.ndarray:
+        if t < 0:
+            raise ParameterError(f"propagation time must be >= 0, got {t}")
+        if self.use_expm:
+            return scipy.linalg.expm(self.A * t) @ x
+        return self.V @ (np.exp(self.eigenvalues * t) * (self.V_inv @ x))
+
+
+class MasterPropagator(_SpectralExponential):
+    """exp(L t) from one eigendecomposition of L; expm fallback above cond(V) = 1e8."""
 
     def __init__(self, Lm: LiouvillianMatrix):
         self.Lm = Lm
         self.n_sites = Lm.n_sites
-        w, V = np.linalg.eig(Lm.L)
-        cond = np.linalg.cond(V)
-        self.use_expm = not np.isfinite(cond) or cond > EIG_COND_LIMIT_MASTER
-        if not self.use_expm:
-            self.eigenvalues = w
-            self.V = V
-            self.V_inv = np.linalg.inv(V)
-        else:  # pragma: no cover - needs a near-defective generator
-            self.eigenvalues = w
-            self.V = self.V_inv = None
+        super().__init__(Lm.L, EIG_COND_LIMIT_MASTER)
 
     def evolve(self, rho0: np.ndarray, t: float) -> np.ndarray:
         """Raw matrix-form solution at time t without state validation."""
-        if t < 0:
-            raise ParameterError(f"propagation time must be >= 0, got {t}")
-        v = vec(rho0)
-        if self.use_expm:
-            out = scipy.linalg.expm(self.Lm.L * t) @ v
-        else:
-            out = self.V @ (np.exp(self.eigenvalues * t) * (self.V_inv @ v))
-        return unvec(out, self.n_sites)
+        return unvec(self.apply(vec(_matrix(rho0)), t), self.n_sites)
 
     def propagate(self, rho0: DensityMatrix | np.ndarray, t: float) -> DensityMatrix:
         """Propagated state with invariant checks; aborts on drift beyond tolerance."""
-        rho0 = rho0.rho if isinstance(rho0, DensityMatrix) else np.asarray(rho0, dtype=complex)
-        rho = self.evolve(rho0, t)
-        herm_drift = float(np.abs(rho - rho.conj().T).max())
-        trace_drift = abs(complex(np.trace(rho)) - 1.0)
-        if herm_drift > DRIFT_ABORT or trace_drift > DRIFT_ABORT:
-            raise NumericalFailure(
-                f"propagation drift beyond tolerance: hermiticity {herm_drift:.3e}, "
-                f"trace {trace_drift:.3e}",
-                residual=max(herm_drift, trace_drift),
-            )
-        rho = 0.5 * (rho + rho.conj().T)
-        rho = rho / np.trace(rho).real
-        w_min = float(np.linalg.eigvalsh(rho).min())
-        if w_min < -POSITIVITY_TOL:
-            raise NumericalFailure(
-                f"propagation lost positivity: min eigenvalue {w_min:.3e}", residual=-w_min
-            )
-        return DensityMatrix(rho)
+        return _checked_state(self.evolve(rho0, t))
 
     def stationary_projection(self, rho0: DensityMatrix | np.ndarray) -> np.ndarray:
         """Infinite-time limit: projection of rho0 onto the kernel eigenmodes."""
-        rho0 = rho0.rho if isinstance(rho0, DensityMatrix) else np.asarray(rho0, dtype=complex)
         if self.use_expm:  # pragma: no cover
             raise NumericalFailure("kernel projection unavailable in expm fallback mode")
         tol = self.Lm.zero_tolerance()
         keep = np.abs(self.eigenvalues) <= tol
-        out = self.V[:, keep] @ (self.V_inv[keep] @ vec(rho0))
+        out = self.V[:, keep] @ (self.V_inv[keep] @ vec(_matrix(rho0)))
         rho = unvec(out, self.n_sites)
         return 0.5 * (rho + rho.conj().T)
 
@@ -160,14 +169,14 @@ def propagate_master_rk4(
 ) -> DensityMatrix:
     """Fixed-step RK4 integration of the master equation in matrix form.
 
-    Independent of the superoperator route (needs only H, P); the number of
-    steps is rounded so the final time is hit exactly.
+    Independent of the superoperator route (needs only H, P), with the same
+    state checks; the step count is rounded so the final time is hit exactly.
     """
     if t_final < 0:
         raise ParameterError(f"propagation time must be >= 0, got {t_final}")
     if dt <= 0:
         raise ParameterError(f"dt must be > 0, got {dt}")
-    rho = np.array(rho0.rho if isinstance(rho0, DensityMatrix) else rho0, dtype=complex)
+    rho = _matrix(rho0)
     n_steps = max(1, round(t_final / dt)) if t_final > 0 else 0
     h = t_final / n_steps if n_steps else 0.0
     for _ in range(n_steps):
@@ -176,35 +185,17 @@ def propagate_master_rk4(
         k3 = master_rhs(ops, rho + 0.5 * h * k2)
         k4 = master_rhs(ops, rho + h * k3)
         rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    rho = 0.5 * (rho + rho.conj().T)
-    rho = rho / np.trace(rho).real
-    return DensityMatrix(rho)
+    return _checked_state(rho)
 
 
-class SemiclassicalPropagator:
+class SemiclassicalPropagator(_SpectralExponential):
     """exp(-i H_eff t) applied spectrally, with expm fallback for defective H_eff."""
 
     def __init__(self, ops: LatticeOperators):
-        self.H_eff = ops.H_eff
-        w, V = scipy.linalg.eig(ops.H_eff)
-        cond = np.linalg.cond(V)
-        self.use_expm = not np.isfinite(cond) or cond > EIG_COND_LIMIT_SEMI
-        if not self.use_expm:
-            self.eigenvalues = w
-            self.V = V
-            self.V_inv = np.linalg.inv(V)
-
-    @property
-    def method(self) -> str:
-        return "expm" if self.use_expm else "spectral"
+        super().__init__(-1j * ops.H_eff, EIG_COND_LIMIT_SEMI)
 
     def at(self, psi0: np.ndarray, t: float) -> np.ndarray:
-        if t < 0:
-            raise ParameterError(f"propagation time must be >= 0, got {t}")
-        psi0 = np.asarray(psi0, dtype=complex)
-        if self.use_expm:
-            return scipy.linalg.expm(-1j * self.H_eff * t) @ psi0
-        return self.V @ (np.exp(-1j * self.eigenvalues * t) * (self.V_inv @ psi0))
+        return self.apply(np.asarray(psi0, dtype=complex), t)
 
 
 def propagate_semiclassical(
@@ -220,7 +211,7 @@ def von_neumann_entropy(rho: DensityMatrix | np.ndarray) -> float:
 
     Eigenvalues are clamped to [0, 1] and 0 ln 0 counts as 0.
     """
-    rho = rho.rho if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
+    rho = _matrix(rho)
     w = np.clip(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)), 0.0, 1.0)
     w = w[w > 0]
     return float(-(w * np.log(w)).sum())
@@ -228,12 +219,16 @@ def von_neumann_entropy(rho: DensityMatrix | np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class EntropyTrace:
-    """Entropy along a time grid plus the infinite-time (kernel-projected) value."""
+    """Entropy along a time grid plus the infinite-time (kernel-projected) value.
+
+    ``states`` holds the propagated state at each time.
+    """
 
     times: np.ndarray
     entropies: np.ndarray
     s_infinity: float
     rho_infinity: np.ndarray
+    states: list[DensityMatrix]
 
 
 def entropy_trace(
@@ -253,9 +248,10 @@ def entropy_trace(
     if ops.n_sites != Lm.n_sites:
         raise ParameterError("lattice operators and superoperator sizes differ")
     prop = MasterPropagator(Lm)
-    entropies = np.array([von_neumann_entropy(prop.propagate(rho0, t)) for t in times])
+    states = [prop.propagate(rho0, t) for t in times]
+    entropies = np.array([von_neumann_entropy(s) for s in states])
     rho_inf = prop.stationary_projection(rho0)
-    return EntropyTrace(times, entropies, von_neumann_entropy(rho_inf), rho_inf)
+    return EntropyTrace(times, entropies, von_neumann_entropy(rho_inf), rho_inf, states)
 
 
 @dataclass(frozen=True)
@@ -270,7 +266,7 @@ class Observables:
 
 def observables(rho: DensityMatrix | np.ndarray) -> Observables:
     """Standard diagnostics of a state in the site basis (1-based site index)."""
-    rho = rho.rho if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
+    rho = _matrix(rho)
     n = rho.shape[0]
     populations = np.real(np.diag(rho))
     coherence = np.abs(rho[np.arange(n), n - 1 - np.arange(n)])

@@ -59,7 +59,9 @@ class StationaryReport:
     ``kernel_basis`` holds Hermitian representatives, normalized to unit
     trace whenever their trace is nonzero (Frobenius-normalized otherwise).
     ``kernel_vectors`` is an orthonormal basis of the kernel as column
-    vectors, for projector overlap queries.  ``gap_ratio`` compares the first
+    vectors, for projector overlap queries.  ``eigenvalues`` is the full
+    spectrum from the same eigendecomposition, sorted as by
+    :func:`liouvillian_spectrum`.  ``gap_ratio`` compares the first
     decaying singular value against the largest kernel one;
     ``ill_conditioned`` flags a first decaying mode within a factor
     ``KERNEL_GAP_WARN`` of the zero threshold.
@@ -70,6 +72,7 @@ class StationaryReport:
     kernel_vectors: np.ndarray
     gap_ratio: float
     ill_conditioned: bool
+    eigenvalues: np.ndarray
 
 
 def master_rhs(ops: LatticeOperators, rho: np.ndarray) -> np.ndarray:
@@ -155,7 +158,7 @@ def stationary_states(Lm: LiouvillianMatrix, ops: LatticeOperators) -> Stationar
     ill_conditioned = first_decaying < KERNEL_GAP_WARN * tol
 
     basis = _hermitian_representatives(Q, Lm.n_sites)
-    return StationaryReport(multiplicity, basis, Q, gap_ratio, ill_conditioned)
+    return StationaryReport(multiplicity, basis, Q, gap_ratio, ill_conditioned, w)
 
 
 def kernel_overlap(report: StationaryReport, rho: np.ndarray) -> float:

@@ -7,6 +7,8 @@ import pytest
 from skinlab.cli import load_config, main, run_experiment, validate_config
 from skinlab.errors import ConfigError
 
+DENSE_LINALG = ("eig", "eigvals", "svd", "cond", "inv")
+
 PHI_HALF_PI = 1.5707963267948966
 
 
@@ -232,3 +234,60 @@ def test_bad_coefficient_tables_fail_validation():
             "n_sites": 10,
         })
     assert err.value.field == "model"
+
+
+@pytest.mark.parametrize("experiment,model", [
+    ("LiouvillianSpectrum", {"type": "cosine", "J": 1, "T": 0, "R": 1}),
+    ("HatanoNelson", {"type": "hatano_nelson", "J1": 1, "J2": 2}),
+])
+def test_dense_spectrum_cap(experiment, model):
+    raw = {"experiment": experiment, "model": model, "times": [1.0]}
+    assert validate_config({**raw, "n_sites": 64}).n_sites == 64
+    with pytest.raises(ConfigError) as err:
+        validate_config({**raw, "n_sites": 65})
+    assert err.value.field == "n_sites"
+
+
+def test_hatano_nelson_without_spectrum_skips_the_cap():
+    cfg = validate_config({
+        "experiment": "HatanoNelson",
+        "model": {"type": "hatano_nelson", "J1": 1, "J2": 2},
+        "n_sites": 65,
+        "times": [1.0],
+        "include_spectrum": False,
+    })
+    assert not cfg.include_spectrum
+
+
+def count_dense_factorizations(monkeypatch, cfg) -> dict:
+    """Calls of each np.linalg factorization on N^2 x N^2 matrices during one run."""
+    side = cfg.n_sites**2
+    counts = dict.fromkeys(DENSE_LINALG, 0)
+
+    def counting(name, original):
+        def wrapper(a, *args, **kwargs):
+            if np.shape(a) == (side, side):
+                counts[name] += 1
+            return original(a, *args, **kwargs)
+        return wrapper
+
+    for name in DENSE_LINALG:
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    run_experiment(cfg)
+    return counts
+
+
+def test_each_generator_is_factored_once(tmp_path, monkeypatch):
+    model = {"type": "cosine", "J": 1, "T": 0, "R": 1, "phi": PHI_HALF_PI}
+    entropy = validate_config({
+        "experiment": "EntropyTrace", "model": model, "n_sites": 11,
+        "times": [0.0, 1.0, 5.0], "output_dir": str(tmp_path / "ent"),
+    })
+    assert count_dense_factorizations(monkeypatch, entropy) == \
+        {"eig": 1, "eigvals": 0, "svd": 0, "cond": 1, "inv": 1}
+    spectrum = validate_config({
+        "experiment": "LiouvillianSpectrum", "model": model, "n_sites": 11,
+        "output_dir": str(tmp_path / "lsp"),
+    })
+    assert count_dense_factorizations(monkeypatch, spectrum) == \
+        {"eig": 1, "eigvals": 0, "svd": 1, "cond": 0, "inv": 0}

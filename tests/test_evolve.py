@@ -5,8 +5,11 @@ from skinlab import (
     BandModel,
     DensityMatrix,
     MasterPropagator,
+    NumericalFailure,
     ParameterError,
+    SemiclassicalPropagator,
     bidiagonal_stationary_state,
+    build_hatano_nelson,
     build_liouvillian,
     build_obc,
     entropy_trace,
@@ -17,8 +20,10 @@ from skinlab import (
     propagate_master_rk4,
     propagate_semiclassical,
     relaxation_time,
+    vec,
     von_neumann_entropy,
 )
+from skinlab.evolve import EIG_COND_LIMIT_MASTER, EIG_COND_LIMIT_SEMI, _SpectralExponential
 
 
 @pytest.fixture(scope="module")
@@ -184,3 +189,47 @@ def test_times_must_be_sorted(skew11):
     ops, Lm, _ = skew11
     with pytest.raises(ParameterError):
         entropy_trace(Lm, ops, DensityMatrix.site(11, 6), [2.0, 1.0])
+
+
+@pytest.mark.parametrize("generator", ["L", "H_eff"])
+def test_expm_fallback_matches_spectral_route(generator):
+    ops = build_obc(make_cosine_model(1, 0, 1, np.pi / 2), 7)
+    if generator == "L":
+        A, limit = build_liouvillian(ops).L, EIG_COND_LIMIT_MASTER
+        x = vec(DensityMatrix.site(7, 4).rho)
+    else:
+        A, limit, x = -1j * ops.H_eff, EIG_COND_LIMIT_SEMI, np.eye(7)[3]
+    spectral = _SpectralExponential(A, limit)
+    fallback = _SpectralExponential(A, 0.0)
+    assert (spectral.method, fallback.method) == ("spectral", "expm")
+    for t in (0.0, 0.7, 3.0, 12.0):
+        assert np.abs(fallback.apply(x, t) - spectral.apply(x, t)).max() <= 1e-10
+
+
+def test_semiclassical_route_follows_eigenbasis_condition():
+    assert SemiclassicalPropagator(build_hatano_nelson(1, 2, 61)).method == "spectral"
+    prop = SemiclassicalPropagator(build_hatano_nelson(1, 2, 70))
+    assert prop.method == "expm"
+    psi0 = np.zeros(70, complex)
+    psi0[34] = 1.0
+    norms = [np.linalg.norm(prop.at(psi0, t)) for t in (0.0, 0.5, 1.0, 2.0, 4.0)]
+    assert norms[0] == 1.0
+    assert np.all(np.diff(norms) <= 1e-12)
+
+
+def test_non_psd_start_fails_on_both_master_routes(skew11):
+    ops, _, prop = skew11
+    rho0 = np.diag([1.5, -0.5] + [0.0] * 9)
+    with pytest.raises(NumericalFailure):
+        prop.propagate(rho0, 0.0)
+    with pytest.raises(NumericalFailure):
+        propagate_master_rk4(ops, rho0, 0.0)
+
+
+def test_drift_aborts_both_master_routes(skew11):
+    ops, _, prop = skew11
+    rho0 = np.eye(11) / 10.0  # trace 1.1
+    with pytest.raises(NumericalFailure):
+        prop.propagate(rho0, 1.0)
+    with pytest.raises(NumericalFailure):
+        propagate_master_rk4(ops, rho0, 0.01, dt=0.01)

@@ -1,10 +1,20 @@
 """Stochastic wavefunction unraveling with exactly unitary steps.
 
-Each integration step applies exp(-i (H dt + P dW)) with dW drawn from a
-normal distribution of variance dt, so the state norm is conserved pathwise
-and the ensemble average of the pure-state projectors reproduces the
-master-equation solution.  dt controls only the splitting bias between the
-per-step exponential and the continuous-time solution, not norm drift.
+Each integration step is the Strang splitting
+
+    exp(-i H dt/2) exp(-i P dW) exp(-i H dt/2),    dW ~ Normal(0, dt),
+
+a product of unitaries, so the state norm is conserved pathwise and the
+ensemble average of the pure-state projectors reproduces the
+master-equation solution.  dt controls only the bias of the discrete step
+against the continuous-time solution (the splitting differs from
+exp(-i (H dt + P dW)) at O(dt^2) per step), not norm drift.
+
+The step is applied in the eigenbasis of P = V diag(p) V^dagger, where the
+jump factor is the elementwise phase exp(-i p dW) and the Hamiltonian
+half-steps of adjacent steps fuse into W = V^dagger exp(-i H dt) V.  The
+eigendecompositions of H and P are taken once per run, so one step of a
+whole batch of trajectories is a phase multiply and one matrix product.
 
 Noise streams are counter-based (Philox): independent trajectories use the
 same master key jumped by the trajectory index, so any trajectory can be
@@ -70,13 +80,45 @@ class TrajectoryEnsemble:
     t_final: float
 
 
+def _split_factors(ops: LatticeOperators, dt: float):
+    """(p, V, W_half, W) of the Strang step: P = V diag(p) V^dagger and
+    W_half = V^dagger exp(-i H dt/2) V, W = W_half @ W_half."""
+    p, V = np.linalg.eigh(ops.P)
+    h, U = np.linalg.eigh(ops.H)
+    W_half = V.conj().T @ ((U * np.exp(-0.5j * dt * h)) @ U.conj().T) @ V
+    return p, V, W_half, W_half @ W_half
+
+
+def _split_evolve(factors, psi0: np.ndarray, dW: np.ndarray, return_path: bool = False):
+    """Strang-split evolution of c copies of psi0, one step per column of dW.
+
+    ``dW`` has shape (c, n_steps); row j holds trajectory j's increments.
+    Returns the final states as a (c, N) array, or with ``return_path`` the
+    (n_steps + 1, c, N) path starting at psi0.  The state is carried in P's
+    eigenbasis as an N x c array, so each step is one phase multiply and one
+    GEMM for the whole batch; W_half is applied only at the ends.
+    """
+    p, V, W_half, W = factors
+    psi0 = np.asarray(psi0, dtype=complex)
+    c, n_steps = dW.shape
+    phi = np.repeat((W_half @ (V.conj().T @ psi0))[:, None], c, axis=1)
+    path = [np.repeat(psi0[:, None], c, axis=1)] if return_path else None
+    for s in range(n_steps):
+        if s:
+            phi = W @ phi
+        phi *= np.exp(np.outer(-1j * p, dW[:, s]))
+        if return_path:
+            path.append(V @ (W_half @ phi))
+    if return_path:
+        return np.stack(path).transpose(0, 2, 1)
+    return np.ascontiguousarray((V @ (W_half @ phi)).T)
+
+
 def trajectory_step(ops: LatticeOperators, psi: np.ndarray, dt: float, dW: float) -> np.ndarray:
-    """One exactly unitary step exp(-i (H dt + P dW)) applied to psi."""
+    """One exactly unitary Strang step exp(-iH dt/2) exp(-iP dW) exp(-iH dt/2) applied to psi."""
     if dt <= 0:
         raise ParameterError(f"dt must be > 0, got {dt}")
-    gen = ops.H * dt + ops.P * dW
-    w, V = np.linalg.eigh(gen)
-    return V @ (np.exp(-1j * w) * (V.conj().T @ psi))
+    return _split_evolve(_split_factors(ops, dt), psi, np.full((1, 1), float(dW)))[0]
 
 
 def _validate_run(t_final: float, dt: float) -> int:
@@ -98,14 +140,9 @@ def run_trajectory(
 ):
     """Integrate a single trajectory; returns the final state or the full path."""
     n_steps = _validate_run(t_final, dt)
-    psi = np.asarray(psi0, dtype=complex).copy()
-    dWs = stream.wiener_increments(n_steps, dt)
-    path = [psi.copy()] if return_path else None
-    for s in range(n_steps):
-        psi = trajectory_step(ops, psi, dt, dWs[s])
-        if return_path:
-            path.append(psi.copy())
-    return np.array(path) if return_path else psi
+    dW = np.asarray(stream.wiener_increments(n_steps, dt), dtype=float).reshape(1, n_steps)
+    out = _split_evolve(_split_factors(ops, dt), psi0, dW, return_path)
+    return out[:, 0] if return_path else out[0]
 
 
 def _pairwise_sum(stack: np.ndarray) -> np.ndarray:
@@ -119,22 +156,12 @@ def _pairwise_sum(stack: np.ndarray) -> np.ndarray:
     return stack[0]
 
 
-def _integrate_chunk(ops: LatticeOperators, psi0, dt, n_steps, master_seed, indices):
-    """Batch-integrate one fixed chunk of trajectories; returns reduction pieces."""
-    c = len(indices)
-    dW = np.empty((c, n_steps))
+def _integrate_chunk(factors, psi0, dt, n_steps, master_seed, indices):
+    """Integrate one fixed chunk of trajectories; returns reduction pieces."""
+    dW = np.empty((len(indices), n_steps))
     for row, j in enumerate(indices):
         dW[row] = NoiseStream(master_seed, j).wiener_increments(n_steps, dt)
-    psi = np.tile(np.asarray(psi0, dtype=complex), (c, 1))[:, :, None]
-    H_dt = ops.H * dt
-    P = ops.P
-    for s in range(n_steps):
-        gen = H_dt[None, :, :] + P[None, :, :] * dW[:, s, None, None]
-        w, V = np.linalg.eigh(gen)
-        amp = np.matmul(V.conj().transpose(0, 2, 1), psi)
-        amp *= np.exp(-1j * w)[:, :, None]
-        psi = np.matmul(V, amp)
-    psi = psi[:, :, 0]
+    psi = _split_evolve(factors, psi0, dW)
     projectors = psi[:, :, None] * psi[:, None, :].conj()
     return {
         "proj_sum": _pairwise_sum(projectors),
@@ -164,17 +191,18 @@ def run_ensemble(
         raise ParameterError(f"need n_traj >= 2, got {n_traj}")
     n_steps = _validate_run(t_final, dt)
     chunks = [range(lo, min(lo + CHUNK, n_traj)) for lo in range(0, n_traj, CHUNK)]
+    factors = _split_factors(ops, dt)
 
     if n_threads > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=n_threads) as pool:
             parts = list(
                 pool.map(
-                    lambda idx: _integrate_chunk(ops, psi0, dt, n_steps, master_seed, idx),
+                    lambda idx: _integrate_chunk(factors, psi0, dt, n_steps, master_seed, idx),
                     chunks,
                 )
             )
     else:
-        parts = [_integrate_chunk(ops, psi0, dt, n_steps, master_seed, idx) for idx in chunks]
+        parts = [_integrate_chunk(factors, psi0, dt, n_steps, master_seed, idx) for idx in chunks]
 
     proj_sum = _pairwise_sum(np.stack([p["proj_sum"] for p in parts]))
     psi_sum = _pairwise_sum(np.stack([p["psi_sum"] for p in parts]))

@@ -14,6 +14,16 @@ def assert_multiset_close(a, b, tol):
     assert worst <= tol, f"multiset mismatch: worst pairing distance {worst:.3e} > {tol:.0e}"
 
 
+class ZeroStream:
+    """Forced all-zero noise, for deterministic-limit checks."""
+
+    def standard_normal(self, size=None):
+        return np.zeros(size) if size is not None else 0.0
+
+    def wiener_increments(self, n_steps, dt):
+        return np.zeros(n_steps)
+
+
 def conjugation_symmetric(w, tol=1e-8):
     """Whether the eigenvalue multiset is closed under complex conjugation.
 

@@ -5,20 +5,26 @@ coefficient dominates, so P(k) >= 0 holds by construction.  The settings
 are derandomized, so every run draws the same examples.
 """
 
+import dataclasses
+
 import numpy as np
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_multiset_close
+from conftest import ZeroStream, assert_multiset_close
 from skinlab import (
     BandModel,
     DensityMatrix,
     MasterPropagator,
+    NoiseStream,
     SemiclassicalPropagator,
     build_liouvillian,
     build_obc,
     liouvillian_spectrum,
     propagate_master_rk4,
+    run_trajectory,
+    trajectory_step,
 )
 
 PROFILE = settings(max_examples=8, derandomize=True, deadline=None, database=None)
@@ -71,3 +77,39 @@ def test_semiclassical_norm_never_grows(ops, data):
     norms = [np.linalg.norm(prop.at(psi0, t)) for t in (0.0, 0.25, 0.5, 1.0, 2.0, 4.0)]
     assert abs(norms[0] - 1.0) <= 1e-12
     assert np.all(np.diff(norms) <= 1e-12)
+
+
+def random_state(n, seed):
+    psi = np.random.default_rng(seed).normal(size=(n, 2)) @ np.array([1.0, 1j])
+    return psi / np.linalg.norm(psi)
+
+
+seeds = st.integers(0, 2**32 - 1)
+step_sizes = st.floats(1e-4, 0.01)
+
+
+@PROFILE
+@given(ops=lattices(), seed=seeds)
+def test_split_trajectory_norm_drift_after_200_steps(ops, seed):
+    psi0 = random_state(ops.n_sites, seed)
+    psi = run_trajectory(ops, psi0, 1.0, 0.005, NoiseStream(seed, 0))
+    assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12
+
+
+@PROFILE
+@given(ops=lattices(), seed=seeds, dt=step_sizes, n_steps=st.integers(1, 40))
+def test_split_trajectory_without_noise_is_hamiltonian_evolution(ops, seed, dt, n_steps):
+    psi0 = random_state(ops.n_sites, seed)
+    psi = run_trajectory(ops, psi0, n_steps * dt, dt, ZeroStream())
+    expect = scipy.linalg.expm(-1j * ops.H * (n_steps * dt)) @ psi0
+    assert np.abs(psi - expect).max() <= 1e-12
+
+
+@PROFILE
+@given(ops=lattices(), seed=seeds, dt=step_sizes, dW=st.floats(-1.0, 1.0))
+def test_split_step_without_hamiltonian_is_the_jump_exponential(ops, seed, dt, dW):
+    jump_only = dataclasses.replace(ops, H=np.zeros_like(ops.H), H_eff=-0.5j * ops.P2)
+    psi0 = random_state(ops.n_sites, seed)
+    psi = trajectory_step(jump_only, psi0, dt, dW)
+    expect = scipy.linalg.expm(-1j * ops.P * dW) @ psi0
+    assert np.abs(psi - expect).max() <= 1e-12

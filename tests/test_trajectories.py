@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+from conftest import ZeroStream
 from skinlab import (
     BandModel,
     NoiseStream,
@@ -23,14 +29,16 @@ from skinlab import (
 )
 
 
-class ZeroStream:
-    """Forced all-zero noise, for deterministic-limit checks."""
+def exact_exponential_evolve(ops, psi0, dt, dW):
+    """Reference kernel: every step applies exp(-i (H dt + P dW)) from a batched eigh.
 
-    def standard_normal(self, size=None):
-        return np.zeros(size) if size is not None else 0.0
-
-    def wiener_increments(self, n_steps, dt):
-        return np.zeros(n_steps)
+    ``dW`` has shape (c, n_steps); returns the (c, N) final states.
+    """
+    psi = np.tile(np.asarray(psi0, dtype=complex), (dW.shape[0], 1))[:, :, None]
+    for s in range(dW.shape[1]):
+        w, V = np.linalg.eigh(ops.H[None] * dt + ops.P[None] * dW[:, s, None, None])
+        psi = V @ (np.exp(-1j * w)[:, :, None] * (V.conj().transpose(0, 2, 1) @ psi))
+    return psi[:, :, 0]
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +81,31 @@ def test_step_with_diagonal_jump_operator():
     assert abs(np.linalg.norm(out) - 1) < 1e-12
 
 
+def test_split_step_error_against_exact_exponential_is_second_order(skew11):
+    # halving dt with dW scaled by 1/sqrt(2) must cut the one-step splitting
+    # error by at least 3x (theory: the leading dt dW^2 term shrinks 4x).
+    # [H, P] of this chain lives at its ends, so the step starts on an edge site.
+    edge = np.zeros(11, complex)
+    edge[0] = 1.0
+    diffs = []
+    for dt, dW in ((0.01, 0.1), (0.005, 0.1 / np.sqrt(2))):
+        split = trajectory_step(skew11, edge, dt, dW)
+        exact = exact_exponential_evolve(skew11, edge, dt, np.full((1, 1), dW))[0]
+        diffs.append(np.linalg.norm(split - exact))
+    assert diffs[1] > 1e-10  # a splitting error, not round-off
+    assert diffs[0] >= 3 * diffs[1]
+
+
+def test_ensemble_matches_exact_exponential_oracle_on_same_noise(skew11, center11):
+    n_traj, t_final, dt, seed = 256, 1.0, 0.005, 42
+    ens = run_ensemble(skew11, center11, t_final, dt, n_traj, master_seed=seed)
+    n_steps = round(t_final / dt)
+    dW = np.array([NoiseStream(seed, j).wiener_increments(n_steps, dt) for j in range(n_traj)])
+    psi = exact_exponential_evolve(skew11, center11, dt, dW)
+    rho_oracle = psi.T @ psi.conj() / n_traj
+    assert np.linalg.norm(ens.rho_estimate - rho_oracle) <= 0.05 * ens.standard_error
+
+
 def test_pathwise_norm_conservation_long_run(skew11, center11):
     # 1e4 unitary steps must accumulate < 1e-9 norm drift
     psi = run_trajectory(skew11, center11, 50.0, 0.005, NoiseStream(2, 0))
@@ -110,6 +143,31 @@ def test_ensemble_reproducibility_across_thread_counts(skew11, center11):
         assert np.array_equal(base.rho_estimate, other.rho_estimate)
         assert base.standard_error == other.standard_error
         assert np.array_equal(base.psi_mean, other.psi_mean)
+
+
+def test_ensemble_bytes_do_not_depend_on_blas_threads():
+    # N = 32 with a 512-trajectory chunk is large enough for OpenBLAS to
+    # split the per-step GEMM across threads
+    code = (
+        "import numpy as np\n"
+        "from skinlab import build_obc, make_cosine_model, run_ensemble\n"
+        "ops = build_obc(make_cosine_model(1, 0, 1, np.pi / 2), 32)\n"
+        "psi0 = np.zeros(32, complex)\n"
+        "psi0[15] = 1.0\n"
+        "ens = run_ensemble(ops, psi0, 0.5, 0.005, 600, master_seed=7)\n"
+        "print(ens.rho_estimate.tobytes().hex())\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "MKL_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=300, check=True)
+        outputs.append(run.stdout.strip())
+    assert len(outputs[0]) == 2 * 32 * 32 * 16
+    assert outputs[0] == outputs[1]
 
 
 def test_ensemble_estimate_properties(skew11, center11):

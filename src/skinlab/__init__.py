@@ -68,6 +68,7 @@ from .liouvillian import (
     bidiagonal_stationary_state,
     build_liouvillian,
     kernel_overlap,
+    liouvillian_eigenvalues,
     liouvillian_spectrum,
     master_rhs,
     open_chain_modes,

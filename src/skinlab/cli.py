@@ -46,7 +46,12 @@ from .lattice_ops import (
     obc_spectrum,
     skin_localization,
 )
-from .liouvillian import SPECTRUM_CAP, build_liouvillian, liouvillian_spectrum, stationary_states
+from .liouvillian import (
+    SPECTRUM_CAP,
+    build_liouvillian,
+    liouvillian_eigenvalues,
+    stationary_states,
+)
 from .serialize import (
     density_rows,
     frames_to_json,
@@ -376,7 +381,10 @@ def _run_bulk_relax(cfg: ExperimentConfig, outdir: Path) -> list[str]:
 
 
 def _run_obc_relax(cfg: ExperimentConfig, outdir: Path) -> list[str]:
-    ops = _lattice(cfg.model, cfg.n_sites)
+    return _write_relaxation(cfg, outdir, _lattice(cfg.model, cfg.n_sites))
+
+
+def _write_relaxation(cfg: ExperimentConfig, outdir: Path, ops: LatticeOperators) -> list[str]:
     rho0 = DensityMatrix.site(cfg.n_sites, cfg.rho0_site)
     states = _master_states(ops, rho0, cfg.times, cfg.dt)
     cols = ["t", "entropy", "purity", "first_moment"]
@@ -397,10 +405,9 @@ def _write_spectrum(cfg: ExperimentConfig, outdir: Path, eigenvalues) -> str:
 
 def _run_liouvillian_spectrum(cfg: ExperimentConfig, outdir: Path) -> list[str]:
     ops = _lattice(cfg.model, cfg.n_sites)
-    Lm = build_liouvillian(ops)
     if cfg.n_sites > DENSE_PROPAGATION_MAX:
-        return [_write_spectrum(cfg, outdir, liouvillian_spectrum(Lm))]
-    report = stationary_states(Lm, ops)
+        return [_write_spectrum(cfg, outdir, liouvillian_eigenvalues(ops))]
+    report = stationary_states(build_liouvillian(ops), ops)
     write_json(outdir / "stationary.json", {
         "config": cfg.config_hash(),
         "zero_eigenvalue_multiplicity": report.zero_eigenvalue_multiplicity,
@@ -461,10 +468,10 @@ def _run_trajectories(cfg: ExperimentConfig, outdir: Path) -> list[str]:
 
 
 def _run_hatano_nelson(cfg: ExperimentConfig, outdir: Path) -> list[str]:
-    outputs = _run_obc_relax(cfg, outdir)
+    ops = _lattice(cfg.model, cfg.n_sites)
+    outputs = _write_relaxation(cfg, outdir, ops)
     if cfg.include_spectrum:
-        Lm = build_liouvillian(_lattice(cfg.model, cfg.n_sites))
-        outputs.append(_write_spectrum(cfg, outdir, liouvillian_spectrum(Lm)))
+        outputs.append(_write_spectrum(cfg, outdir, liouvillian_eigenvalues(ops)))
     return outputs
 
 

@@ -13,6 +13,10 @@ so
 
 Mixing vectorization conventions silently transposes the jump term; the one
 above is frozen package-wide.
+
+L preserves Hermiticity, so in an orthonormal basis of Hermitian matrices it
+is a real matrix; :func:`liouvillian_eigenvalues` assembles that real form
+directly from H and P for an eigenvalues-only solve.
 """
 
 from __future__ import annotations
@@ -111,9 +115,7 @@ def liouvillian_spectrum(
     NumericalFailure
         On eigensolver non-convergence or residuals above the bound.
     """
-    dim = Lm.n_sites**2
-    if dim > cap:
-        raise ParameterError(f"superoperator dimension {dim} exceeds the cap {cap}")
+    _check_cap(Lm.n_sites, cap)
     try:
         if eigenvectors:
             w, V = np.linalg.eig(Lm.L)
@@ -122,7 +124,7 @@ def liouvillian_spectrum(
             V = None
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise NumericalFailure(f"eigensolver did not converge: {exc}") from exc
-    order = np.lexsort((w.imag, w.real))
+    order = _spectrum_order(w)
     w = w[order]
     if V is None:
         return w
@@ -134,6 +136,82 @@ def liouvillian_spectrum(
             f"eigenpair residual {residual:.3e} exceeds 1e-8 * ||L||", residual=residual
         )
     return w, V
+
+
+def _check_cap(n_sites: int, cap: int) -> None:
+    dim = n_sites**2
+    if dim > cap:
+        raise ParameterError(f"superoperator dimension {dim} exceeds the cap {cap}")
+
+
+def _spectrum_order(w: np.ndarray) -> np.ndarray:
+    """Indices sorting eigenvalues by real then imaginary part."""
+    return np.lexsort((w.imag, w.real))
+
+
+def _hermitian_basis_generator(ops: LatticeOperators) -> np.ndarray:
+    """The generator as a real N^2 x N^2 matrix in an orthonormal Hermitian basis.
+
+    The basis is |a><a| (a = 0..N-1), then (|a><b| + |b><a|)/sqrt2 and then
+    i(|a><b| - |b><a|)/sqrt2 over the pairs a < b in ``np.triu_indices``
+    order.  L preserves Hermiticity, so every entry <B_i, L(B_j)> is real.
+    Columns are assembled one row index a at a time from
+    L(|a><b|) = K|a><b| + |a><b|K^dagger + P|a><b|P with K = -iH - P^2/2 and
+    L(X^dagger) = L(X)^dagger; no complex N^2 x N^2 array is formed.
+    """
+    N = ops.n_sites
+    K = -1j * ops.H - 0.5 * ops.P2
+    P = ops.P
+    rows, cols = np.triu_indices(N, 1)
+    n_pairs = rows.size
+    root2 = np.sqrt(2.0)
+    out = np.empty((N * N, N * N))
+
+    def coordinates(Y):
+        """Real coordinates of a stack of Hermitian matrices, one column each."""
+        upper = Y[:, rows, cols]
+        return np.concatenate(
+            [np.diagonal(Y, axis1=1, axis2=2).real.T, root2 * upper.real.T,
+             root2 * upper.imag.T]
+        )
+
+    sites = np.arange(N)
+    start = 0
+    for a in range(N):
+        b = sites[a:]
+        # Y[j] = L(|a><b_j|)
+        Y = P[:, a][None, :, None] * P[b][:, None, :]
+        Y[np.arange(b.size), :, b] += K[:, a]
+        Y[:, a, :] += K.conj()[:, b].T
+        out[:, a] = coordinates(Y[:1])[:, 0]
+        Z = Y[1:]
+        Z_dag = Z.conj().transpose(0, 2, 1)
+        stop = start + Z.shape[0]
+        out[:, N + start:N + stop] = coordinates((Z + Z_dag) / root2)
+        out[:, N + n_pairs + start:N + n_pairs + stop] = coordinates(1j * (Z - Z_dag) / root2)
+        start = stop
+    return out
+
+
+def liouvillian_eigenvalues(ops: LatticeOperators, cap: int = SPECTRUM_CAP) -> np.ndarray:
+    """Full generator spectrum from one real eigensolve, sorted as :func:`liouvillian_spectrum`.
+
+    Works on :func:`_hermitian_basis_generator`, so the eigenvalues come in
+    exact complex-conjugate pairs.
+
+    Raises
+    ------
+    ParameterError
+        If N^2 exceeds ``cap``; checked before anything is allocated.
+    NumericalFailure
+        On eigensolver non-convergence.
+    """
+    _check_cap(ops.n_sites, cap)
+    try:
+        w = np.linalg.eigvals(_hermitian_basis_generator(ops))
+    except np.linalg.LinAlgError as exc:  # pragma: no cover
+        raise NumericalFailure(f"eigensolver did not converge: {exc}") from exc
+    return w[_spectrum_order(w)]
 
 
 def stationary_states(Lm: LiouvillianMatrix, ops: LatticeOperators) -> StationaryReport:

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+from skinlab import master_rhs
+
 
 def assert_multiset_close(a, b, tol):
     """Optimal-assignment multiset comparison, robust to degenerate sorting."""
@@ -22,6 +24,23 @@ class ZeroStream:
 
     def wiener_increments(self, n_steps, dt):
         return np.zeros(n_steps)
+
+
+def site_basis_rk4(ops, rho0, t_final, dt):
+    """Reference classical RK4 in the site basis: four master_rhs stages per step.
+
+    Same step count rule as ``propagate_master_rk4``; returns the raw matrix.
+    """
+    rho = np.asarray(rho0, dtype=complex)
+    n_steps = max(1, round(t_final / dt)) if t_final > 0 else 0
+    h = t_final / n_steps if n_steps else 0.0
+    for _ in range(n_steps):
+        k1 = master_rhs(ops, rho)
+        k2 = master_rhs(ops, rho + 0.5 * h * k1)
+        k3 = master_rhs(ops, rho + 0.5 * h * k2)
+        k4 = master_rhs(ops, rho + h * k3)
+        rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return rho
 
 
 def conjugation_symmetric(w, tol=1e-8):

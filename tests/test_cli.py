@@ -178,6 +178,44 @@ def test_hatano_nelson_experiment(tmp_path):
     assert max(float(row.split(",")[0]) for row in spectrum) <= 1e-8
 
 
+def test_liouvillian_spectrum_above_the_dense_propagation_cap(tmp_path):
+    cfg = validate_config({
+        "experiment": "LiouvillianSpectrum",
+        "model": {"type": "cosine", "J": 1, "T": 0, "R": 1, "phi": PHI_HALF_PI},
+        "n_sites": 33,
+        "output_dir": str(tmp_path / "lsp"),
+    })
+    assert run_experiment(cfg)["outputs"] == ["spectrum.csv"]
+    rows = [l.split(",") for l in (tmp_path / "lsp" / "spectrum.csv").read_text().splitlines()
+            if not l.startswith("#") and not l.startswith("re,")]
+    w = np.array([float(re) + 1j * float(im) for re, im in rows])
+    assert w.size == 33**2
+    assert w.real.max() <= 1e-8
+    assert int(np.sum(np.abs(w) < 1e-8)) == 1
+
+
+def test_hatano_nelson_builds_its_operators_once(tmp_path, monkeypatch):
+    import skinlab.cli
+
+    calls = []
+    build = skinlab.cli.build_hatano_nelson
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(skinlab.cli, "build_hatano_nelson", counting)
+    cfg = validate_config({
+        "experiment": "HatanoNelson",
+        "model": {"type": "hatano_nelson", "J1": 1, "J2": 2},
+        "n_sites": 5,
+        "times": [0.5],
+        "output_dir": str(tmp_path / "hn"),
+    })
+    run_experiment(cfg)
+    assert calls == [(1.0, 2.0, 5)]
+
+
 def test_main_exit_codes(tmp_path, capsys):
     good = write_config(tmp_path, spectra_config(tmp_path), "good.json")
     assert main(["validate", str(good)]) == 0

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import site_basis_rk4
 from skinlab import (
     BandModel,
     DensityMatrix,
@@ -233,3 +234,25 @@ def test_drift_aborts_both_master_routes(skew11):
         prop.propagate(rho0, 1.0)
     with pytest.raises(NumericalFailure):
         propagate_master_rk4(ops, rho0, 0.01, dt=0.01)
+
+
+@pytest.mark.parametrize("ops", [
+    build_obc(make_cosine_model(1, 0, 1, np.pi / 2), 41),
+    build_hatano_nelson(1, 2, 40),
+    build_obc(make_cosine_model(1, 0, 0, np.pi / 2), 41),
+], ids=["cosine_phi_half_pi_n41", "hatano_nelson_n40", "no_jump_n41"])
+def test_rk4_in_jump_eigenbasis_matches_site_basis_loop(ops):
+    n = ops.n_sites
+    psi = np.random.default_rng(n).normal(size=(n, 2)) @ np.array([1.0, 1j])
+    for rho0 in (DensityMatrix.site(n, n // 2 + 1), DensityMatrix.pure(psi)):
+        fast = propagate_master_rk4(ops, rho0, 1.0, dt=0.002).rho
+        assert np.abs(fast - site_basis_rk4(ops, rho0.rho, 1.0, 0.002)).max() <= 1e-12
+
+
+def test_rk4_rejects_non_hermitian_start(skew11):
+    ops, _, _ = skew11
+    rho0 = DensityMatrix.site(11, 6).rho.copy()
+    rho0[5, 6], rho0[6, 5] = 1e-3, -1e-3
+    for t in (0.0, 0.01):
+        with pytest.raises(NumericalFailure, match="not Hermitian"):
+            propagate_master_rk4(ops, rho0, t, dt=0.01)

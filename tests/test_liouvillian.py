@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from skinlab import (
     build_liouvillian,
     build_obc,
     kernel_overlap,
+    liouvillian_eigenvalues,
     liouvillian_spectrum,
     make_cosine_model,
     master_rhs,
@@ -21,6 +24,7 @@ from skinlab import (
     vec,
 )
 from skinlab.lattice_ops import Construction
+from skinlab.liouvillian import _hermitian_basis_generator
 
 
 def random_hermitian(rng, n):
@@ -175,3 +179,56 @@ def test_open_chain_modes_diagonalize_commuting_pair():
     P_diag = V.T @ ops.P.real @ V
     assert np.abs(H_diag - np.diag(np.diag(H_diag))).max() < 1e-12
     assert np.abs(P_diag - np.diag(np.diag(P_diag))).max() < 1e-12
+
+
+def hermitian_basis(n):
+    """Columns vec(B) of the orthonormal Hermitian basis, in the documented order."""
+    basis = [np.diag(np.eye(n)[a]).astype(complex) for a in range(n)]
+    pairs = list(zip(*np.triu_indices(n, 1)))
+    for phase in (1.0, 1j):
+        for a, b in pairs:
+            B = np.zeros((n, n), complex)
+            B[a, b], B[b, a] = phase / np.sqrt(2), np.conj(phase) / np.sqrt(2)
+            basis.append(B)
+    return np.stack([vec(B) for B in basis], axis=1)
+
+
+def real_generator_models(n):
+    return [build_obc(make_cosine_model(1, 0.3, 1, np.pi / 2), n),
+            build_obc(make_cosine_model(1, 0, 1, 0), n),
+            build_hatano_nelson(1, 2, n)]
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_real_generator_is_the_hermitian_basis_change(n):
+    U = hermitian_basis(n)
+    assert np.abs(U.conj().T @ U - np.eye(n * n)).max() < 1e-14
+    for ops in real_generator_models(n):
+        M = _hermitian_basis_generator(ops)
+        assert M.dtype == np.float64
+        expect = U.conj().T @ build_liouvillian(ops).L @ U
+        assert np.abs(M - expect).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [11, 24])
+def test_real_eigenvalues_match_the_complex_solve(n):
+    for ops in real_generator_models(n):
+        w = liouvillian_eigenvalues(ops)
+        assert_multiset_close(w, liouvillian_spectrum(build_liouvillian(ops)), 1e-10)
+        assert np.array_equal(w, w[np.lexsort((w.imag, w.real))])
+        # a real matrix has exact conjugate pairs
+        assert np.array_equal(np.sort_complex(w), np.sort_complex(w.conj()))
+
+
+def test_real_eigenvalues_cap_fails_before_allocating():
+    ops = build_hatano_nelson(1, 2, 65)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterError):
+            liouvillian_eigenvalues(ops)
+        with pytest.raises(ParameterError):
+            liouvillian_eigenvalues(build_obc(make_cosine_model(1, 0, 1, 0), 9), cap=16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

@@ -12,7 +12,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ZeroStream, assert_multiset_close
+from conftest import ZeroStream, assert_multiset_close, site_basis_rk4
 from skinlab import (
     BandModel,
     DensityMatrix,
@@ -59,6 +59,14 @@ def test_master_routes_keep_state_invariants_and_agree(ops, data, t):
     assert_state(spectral)
     assert_state(rk4)
     assert np.abs(spectral - rk4).max() <= 1e-8
+
+
+@PROFILE
+@given(ops=lattices(), seed=st.integers(0, 2**32 - 1), t=st.floats(0.0, 2.0))
+def test_rk4_in_jump_eigenbasis_matches_site_basis_loop(ops, seed, t):
+    rho0 = DensityMatrix.pure(random_state(ops.n_sites, seed))
+    fast = propagate_master_rk4(ops, rho0, t, dt=1e-3).rho
+    assert np.abs(fast - site_basis_rk4(ops, rho0.rho, t, 1e-3)).max() <= 1e-12
 
 
 @PROFILE

@@ -70,7 +70,6 @@ from .liouvillian import (
     kernel_overlap,
     liouvillian_eigenvalues,
     liouvillian_spectrum,
-    master_rhs,
     open_chain_modes,
     stationary_states,
     unvec,

@@ -96,11 +96,6 @@ class BandModel:
         """Jump amplitude P(k); imaginary part is round-off for a valid model."""
         return eval_coefficients(self.p_coeffs, k)
 
-    def max_range(self) -> int:
-        """Largest |m| carrying a coefficient, over both maps."""
-        ranges = [abs(m) for m in self.h_coeffs] + [abs(m) for m in self.p_coeffs]
-        return max(ranges, default=0)
-
     def max_group_velocity(self) -> float:
         """Upper bound sum_m |m||h_m| on |H'(k)| (ballistic spreading speed)."""
         return float(sum(abs(m) * abs(c) for m, c in self.h_coeffs.items()))

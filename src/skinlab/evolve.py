@@ -172,15 +172,11 @@ def propagate_master_rk4(
 
     Independent of the superoperator route (needs only H, P), with the same
     state checks; the step count is rounded so the final time is hit exactly.
-
-    The integration runs in P's eigenbasis P = V diag(p) V^dagger, where the
-    dissipator is the elementwise factor D_ab = -(p_a - p_b)^2 / 2 and, for a
-    Hermitian state, -i[H, rho] = X + X^dagger with X = -i H rho: one matrix
-    product per generator application.  The generator is linear and
-    time-independent, so the RK4 step is its Horner form
-    y <- rho + (h/k) L(y) for k = 4, 3, 2, 1.  The shortcut needs a
-    Hermitian start: a deviation beyond ``DRIFT_ABORT`` raises
-    NumericalFailure.
+    It runs in P's eigenbasis from ``ops``, where a Hermitian state's generator
+    is X + X^dagger + D * rho with X = -i H_tilde rho (one matrix product per
+    application), in the Horner form y <- rho + (h/k) L(y), k = 4, 3, 2, 1, of
+    the RK4 step.  A start whose Hermiticity deviation exceeds ``DRIFT_ABORT``
+    raises NumericalFailure.
     """
     if t_final < 0:
         raise ParameterError(f"propagation time must be >= 0, got {t_final}")
@@ -196,10 +192,8 @@ def propagate_master_rk4(
     if n_steps == 0:
         return _checked_state(rho)
     h = t_final / n_steps
-    p, V = np.linalg.eigh(ops.P)
-    minus_iH = -1j * (V.conj().T @ ops.H @ V)
-    D = -0.5 * (p[:, None] - p[None, :]) ** 2
-    stages = [(h / k, (h / k) * D) for k in (4.0, 3.0, 2.0, 1.0)]
+    V, minus_iH = ops.V, -1j * ops.H_tilde
+    stages = [(h / k, (h / k) * ops.D) for k in (4.0, 3.0, 2.0, 1.0)]
     y = V.conj().T @ rho @ V
     for _ in range(n_steps):
         start = y

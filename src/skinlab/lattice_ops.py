@@ -8,7 +8,7 @@ at most by design.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -45,6 +45,10 @@ class LatticeOperators:
     Invariants, enforced at construction: H, P, P2 Hermitian; P2 = P @ P;
     P positive semidefinite; every eigenvalue of H_eff has Im <= 0 (up to
     round-off tolerances).
+
+    Construction diagonalizes P = V diag(p) V^dagger once and stores ``p``,
+    ``V``, ``H_tilde`` = V^dagger H V and ``D``, D_ab = -(p_a - p_b)^2 / 2:
+    in that basis the generator is rho -> -i[H_tilde, rho] + D * rho.
     """
 
     n_sites: int
@@ -53,6 +57,10 @@ class LatticeOperators:
     P2: np.ndarray
     H_eff: np.ndarray
     construction: Construction
+    p: np.ndarray = field(init=False, repr=False, compare=False)
+    V: np.ndarray = field(init=False, repr=False, compare=False)
+    H_tilde: np.ndarray = field(init=False, repr=False, compare=False)
+    D: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("H", "P", "P2"):
@@ -61,12 +69,16 @@ class LatticeOperators:
                 raise ParameterError(f"{name} is not Hermitian to {HERMITICITY_TOL}")
         if _maxabs(self.P @ self.P - self.P2) > P2_CONSISTENCY_TOL * max(1.0, _maxabs(self.P2)):
             raise ParameterError("P2 does not match P @ P")
-        w_min = float(np.linalg.eigvalsh(self.P).min())
-        if w_min < -PSD_CLAMP_TOL:
-            raise NotPSDError(f"P has eigenvalue {w_min:.3e} < 0", min_eigenvalue=w_min)
+        p, V = np.linalg.eigh(self.P)
+        if p[0] < -PSD_CLAMP_TOL:
+            raise NotPSDError(f"P has eigenvalue {p[0]:.3e} < 0", min_eigenvalue=float(p[0]))
         im_max = float(np.linalg.eigvals(self.H_eff).imag.max())
         if im_max > 1e-10:
             raise ParameterError(f"H_eff has eigenvalue with Im = {im_max:.3e} > 0")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "V", V)
+        object.__setattr__(self, "H_tilde", V.conj().T @ self.H @ V)
+        object.__setattr__(self, "D", -0.5 * (p[:, None] - p[None, :]) ** 2)
 
 
 @dataclass(frozen=True)

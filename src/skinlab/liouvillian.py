@@ -15,8 +15,8 @@ Mixing vectorization conventions silently transposes the jump term; the one
 above is frozen package-wide.
 
 L preserves Hermiticity, so in an orthonormal basis of Hermitian matrices it
-is a real matrix; :func:`liouvillian_eigenvalues` assembles that real form
-directly from H and P for an eigenvalues-only solve.
+is a real matrix; :func:`liouvillian_eigenvalues` assembles that real form in
+P's eigenbasis, from H_tilde and D, for an eigenvalues-only solve.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .lattice_ops import LatticeOperators
 SPECTRUM_CAP = 4096             # largest N^2 the dense solver will accept
 ZERO_TOL_SCALE = 1e-8           # relative zero-eigenvalue threshold
 KERNEL_GAP_WARN = 10.0          # flag kernels whose first decaying mode sits this close
+SORT_TIE_TOL = 1e-9             # relative real-part tie tolerance of the spectrum order
 
 
 def vec(rho: np.ndarray) -> np.ndarray:
@@ -79,12 +80,6 @@ class StationaryReport:
     eigenvalues: np.ndarray
 
 
-def master_rhs(ops: LatticeOperators, rho: np.ndarray) -> np.ndarray:
-    """Right-hand side of the master equation in matrix form."""
-    H, P, P2 = ops.H, ops.P, ops.P2
-    return -1j * (H @ rho - rho @ H) - 0.5 * (P2 @ rho + rho @ P2) + P @ rho @ P
-
-
 def build_liouvillian(ops: LatticeOperators) -> LiouvillianMatrix:
     """Assemble the dense superoperator matrix for the given lattice operators."""
     N = ops.n_sites
@@ -102,7 +97,7 @@ def liouvillian_spectrum(
     eigenvectors: bool = False,
     cap: int = SPECTRUM_CAP,
 ):
-    """Full dense spectrum, sorted by real then imaginary part.
+    """Full dense spectrum, sorted by real then imaginary part (see :func:`_spectrum_order`).
 
     With ``eigenvectors=True`` also returns the right eigenvectors (columns,
     same order) and verifies every eigenpair residual against
@@ -117,18 +112,13 @@ def liouvillian_spectrum(
     """
     _check_cap(Lm.n_sites, cap)
     try:
-        if eigenvectors:
-            w, V = np.linalg.eig(Lm.L)
-        else:
-            w = np.linalg.eigvals(Lm.L)
-            V = None
+        w, V = np.linalg.eig(Lm.L) if eigenvectors else (np.linalg.eigvals(Lm.L), None)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise NumericalFailure(f"eigensolver did not converge: {exc}") from exc
     order = _spectrum_order(w)
-    w = w[order]
     if V is None:
-        return w
-    V = V[:, order]
+        return w[order]
+    w, V = w[order], V[:, order]
     scale = float(np.linalg.norm(Lm.L))
     residual = float(np.abs(Lm.L @ V - V * w).max())
     if residual > 1e-8 * scale:
@@ -145,51 +135,59 @@ def _check_cap(n_sites: int, cap: int) -> None:
 
 
 def _spectrum_order(w: np.ndarray) -> np.ndarray:
-    """Indices sorting eigenvalues by real then imaginary part."""
-    return np.lexsort((w.imag, w.real))
+    """Indices sorting eigenvalues by real part, then imaginary part.
+
+    Sorted real parts that step by at most SORT_TIE_TOL * max(1, max|w|) form
+    one tie group, ordered by imaginary part, so round-off cannot reorder rows.
+    """
+    by_real = np.argsort(w.real, kind="stable")
+    tol = SORT_TIE_TOL * max(1.0, float(np.abs(w).max(initial=0.0)))
+    group = np.concatenate([[0], np.cumsum(np.diff(w.real[by_real]) > tol)])
+    return by_real[np.lexsort((w.imag[by_real], group))]
 
 
 def _hermitian_basis_generator(ops: LatticeOperators) -> np.ndarray:
     """The generator as a real N^2 x N^2 matrix in an orthonormal Hermitian basis.
 
-    The basis is |a><a| (a = 0..N-1), then (|a><b| + |b><a|)/sqrt2 and then
-    i(|a><b| - |b><a|)/sqrt2 over the pairs a < b in ``np.triu_indices``
-    order.  L preserves Hermiticity, so every entry <B_i, L(B_j)> is real.
-    Columns are assembled one row index a at a time from
-    L(|a><b|) = K|a><b| + |a><b|K^dagger + P|a><b|P with K = -iH - P^2/2 and
-    L(X^dagger) = L(X)^dagger; no complex N^2 x N^2 array is formed.
+    The basis lives in P's eigenbasis: |a><a| (a = 0..N-1), then
+    S_ab = (|a><b| + |b><a|)/sqrt2 and A_ab = i(|a><b| - |b><a|)/sqrt2 over the
+    pairs a < b in ``np.triu_indices`` order.  The matrix is the real
+    antisymmetric one of -i[H_tilde, .] plus the diagonal (0_N, D_ab, D_ab).
+    With z = H_tilde[e, c], A_ed = -A_de and c, d, e distinct, its entries are
+    <S_de, S_cd> = -<A_de, A_cd> = Im z, <S_de, A_cd> = <A_de, S_cd> = Re z,
+    <S_ce, |c><c|> = sqrt2 Im z, <A_ce, |c><c|> = sqrt2 Re z and
+    <A_cd, S_cd> = H_tilde[d, d] - H_tilde[c, c]: O(N^3) entries, set by scatters.
     """
-    N = ops.n_sites
-    K = -1j * ops.H - 0.5 * ops.P2
-    P = ops.P
+    N, h = ops.n_sites, ops.H_tilde
     rows, cols = np.triu_indices(N, 1)
-    n_pairs = rows.size
-    root2 = np.sqrt(2.0)
-    out = np.empty((N * N, N * N))
+    n_pairs, sites = rows.size, np.arange(N)
+    S = N + np.arange(n_pairs)                                  # index of S_ab; A_ab follows
+    pair = np.zeros((N, N), dtype=np.intp)
+    pair[rows, cols] = pair[cols, rows] = S
+    others = np.nonzero(~np.eye(N, dtype=bool))[1].reshape(N, N - 1)  # others[d]: e != d
+    S_de = pair[sites[:, None], others]
+    sign = np.sign(others - sites[:, None]).astype(float)       # A_de = sign * A_(min, max)
+    out = np.zeros((N * N, N * N))
 
-    def coordinates(Y):
-        """Real coordinates of a stack of Hermitian matrices, one column each."""
-        upper = Y[:, rows, cols]
-        return np.concatenate(
-            [np.diagonal(Y, axis1=1, axis2=2).real.T, root2 * upper.real.T,
-             root2 * upper.imag.T]
-        )
+    e, c = others[:, :, None], others[:, None, :]
+    blk = np.empty((N, 2, N - 1, 2, N - 1))   # [d, (S_de, A_de), e, (S_cd, A_cd), c]
+    blk[:, 0, :, 0] = h.imag[e, c]
+    np.negative(blk[:, 0, :, 0], out=blk[:, 1, :, 1])
+    blk[:, 0, :, 1] = blk[:, 1, :, 0] = h.real[e, c]
+    blk[:, 1] *= sign[:, :, None, None]          # to the stored A_(min, max) rows
+    blk[:, :, :, 1] *= -sign[:, None, None, :]   # and columns, A_cd = -sign[d, c] * A_(min, max)
+    idx = np.stack([S_de, S_de + n_pairs], axis=1)
+    out[idx[..., None, None], idx[:, None, None]] = blk
 
-    sites = np.arange(N)
-    start = 0
-    for a in range(N):
-        b = sites[a:]
-        # Y[j] = L(|a><b_j|)
-        Y = P[:, a][None, :, None] * P[b][:, None, :]
-        Y[np.arange(b.size), :, b] += K[:, a]
-        Y[:, a, :] += K.conj()[:, b].T
-        out[:, a] = coordinates(Y[:1])[:, 0]
-        Z = Y[1:]
-        Z_dag = Z.conj().transpose(0, 2, 1)
-        stop = start + Z.shape[0]
-        out[:, N + start:N + stop] = coordinates((Z + Z_dag) / root2)
-        out[:, N + n_pairs + start:N + n_pairs + stop] = coordinates(1j * (Z - Z_dag) / root2)
-        start = stop
+    g = np.sqrt(2.0) * h[others, sites[:, None]]
+    out[S_de, sites[:, None]], out[sites[:, None], S_de] = g.imag, -g.imag
+    out[S_de + n_pairs, sites[:, None]] = sign * g.real
+    out[sites[:, None], S_de + n_pairs] = -sign * g.real
+    # c == e above wrote into the pair-with-itself blocks; set them here
+    energies = h.diagonal().real
+    out[S + n_pairs, S] = energies[cols] - energies[rows]
+    out[S, S + n_pairs] = energies[rows] - energies[cols]
+    out[S, S] = out[S + n_pairs, S + n_pairs] = ops.D[rows, cols]
     return out
 
 

@@ -12,9 +12,10 @@ exp(-i (H dt + P dW)) at O(dt^2) per step), not norm drift.
 
 The step is applied in the eigenbasis of P = V diag(p) V^dagger, where the
 jump factor is the elementwise phase exp(-i p dW) and the Hamiltonian
-half-steps of adjacent steps fuse into W = V^dagger exp(-i H dt) V.  The
-eigendecompositions of H and P are taken once per run, so one step of a
-whole batch of trajectories is a phase multiply and one matrix product.
+half-steps of adjacent steps fuse into W = V^dagger exp(-i H dt) V.  P's
+eigenbasis comes with the lattice operators and H_tilde = V^dagger H V is
+diagonalized once per run, so one step of a whole batch of trajectories is a
+phase multiply and one matrix product.
 
 Noise streams are counter-based (Philox): independent trajectories use the
 same master key jumped by the trajectory index, so any trajectory can be
@@ -81,12 +82,11 @@ class TrajectoryEnsemble:
 
 
 def _split_factors(ops: LatticeOperators, dt: float):
-    """(p, V, W_half, W) of the Strang step: P = V diag(p) V^dagger and
-    W_half = V^dagger exp(-i H dt/2) V, W = W_half @ W_half."""
-    p, V = np.linalg.eigh(ops.P)
-    h, U = np.linalg.eigh(ops.H)
-    W_half = V.conj().T @ ((U * np.exp(-0.5j * dt * h)) @ U.conj().T) @ V
-    return p, V, W_half, W_half @ W_half
+    """(p, V, W_half, W) of the Strang step: P = V diag(p) V^dagger from ``ops`` and
+    W_half = V^dagger exp(-i H dt/2) V = exp(-i H_tilde dt/2), W = W_half @ W_half."""
+    h, U = np.linalg.eigh(ops.H_tilde)
+    W_half = (U * np.exp(-0.5j * dt * h)) @ U.conj().T
+    return ops.p, ops.V, W_half, W_half @ W_half
 
 
 def _split_evolve(factors, psi0: np.ndarray, dW: np.ndarray, return_path: bool = False):
@@ -192,21 +192,15 @@ def run_ensemble(
     n_steps = _validate_run(t_final, dt)
     chunks = [range(lo, min(lo + CHUNK, n_traj)) for lo in range(0, n_traj, CHUNK)]
     factors = _split_factors(ops, dt)
-
+    work = [(factors, psi0, dt, n_steps, master_seed, idx) for idx in chunks]
     if n_threads > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=n_threads) as pool:
-            parts = list(
-                pool.map(
-                    lambda idx: _integrate_chunk(factors, psi0, dt, n_steps, master_seed, idx),
-                    chunks,
-                )
-            )
+            parts = list(pool.map(lambda args: _integrate_chunk(*args), work))
     else:
-        parts = [_integrate_chunk(factors, psi0, dt, n_steps, master_seed, idx) for idx in chunks]
+        parts = [_integrate_chunk(*args) for args in work]
 
-    proj_sum = _pairwise_sum(np.stack([p["proj_sum"] for p in parts]))
-    psi_sum = _pairwise_sum(np.stack([p["psi_sum"] for p in parts]))
-    abs2_sum = _pairwise_sum(np.stack([p["abs2_sum"] for p in parts]))
+    proj_sum, psi_sum, abs2_sum = (_pairwise_sum(np.stack([p[key] for p in parts]))
+                                   for key in ("proj_sum", "psi_sum", "abs2_sum"))
     norm4_sum = float(_pairwise_sum(np.array([p["norm4_sum"] for p in parts])))
     norms = np.concatenate([p["norms"] for p in parts])
 

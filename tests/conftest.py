@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from skinlab import master_rhs
+from skinlab import build_liouvillian, vec
 
 
 def assert_multiset_close(a, b, tol):
@@ -14,6 +14,34 @@ def assert_multiset_close(a, b, tol):
     rows, cols = linear_sum_assignment(cost)
     worst = cost[rows, cols].max()
     assert worst <= tol, f"multiset mismatch: worst pairing distance {worst:.3e} > {tol:.0e}"
+
+
+def master_rhs(ops, rho):
+    """Right-hand side of the master equation in matrix form, in the site basis."""
+    H, P, P2 = ops.H, ops.P, ops.P2
+    return -1j * (H @ rho - rho @ H) - 0.5 * (P2 @ rho + rho @ P2) + P @ rho @ P
+
+
+def hermitian_basis(n):
+    """Columns vec(B) of the orthonormal Hermitian basis, in the documented order."""
+    basis = [np.diag(np.eye(n)[a]).astype(complex) for a in range(n)]
+    pairs = list(zip(*np.triu_indices(n, 1)))
+    for phase in (1.0, 1j):
+        for a, b in pairs:
+            B = np.zeros((n, n), complex)
+            B[a, b], B[b, a] = phase / np.sqrt(2), np.conj(phase) / np.sqrt(2)
+            basis.append(B)
+    return np.stack([vec(B) for B in basis], axis=1)
+
+
+def jump_eigenbasis_generator(ops):
+    """The dense L in P's eigenbasis, then in the Hermitian basis.
+
+    U^dagger W^dagger L W U with W = kron(conj(V), V) and U = ``hermitian_basis``.
+    """
+    U = hermitian_basis(ops.n_sites)
+    W = np.kron(ops.V.conj(), ops.V)
+    return U.conj().T @ W.conj().T @ build_liouvillian(ops).L @ W @ U
 
 
 class ZeroStream:

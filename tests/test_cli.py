@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from skinlab import build_hatano_nelson, build_obc, make_cosine_model
 from skinlab.cli import load_config, main, run_experiment, validate_config
 from skinlab.errors import ConfigError
 
@@ -329,3 +330,37 @@ def test_each_generator_is_factored_once(tmp_path, monkeypatch):
     })
     assert count_dense_factorizations(monkeypatch, spectrum) == \
         {"eig": 1, "eigvals": 0, "svd": 1, "cond": 0, "inv": 0}
+
+
+@pytest.mark.parametrize("raw", [
+    {"experiment": "SemiclassicalDrift",
+     "model": {"type": "cosine", "J": 1, "T": 0, "R": 1, "phi": PHI_HALF_PI},
+     "n_sites": 33, "rho0_site": 17, "times": [0.25 * k for k in range(1, 9)]},
+    {"experiment": "HatanoNelson", "model": {"type": "hatano_nelson", "J1": 1, "J2": 2},
+     "n_sites": 40, "rho0_site": 20, "times": [0.25, 0.5, 0.75, 1.0]},
+    {"experiment": "Trajectories",
+     "model": {"type": "cosine", "J": 1, "T": 0, "R": 1, "phi": PHI_HALF_PI},
+     "n_sites": 11, "rho0_site": 6, "t_final": 0.5, "dt": 0.005, "n_traj": 64,
+     "master_seed": 7},
+], ids=lambda raw: raw["experiment"])
+def test_jump_operator_is_diagonalized_once_per_experiment(tmp_path, monkeypatch, raw):
+    cfg = validate_config({**raw, "output_dir": str(tmp_path / "out")})
+    model = cfg.model
+    if model["type"] == "hatano_nelson":
+        P = build_hatano_nelson(model["J1"], model["J2"], cfg.n_sites).P
+    else:
+        P = build_obc(make_cosine_model(model["J"], model["T"], model["R"], model["phi"]),
+                      cfg.n_sites).P
+    calls = []
+
+    def counting(original):
+        def wrapper(a, *args, **kwargs):
+            if np.shape(a) == P.shape and np.array_equal(a, P):
+                calls.append(original.__name__)
+            return original(a, *args, **kwargs)
+        return wrapper
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
+    run_experiment(cfg)
+    assert len(calls) == 1

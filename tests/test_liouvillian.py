@@ -3,7 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import assert_multiset_close, conjugation_symmetric
+from conftest import (
+    assert_multiset_close,
+    conjugation_symmetric,
+    hermitian_basis,
+    jump_eigenbasis_generator,
+    master_rhs,
+)
 from skinlab import (
     BandModel,
     LatticeOperators,
@@ -17,14 +23,18 @@ from skinlab import (
     liouvillian_eigenvalues,
     liouvillian_spectrum,
     make_cosine_model,
-    master_rhs,
     open_chain_modes,
     stationary_states,
     unvec,
     vec,
 )
 from skinlab.lattice_ops import Construction
-from skinlab.liouvillian import _hermitian_basis_generator
+from skinlab.liouvillian import (
+    SORT_TIE_TOL,
+    LiouvillianMatrix,
+    _hermitian_basis_generator,
+    _spectrum_order,
+)
 
 
 def random_hermitian(rng, n):
@@ -181,18 +191,6 @@ def test_open_chain_modes_diagonalize_commuting_pair():
     assert np.abs(P_diag - np.diag(np.diag(P_diag))).max() < 1e-12
 
 
-def hermitian_basis(n):
-    """Columns vec(B) of the orthonormal Hermitian basis, in the documented order."""
-    basis = [np.diag(np.eye(n)[a]).astype(complex) for a in range(n)]
-    pairs = list(zip(*np.triu_indices(n, 1)))
-    for phase in (1.0, 1j):
-        for a, b in pairs:
-            B = np.zeros((n, n), complex)
-            B[a, b], B[b, a] = phase / np.sqrt(2), np.conj(phase) / np.sqrt(2)
-            basis.append(B)
-    return np.stack([vec(B) for B in basis], axis=1)
-
-
 def real_generator_models(n):
     return [build_obc(make_cosine_model(1, 0.3, 1, np.pi / 2), n),
             build_obc(make_cosine_model(1, 0, 1, 0), n),
@@ -206,8 +204,7 @@ def test_real_generator_is_the_hermitian_basis_change(n):
     for ops in real_generator_models(n):
         M = _hermitian_basis_generator(ops)
         assert M.dtype == np.float64
-        expect = U.conj().T @ build_liouvillian(ops).L @ U
-        assert np.abs(M - expect).max() <= 1e-12
+        assert np.abs(M - jump_eigenbasis_generator(ops)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("n", [11, 24])
@@ -215,7 +212,9 @@ def test_real_eigenvalues_match_the_complex_solve(n):
     for ops in real_generator_models(n):
         w = liouvillian_eigenvalues(ops)
         assert_multiset_close(w, liouvillian_spectrum(build_liouvillian(ops)), 1e-10)
-        assert np.array_equal(w, w[np.lexsort((w.imag, w.real))])
+        # sorted by real part, ties within the relative tolerance by imaginary part
+        assert np.all(np.diff(w.real) >= -SORT_TIE_TOL * max(1.0, np.abs(w).max()))
+        assert np.array_equal(w, w[_spectrum_order(w)])
         # a real matrix has exact conjugate pairs
         assert np.array_equal(np.sort_complex(w), np.sort_complex(w.conj()))
 
@@ -232,3 +231,27 @@ def test_real_eigenvalues_cap_fails_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_real_generator_assembly_allocates_little_beyond_its_output():
+    ops = build_hatano_nelson(1, 2, 40)
+    tracemalloc.start()
+    try:
+        M = _hermitian_basis_generator(ops)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * M.nbytes
+
+
+def test_spectrum_order_is_stable_under_round_off_in_tied_real_parts():
+    rng = np.random.default_rng(3)
+    w = np.concatenate([[0.0, -1.0 + 2.0j, -1.0 - 2.0j, -1.0 + 0.5j, -1.0 - 0.5j],
+                        rng.normal(size=11) - 3.0 + 1j * rng.normal(size=11)])
+    a, b = w.copy(), w.copy()
+    a[1] += 1e-13       # the conjugate pair's real parts differ by round-off,
+    b[2] += 1e-13       # once on each side
+    b[3] -= 5e-14
+    rows = [liouvillian_spectrum(LiouvillianMatrix(4, np.diag(x)), cap=16) for x in (a, b)]
+    assert np.abs(rows[0] - rows[1]).max() <= 1e-12
+    assert_multiset_close(rows[0], w, 1e-12)

@@ -12,7 +12,12 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ZeroStream, assert_multiset_close, site_basis_rk4
+from conftest import (
+    ZeroStream,
+    assert_multiset_close,
+    jump_eigenbasis_generator,
+    site_basis_rk4,
+)
 from skinlab import (
     BandModel,
     DensityMatrix,
@@ -21,11 +26,14 @@ from skinlab import (
     SemiclassicalPropagator,
     build_liouvillian,
     build_obc,
+    liouvillian_eigenvalues,
     liouvillian_spectrum,
     propagate_master_rk4,
     run_trajectory,
     trajectory_step,
 )
+from skinlab.liouvillian import _hermitian_basis_generator
+from skinlab.trajectories import _split_factors
 
 PROFILE = settings(max_examples=8, derandomize=True, deadline=None, database=None)
 coefficient = st.floats(-0.5, 0.5, allow_nan=False)
@@ -121,3 +129,30 @@ def test_split_step_without_hamiltonian_is_the_jump_exponential(ops, seed, dt, d
     psi = trajectory_step(jump_only, psi0, dt, dW)
     expect = scipy.linalg.expm(-1j * ops.P * dW) @ psi0
     assert np.abs(psi - expect).max() <= 1e-12
+
+
+@PROFILE
+@given(ops=lattices())
+def test_real_generator_is_antisymmetric_plus_the_dephasing_diagonal(ops):
+    N = ops.n_sites
+    M = _hermitian_basis_generator(ops)
+    assert np.abs(M - jump_eigenbasis_generator(ops)).max() <= 1e-12
+    off = M - np.diag(np.diag(M))
+    assert np.abs(off + off.T).max() <= 1e-13
+    D_pairs = ops.D[np.triu_indices(N, 1)]
+    assert np.array_equal(np.diag(M), np.concatenate([np.zeros(N), D_pairs, D_pairs]))
+
+
+@PROFILE
+@given(ops=lattices())
+def test_real_spectrum_lies_in_the_closed_left_half_plane(ops):
+    # numerical range of antisymmetric plus a nonpositive diagonal
+    assert liouvillian_eigenvalues(ops).real.max() <= 1e-12
+
+
+@PROFILE
+@given(ops=lattices(), dt=step_sizes)
+def test_split_half_step_is_the_hamiltonian_exponential_in_the_jump_eigenbasis(ops, dt):
+    W_half = _split_factors(ops, dt)[2]
+    expect = ops.V.conj().T @ scipy.linalg.expm(-0.5j * dt * ops.H) @ ops.V
+    assert np.abs(W_half - expect).max() <= 1e-13

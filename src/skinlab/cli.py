@@ -48,7 +48,7 @@ from .lattice_ops import (
 )
 from .liouvillian import (
     SPECTRUM_CAP,
-    build_liouvillian,
+    _spectrum_order,
     liouvillian_eigenvalues,
     stationary_states,
 )
@@ -316,17 +316,17 @@ def _headers(cfg: ExperimentConfig, dataset: str, columns: list[str], **extra) -
 
 def _master_states(
     ops: LatticeOperators, rho0: DensityMatrix, times: list[float], dt: float
-) -> list[DensityMatrix]:
-    """Master-equation states at the given times, routed by lattice size."""
+) -> tuple[list[DensityMatrix], MasterPropagator | None]:
+    """Master-equation states at the given times, and the dense propagator (None on RK4)."""
     if ops.n_sites <= DENSE_PROPAGATION_MAX:
-        prop = MasterPropagator(build_liouvillian(ops))
-        return [prop.propagate(rho0, t) for t in times]
+        prop = MasterPropagator(ops)
+        return [prop.propagate(rho0, t) for t in times], prop
     states, current, t_prev = [], rho0, 0.0
     for t in times:
         current = propagate_master_rk4(ops, current, t - t_prev, dt)
         states.append(current)
         t_prev = t
-    return states
+    return states, None
 
 
 def _timeseries_rows(times, states):
@@ -381,19 +381,20 @@ def _run_bulk_relax(cfg: ExperimentConfig, outdir: Path) -> list[str]:
 
 
 def _run_obc_relax(cfg: ExperimentConfig, outdir: Path) -> list[str]:
-    return _write_relaxation(cfg, outdir, _lattice(cfg.model, cfg.n_sites))
+    return _write_relaxation(cfg, outdir, _lattice(cfg.model, cfg.n_sites))[0]
 
 
-def _write_relaxation(cfg: ExperimentConfig, outdir: Path, ops: LatticeOperators) -> list[str]:
+def _write_relaxation(cfg: ExperimentConfig, outdir: Path, ops: LatticeOperators):
+    """Write timeseries.csv and frames.json; their names, and the dense propagator or None."""
     rho0 = DensityMatrix.site(cfg.n_sites, cfg.rho0_site)
-    states = _master_states(ops, rho0, cfg.times, cfg.dt)
+    states, prop = _master_states(ops, rho0, cfg.times, cfg.dt)
     cols = ["t", "entropy", "purity", "first_moment"]
     write_csv(outdir / "timeseries.csv", cols, _timeseries_rows(cfg.times, states),
               _headers(cfg, "relaxation-timeseries", cols))
     sites = np.arange(1, cfg.n_sites + 1)
     frames = [(t, sites, s.rho) for t, s in zip(cfg.times, states)]
     write_json(outdir / "frames.json", {"config": cfg.config_hash(), **frames_to_json(frames)})
-    return ["timeseries.csv", "frames.json"]
+    return ["timeseries.csv", "frames.json"], prop
 
 
 def _write_spectrum(cfg: ExperimentConfig, outdir: Path, eigenvalues) -> str:
@@ -407,7 +408,7 @@ def _run_liouvillian_spectrum(cfg: ExperimentConfig, outdir: Path) -> list[str]:
     ops = _lattice(cfg.model, cfg.n_sites)
     if cfg.n_sites > DENSE_PROPAGATION_MAX:
         return [_write_spectrum(cfg, outdir, liouvillian_eigenvalues(ops))]
-    report = stationary_states(build_liouvillian(ops), ops)
+    report = stationary_states(ops)
     write_json(outdir / "stationary.json", {
         "config": cfg.config_hash(),
         "zero_eigenvalue_multiplicity": report.zero_eigenvalue_multiplicity,
@@ -420,9 +421,8 @@ def _run_liouvillian_spectrum(cfg: ExperimentConfig, outdir: Path) -> list[str]:
 
 def _run_entropy_trace(cfg: ExperimentConfig, outdir: Path) -> list[str]:
     ops = _lattice(cfg.model, cfg.n_sites)
-    Lm = build_liouvillian(ops)
     rho0 = DensityMatrix.site(cfg.n_sites, cfg.rho0_site)
-    trace = entropy_trace(Lm, ops, rho0, cfg.times)
+    trace = entropy_trace(ops, rho0, cfg.times)
     cols = ["t", "entropy", "purity", "first_moment"]
     write_csv(outdir / "entropy.csv", cols, _timeseries_rows(cfg.times, trace.states),
               _headers(cfg, "entropy-trace", cols, s_infinity=trace.s_infinity))
@@ -457,7 +457,7 @@ def _run_trajectories(cfg: ExperimentConfig, outdir: Path) -> list[str]:
         "rho_estimate": matrix_to_json(ens.rho_estimate),
     }
     if cfg.n_sites <= DENSE_PROPAGATION_MAX:
-        rho_master = MasterPropagator(build_liouvillian(ops)).propagate(
+        rho_master = MasterPropagator(ops).propagate(
             DensityMatrix.site(cfg.n_sites, cfg.rho0_site), cfg.t_final
         )
         err = float(np.linalg.norm(ens.rho_estimate - rho_master.rho))
@@ -469,9 +469,10 @@ def _run_trajectories(cfg: ExperimentConfig, outdir: Path) -> list[str]:
 
 def _run_hatano_nelson(cfg: ExperimentConfig, outdir: Path) -> list[str]:
     ops = _lattice(cfg.model, cfg.n_sites)
-    outputs = _write_relaxation(cfg, outdir, ops)
-    if cfg.include_spectrum:
-        outputs.append(_write_spectrum(cfg, outdir, liouvillian_eigenvalues(ops)))
+    outputs, prop = _write_relaxation(cfg, outdir, ops)
+    if cfg.include_spectrum:   # the frames' factorization when the dense route ran
+        w = liouvillian_eigenvalues(ops) if prop is None else prop.eigenvalues
+        outputs.append(_write_spectrum(cfg, outdir, w[_spectrum_order(w)]))
     return outputs
 
 
@@ -480,7 +481,7 @@ def _run_semiclassical_drift(cfg: ExperimentConfig, outdir: Path) -> list[str]:
     rho0 = DensityMatrix.site(cfg.n_sites, cfg.rho0_site)
     psi0 = np.zeros(cfg.n_sites, dtype=complex)
     psi0[cfg.rho0_site - 1] = 1.0
-    master = _master_states(ops, rho0, cfg.times, cfg.dt)
+    master, _ = _master_states(ops, rho0, cfg.times, cfg.dt)
     semi = SemiclassicalPropagator(ops)
     sites = np.arange(1, cfg.n_sites + 1)
     rows, master_pops, semi_pops = [], [], []

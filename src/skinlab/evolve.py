@@ -1,12 +1,12 @@
 """Time propagation of density matrices and no-jump wavefunctions.
 
-Propagation is exact-exponential: one helper diagonalizes the generator (L,
-or -i H_eff for the no-jump wavefunction) once and applies exp(A t)
-spectrally for every time, falling back to scipy expm above a per-generator
-eigenbasis condition limit.  Fixed-step RK4 of the master equation, run in
-the jump operator's eigenbasis, is an independent cross-check and the route
-for lattices too large for the dense superoperator; both master routes end
-in the same state checks.
+Propagation is exact-exponential: one helper diagonalizes the generator (L
+as a real matrix in P's eigenbasis, or -i H_eff for the no-jump wavefunction)
+once and applies exp(A t) spectrally for every time, falling back to scipy
+expm above a per-generator eigenbasis condition limit.  Fixed-step RK4 of the
+master equation, run in the jump operator's eigenbasis, is an independent
+cross-check and the route for lattices too large for the dense
+superoperator; both master routes end in the same state checks.
 """
 
 from __future__ import annotations
@@ -18,7 +18,13 @@ import scipy.linalg
 
 from .errors import NumericalFailure, ParameterError
 from .lattice_ops import LatticeOperators
-from .liouvillian import LiouvillianMatrix, unvec, vec
+from .liouvillian import (
+    _from_hermitian_coords,
+    _hermitian_basis_generator,
+    _hermitian_coords,
+    _zero_tolerance,
+    liouvillian_eigenvalues,
+)
 
 HERM_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -129,16 +135,16 @@ class _SpectralExponential:
 
 
 class MasterPropagator(_SpectralExponential):
-    """exp(L t) from one eigendecomposition of L; expm fallback above cond(V) = 1e8."""
+    """exp(L t) from one eigendecomposition of the real generator M; expm above cond(V) = 1e8."""
 
-    def __init__(self, Lm: LiouvillianMatrix):
-        self.Lm = Lm
-        self.n_sites = Lm.n_sites
-        super().__init__(Lm.L, EIG_COND_LIMIT_MASTER)
+    def __init__(self, ops: LatticeOperators):
+        self.ops = ops
+        super().__init__(_hermitian_basis_generator(ops), EIG_COND_LIMIT_MASTER)
 
     def evolve(self, rho0: np.ndarray, t: float) -> np.ndarray:
         """Raw matrix-form solution at time t without state validation."""
-        return unvec(self.apply(vec(_matrix(rho0)), t), self.n_sites)
+        x = _hermitian_coords(self.ops, _matrix(rho0))
+        return _from_hermitian_coords(self.ops, self.apply(x, t))
 
     def propagate(self, rho0: DensityMatrix | np.ndarray, t: float) -> DensityMatrix:
         """Propagated state with invariant checks; aborts on drift beyond tolerance."""
@@ -148,18 +154,17 @@ class MasterPropagator(_SpectralExponential):
         """Infinite-time limit: projection of rho0 onto the kernel eigenmodes."""
         if self.use_expm:  # pragma: no cover
             raise NumericalFailure("kernel projection unavailable in expm fallback mode")
-        tol = self.Lm.zero_tolerance()
-        keep = np.abs(self.eigenvalues) <= tol
-        out = self.V[:, keep] @ (self.V_inv[keep] @ vec(_matrix(rho0)))
-        rho = unvec(out, self.n_sites)
+        keep = np.abs(self.eigenvalues) <= _zero_tolerance(self.ops)
+        out = self.V[:, keep] @ (self.V_inv[keep] @ _hermitian_coords(self.ops, _matrix(rho0)))
+        rho = _from_hermitian_coords(self.ops, out)
         return 0.5 * (rho + rho.conj().T)
 
 
 def propagate_master(
-    Lm: LiouvillianMatrix, rho0: DensityMatrix | np.ndarray, t: float
+    ops: LatticeOperators, rho0: DensityMatrix | np.ndarray, t: float
 ) -> DensityMatrix:
     """One-shot master-equation propagation; see :class:`MasterPropagator`."""
-    return MasterPropagator(Lm).propagate(rho0, t)
+    return MasterPropagator(ops).propagate(rho0, t)
 
 
 def propagate_master_rk4(
@@ -247,10 +252,7 @@ class EntropyTrace:
 
 
 def entropy_trace(
-    Lm: LiouvillianMatrix,
-    ops: LatticeOperators,
-    rho0: DensityMatrix | np.ndarray,
-    times,
+    ops: LatticeOperators, rho0: DensityMatrix | np.ndarray, times
 ) -> EntropyTrace:
     """Von Neumann entropy at each time, with the stationary limit appended.
 
@@ -260,9 +262,7 @@ def entropy_trace(
     times = np.asarray(times, dtype=float)
     if times.size and np.any(np.diff(times) < 0):
         raise ParameterError("times must be sorted ascending")
-    if ops.n_sites != Lm.n_sites:
-        raise ParameterError("lattice operators and superoperator sizes differ")
-    prop = MasterPropagator(Lm)
+    prop = MasterPropagator(ops)
     states = [prop.propagate(rho0, t) for t in times]
     entropies = np.array([von_neumann_entropy(s) for s in states])
     rho_inf = prop.stationary_projection(rho0)
@@ -290,15 +290,14 @@ def observables(rho: DensityMatrix | np.ndarray) -> Observables:
     return Observables(populations, coherence, first_moment, purity)
 
 
-def relaxation_time(Lm: LiouvillianMatrix, factor: float = 10.0) -> float:
+def relaxation_time(ops: LatticeOperators, factor: float = 10.0) -> float:
     """Model-independent horizon for asymptotic checks: factor / |Re lambda_slow|.
 
     lambda_slow is the decaying eigenvalue whose real part is closest to
-    zero (excluding the kernel itself).
+    zero (excluding the kernel itself), from :func:`liouvillian_eigenvalues`.
     """
-    w = np.linalg.eigvals(Lm.L)
-    tol = Lm.zero_tolerance()
-    decaying = w[w.real < -tol]
+    w = liouvillian_eigenvalues(ops)
+    decaying = w[w.real < -_zero_tolerance(ops)]
     if decaying.size == 0:
         raise ParameterError("generator has no decaying modes")
     slow = float(np.max(decaying.real))

@@ -15,8 +15,8 @@ Mixing vectorization conventions silently transposes the jump term; the one
 above is frozen package-wide.
 
 L preserves Hermiticity, so in an orthonormal basis of Hermitian matrices it
-is a real matrix; :func:`liouvillian_eigenvalues` assembles that real form in
-P's eigenbasis, from H_tilde and D, for an eigenvalues-only solve.
+is a real matrix M with the same spectrum, singular values and cond(V); every
+dense solve runs on M, assembled in P's eigenbasis from H_tilde and D.
 """
 
 from __future__ import annotations
@@ -50,11 +50,6 @@ class LiouvillianMatrix:
 
     n_sites: int
     L: np.ndarray
-
-    def zero_tolerance(self) -> float:
-        """Threshold below which |eigenvalue| counts as zero."""
-        scale = float(np.abs(self.L).max()) if self.L.size else 0.0
-        return ZERO_TOL_SCALE * max(1.0, scale / self.n_sites)
 
 
 @dataclass(frozen=True)
@@ -92,11 +87,8 @@ def build_liouvillian(ops: LatticeOperators) -> LiouvillianMatrix:
     return LiouvillianMatrix(N, L)
 
 
-def liouvillian_spectrum(
-    Lm: LiouvillianMatrix,
-    eigenvectors: bool = False,
-    cap: int = SPECTRUM_CAP,
-):
+def liouvillian_spectrum(Lm: LiouvillianMatrix, eigenvectors: bool = False,
+                         cap: int = SPECTRUM_CAP):
     """Full dense spectrum, sorted by real then imaginary part (see :func:`_spectrum_order`).
 
     With ``eigenvectors=True`` also returns the right eigenvectors (columns,
@@ -111,27 +103,29 @@ def liouvillian_spectrum(
         On eigensolver non-convergence or residuals above the bound.
     """
     _check_cap(Lm.n_sites, cap)
+    return _sorted_spectrum(Lm.L, eigenvectors)
+
+
+def _sorted_spectrum(A: np.ndarray, eigenvectors: bool):
+    """Eigenvalues of A in :func:`_spectrum_order`; with eigenvectors, residual-checked."""
     try:
-        w, V = np.linalg.eig(Lm.L) if eigenvectors else (np.linalg.eigvals(Lm.L), None)
+        w, V = np.linalg.eig(A) if eigenvectors else (np.linalg.eigvals(A), None)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise NumericalFailure(f"eigensolver did not converge: {exc}") from exc
     order = _spectrum_order(w)
     if V is None:
         return w[order]
     w, V = w[order], V[:, order]
-    scale = float(np.linalg.norm(Lm.L))
-    residual = float(np.abs(Lm.L @ V - V * w).max())
-    if residual > 1e-8 * scale:
-        raise NumericalFailure(
-            f"eigenpair residual {residual:.3e} exceeds 1e-8 * ||L||", residual=residual
-        )
+    residual = float(np.abs(A @ V - V * w).max())
+    if residual > 1e-8 * float(np.linalg.norm(A)):
+        raise NumericalFailure(f"eigenpair residual {residual:.3e} exceeds 1e-8 * ||L||",
+                               residual=residual)
     return w, V
 
 
 def _check_cap(n_sites: int, cap: int) -> None:
-    dim = n_sites**2
-    if dim > cap:
-        raise ParameterError(f"superoperator dimension {dim} exceeds the cap {cap}")
+    if n_sites**2 > cap:
+        raise ParameterError(f"superoperator dimension {n_sites**2} exceeds the cap {cap}")
 
 
 def _spectrum_order(w: np.ndarray) -> np.ndarray:
@@ -205,73 +199,79 @@ def liouvillian_eigenvalues(ops: LatticeOperators, cap: int = SPECTRUM_CAP) -> n
         On eigensolver non-convergence.
     """
     _check_cap(ops.n_sites, cap)
-    try:
-        w = np.linalg.eigvals(_hermitian_basis_generator(ops))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise NumericalFailure(f"eigensolver did not converge: {exc}") from exc
-    return w[_spectrum_order(w)]
+    return _sorted_spectrum(_hermitian_basis_generator(ops), eigenvectors=False)
 
 
-def stationary_states(Lm: LiouvillianMatrix, ops: LatticeOperators) -> StationaryReport:
-    """Count and construct the non-decaying states of the generator."""
-    tol = Lm.zero_tolerance()
-    w, V = liouvillian_spectrum(Lm, eigenvectors=True)
+def _hermitian_coords(ops: LatticeOperators, X: np.ndarray) -> np.ndarray:
+    """Coordinates tr(B_k X) in the basis of :func:`_hermitian_basis_generator`.
+
+    With Y = V^dagger X V they are diag Y, (Y_ab + Y_ba)/sqrt2 and
+    i(Y_ba - Y_ab)/sqrt2: complex-linear, isometric, and real for Hermitian X.
+    """
+    Y = ops.V.conj().T @ X @ ops.V
+    rows, cols = np.triu_indices(ops.n_sites, 1)
+    upper, lower = Y[rows, cols], Y[cols, rows]
+    return np.concatenate([Y.diagonal(), (upper + lower) / np.sqrt(2.0),
+                           1j * (lower - upper) / np.sqrt(2.0)])
+
+
+def _from_hermitian_coords(ops: LatticeOperators, x: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`_hermitian_coords`: sum_k x_k B_k in the site basis."""
+    N = ops.n_sites
+    rows, cols = np.triu_indices(N, 1)
+    sym, anti = np.split(x[N:] / np.sqrt(2.0), 2)
+    Y = np.diag(np.asarray(x[:N], dtype=complex))
+    Y[rows, cols], Y[cols, rows] = sym + 1j * anti, sym - 1j * anti
+    return ops.V @ Y @ ops.V.conj().T
+
+
+def _zero_tolerance(ops: LatticeOperators) -> float:
+    """Zero-eigenvalue threshold ZERO_TOL_SCALE * max(1, max|M_ij| / N) on the real generator M.
+
+    max|M_ij| is read off H_tilde and D: sqrt2 |Re|, |Im| off the diagonal, E_b - E_a, D.
+    """
+    h = ops.H_tilde
+    off = h[~np.eye(ops.n_sites, dtype=bool)]
+    scale = max(np.sqrt(2.0) * np.abs(np.concatenate([off.real, off.imag])).max(initial=0.0),
+                float(np.ptp(h.diagonal().real)), float(-ops.D.min()))
+    return ZERO_TOL_SCALE * max(1.0, scale / ops.n_sites)
+
+
+def stationary_states(ops: LatticeOperators) -> StationaryReport:
+    """Count and construct the non-decaying states from one eig and one SVD of the real M."""
+    _check_cap(ops.n_sites, SPECTRUM_CAP)
+    M = _hermitian_basis_generator(ops)
+    tol = _zero_tolerance(ops)
+    w, X = _sorted_spectrum(M, eigenvectors=True)
     kernel_mask = np.abs(w) <= tol
     multiplicity = int(kernel_mask.sum())
     if multiplicity == 0:  # pragma: no cover - trace preservation forbids this
         raise NumericalFailure("no zero eigenvalue found; generator is not trace-preserving")
 
-    # orthonormal kernel basis (as vectors)
-    Q, _ = np.linalg.qr(V[:, kernel_mask])
+    # M is real: its kernel is the real span of its kernel eigenvectors, whose
+    # real coordinates are Hermitian matrices (of unit norm: the map is isometric)
+    K = X[:, kernel_mask]
+    Q = np.linalg.svd(np.hstack([K.real, K.imag]), full_matrices=False)[0][:, :multiplicity]
+    kernel = [_from_hermitian_coords(ops, q) for q in Q.T]
 
     # singular-value picture of the kernel separation
-    svals = np.linalg.svd(Lm.L, compute_uv=False)[::-1]  # ascending
+    svals = np.linalg.svd(M, compute_uv=False)[::-1]  # ascending
     first_decaying = float(svals[multiplicity]) if multiplicity < svals.size else np.inf
-    kernel_floor = max(
-        float(svals[:multiplicity].max()), np.finfo(float).eps * float(svals[-1])
-    )
-    gap_ratio = first_decaying / kernel_floor
+    kernel_floor = max(float(svals[:multiplicity].max()), np.finfo(float).eps * float(svals[-1]))
+    gap_ratio = first_decaying / kernel_floor if kernel_floor > 0 else np.inf   # M = 0: all kernel
     ill_conditioned = first_decaying < KERNEL_GAP_WARN * tol
 
-    basis = _hermitian_representatives(Q, Lm.n_sites)
-    return StationaryReport(multiplicity, basis, Q, gap_ratio, ill_conditioned, w)
+    basis = [0.5 * (m + m.conj().T) for m in kernel]
+    traces = [np.trace(m).real for m in basis]
+    basis = [m / tr if abs(tr) > 1e-8 else m for m, tr in zip(basis, traces)]
+    vectors = np.stack([vec(m) for m in kernel], axis=1)
+    return StationaryReport(multiplicity, basis, vectors, gap_ratio, ill_conditioned, w)
 
 
 def kernel_overlap(report: StationaryReport, rho: np.ndarray) -> float:
     """Fraction of the Frobenius norm of rho lying inside the kernel subspace."""
     v = vec(rho)
     return float(np.linalg.norm(report.kernel_vectors.conj().T @ v) ** 2 / np.linalg.norm(v) ** 2)
-
-
-def _hermitian_representatives(Q: np.ndarray, n_sites: int) -> list[np.ndarray]:
-    """Hermitian (unit-trace where possible) basis of the kernel span.
-
-    The kernel of a Hermiticity-preserving generator is closed under the
-    adjoint, so Hermitian and anti-Hermitian parts of its vectors stay inside
-    it; an SVD over their real span extracts an independent Hermitian set.
-    """
-    d = Q.shape[1]
-    candidates = []
-    for i in range(d):
-        m = unvec(Q[:, i], n_sites)
-        candidates.append(0.5 * (m + m.conj().T))
-        candidates.append((m - m.conj().T) / 2j)
-    X = np.stack([vec(c) for c in candidates], axis=1)
-    real_rep = np.vstack([X.real, X.imag])
-    U, s, _ = np.linalg.svd(real_rep, full_matrices=False)
-    rank = min(d, int((s > 1e-10 * max(s[0], 1.0)).sum()))
-    basis = []
-    half = U.shape[0] // 2
-    for i in range(rank):
-        m = unvec(U[:half, i] + 1j * U[half:, i], n_sites)
-        m = 0.5 * (m + m.conj().T)
-        tr = np.trace(m).real
-        if abs(tr) > 1e-8:
-            m = m / tr
-        else:
-            m = m / np.linalg.norm(m)
-        basis.append(m)
-    return basis
 
 
 def open_chain_modes(n_sites: int) -> np.ndarray:

@@ -98,7 +98,7 @@ def test_criterion_02_zero_mode_degeneracy():
     gaps = {}
     for phi, expected in ((0.0, 11), (np.pi / 4, 1), (np.pi / 2, 1)):
         ops = build_obc(make_cosine_model(1, 0, 1, phi), 11)
-        rep = stationary_states(build_liouvillian(ops), ops)
+        rep = stationary_states(ops)
         assert rep.zero_eigenvalue_multiplicity == expected, f"phi={phi}"
         assert rep.gap_ratio >= 1e3
         gaps[phi] = rep.gap_ratio
@@ -117,12 +117,11 @@ def test_criterion_04_entropy_saturation():
     rho0 = DensityMatrix.site(11, 6)
     for phi in (np.pi / 2, np.pi / 4):
         ops = build_obc(make_cosine_model(1, 0, 1, phi), 11)
-        Lm = build_liouvillian(ops)
-        t_long = relaxation_time(Lm)
-        trace = entropy_trace(Lm, ops, rho0, [t_long])
+        t_long = relaxation_time(ops)
+        trace = entropy_trace(ops, rho0, [t_long])
         assert abs(trace.entropies[-1] - np.log(11)) < 1e-3, f"phi={phi}"
     ops = build_obc(make_cosine_model(1, 0, 1, 0.0), 11)
-    trace = entropy_trace(build_liouvillian(ops), ops, rho0, [1.0])
+    trace = entropy_trace(ops, rho0, [1.0])
     assert trace.s_infinity < np.log(11) - 0.05
     modes = open_chain_modes(11)
     weights = np.abs(modes[5, :]) ** 2
@@ -216,14 +215,14 @@ def test_criterion_08_jump_washout_of_unidirectional_flow():
 def test_criterion_09_trajectory_ensemble_convergence(
     skew11, psi0_center11, ensemble_5000, ensemble_4000, ensemble_1000
 ):
-    ops, Lm = skew11
+    ops, _ = skew11
     assert np.abs(ensemble_5000.norms - 1.0).max() < 1e-9
 
     exact = propagate_semiclassical(ops, psi0_center11, 3.0).psi
     deviation = np.abs(ensemble_5000.psi_mean - exact)
     assert np.all(deviation <= 4 * ensemble_5000.psi_mean_se)
 
-    rho_master = MasterPropagator(Lm).propagate(DensityMatrix.site(11, 6), 3.0)
+    rho_master = MasterPropagator(ops).propagate(DensityMatrix.site(11, 6), 3.0)
     err = np.linalg.norm(ensemble_4000.rho_estimate - rho_master.rho)
     assert err < 5 * ensemble_4000.standard_error
 
@@ -248,11 +247,10 @@ def test_criterion_10_hatano_nelson_appendix():
         assert np.abs(sqrt_psd(ops.P2) - closed).max() < 1e-10
 
     ops21 = build_hatano_nelson(1, 2, 21)
-    Lm = build_liouvillian(ops21)
-    rep = stationary_states(Lm, ops21)
+    rep = stationary_states(ops21)
     assert rep.zero_eigenvalue_multiplicity == 1
-    t_long = relaxation_time(Lm)
-    out = MasterPropagator(Lm).propagate(DensityMatrix.site(21, 11), t_long)
+    t_long = relaxation_time(ops21)
+    out = MasterPropagator(ops21).propagate(DensityMatrix.site(21, 11), t_long)
     dev = np.abs(out.rho - np.eye(21) / 21).max()
     assert dev < 1e-3
     report(10, f"closed forms match to 1e-10; unique stationary state reached to {dev:.1e}")
@@ -260,7 +258,7 @@ def test_criterion_10_hatano_nelson_appendix():
 
 def test_criterion_11_structural_properties(skew11, psi0_center11):
     ops, Lm = skew11
-    prop = MasterPropagator(Lm)
+    prop = MasterPropagator(ops)
     rho0 = DensityMatrix.site(11, 6)
     for t in (0.5, 2.0, 10.0):
         out = prop.propagate(rho0, t)

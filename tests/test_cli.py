@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -298,22 +299,28 @@ def test_hatano_nelson_without_spectrum_skips_the_cap():
     assert not cfg.include_spectrum
 
 
-def count_dense_factorizations(monkeypatch, cfg) -> dict:
-    """Calls of each np.linalg factorization on N^2 x N^2 matrices during one run."""
+def dense_linalg_calls(monkeypatch, cfg) -> list[tuple[str, np.dtype]]:
+    """Name and input dtype of each np.linalg factorization of an N^2 x N^2 matrix in one run."""
     side = cfg.n_sites**2
-    counts = dict.fromkeys(DENSE_LINALG, 0)
+    calls = []
 
     def counting(name, original):
         def wrapper(a, *args, **kwargs):
             if np.shape(a) == (side, side):
-                counts[name] += 1
+                calls.append((name, np.asarray(a).dtype))
             return original(a, *args, **kwargs)
         return wrapper
 
     for name in DENSE_LINALG:
         monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
     run_experiment(cfg)
-    return counts
+    return calls
+
+
+def count_dense_factorizations(monkeypatch, cfg) -> dict:
+    """Calls of each np.linalg factorization on N^2 x N^2 matrices during one run."""
+    names = [name for name, _ in dense_linalg_calls(monkeypatch, cfg)]
+    return {name: names.count(name) for name in DENSE_LINALG}
 
 
 def test_each_generator_is_factored_once(tmp_path, monkeypatch):
@@ -330,6 +337,53 @@ def test_each_generator_is_factored_once(tmp_path, monkeypatch):
     })
     assert count_dense_factorizations(monkeypatch, spectrum) == \
         {"eig": 1, "eigvals": 0, "svd": 1, "cond": 0, "inv": 0}
+
+
+def test_hatano_nelson_factors_its_dense_generator_once(tmp_path, monkeypatch):
+    cfg = validate_config({
+        "experiment": "HatanoNelson", "model": {"type": "hatano_nelson", "J1": 1, "J2": 2},
+        "n_sites": 9, "times": [0.5, 1.0], "output_dir": str(tmp_path / "hn"),
+    })
+    assert count_dense_factorizations(monkeypatch, cfg) == \
+        {"eig": 1, "eigvals": 0, "svd": 0, "cond": 1, "inv": 1}
+
+
+DENSE_ROUTE_CONFIGS = [
+    {"experiment": "LiouvillianSpectrum",
+     "model": {"type": "cosine", "J": 1, "T": 0, "R": 1, "phi": 0.0}, "n_sites": 9},
+    {"experiment": "EntropyTrace",
+     "model": {"type": "cosine", "J": 1, "T": 0, "R": 1, "phi": PHI_HALF_PI},
+     "n_sites": 9, "times": [0.0, 1.0, 5.0]},
+    {"experiment": "ObcRelax",
+     "model": {"type": "cosine", "J": 1, "T": 0.3, "R": 1, "phi": 0.7},
+     "n_sites": 10, "times": [0.5, 2.0]},
+    {"experiment": "Trajectories",
+     "model": {"type": "cosine", "J": 1, "T": 0, "R": 1, "phi": PHI_HALF_PI},
+     "n_sites": 7, "t_final": 0.5, "dt": 0.01, "n_traj": 16},
+    {"experiment": "HatanoNelson", "model": {"type": "hatano_nelson", "J1": 1, "J2": 2},
+     "n_sites": 8, "times": [0.5, 1.0]},
+]
+
+
+@pytest.mark.parametrize("raw", DENSE_ROUTE_CONFIGS, ids=lambda raw: raw["experiment"])
+def test_no_runner_builds_the_complex_generator(tmp_path, monkeypatch, raw):
+    import skinlab.liouvillian
+
+    built = []
+    original = skinlab.liouvillian.build_liouvillian
+
+    def counting(ops):
+        built.append(ops.n_sites)
+        return original(ops)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "skinlab" and vars(module).get("build_liouvillian") is original:
+            monkeypatch.setattr(module, "build_liouvillian", counting)
+    cfg = validate_config({**raw, "output_dir": str(tmp_path / "out")})
+    solves = [dtype for name, dtype in dense_linalg_calls(monkeypatch, cfg)
+              if name in ("eig", "eigvals", "svd")]
+    assert built == []
+    assert solves and all(dtype == np.float64 for dtype in solves)
 
 
 @pytest.mark.parametrize("raw", [

@@ -30,8 +30,7 @@ from skinlab.evolve import EIG_COND_LIMIT_MASTER, EIG_COND_LIMIT_SEMI, _Spectral
 @pytest.fixture(scope="module")
 def skew11():
     ops = build_obc(make_cosine_model(1, 0, 1, np.pi / 2), 11)
-    Lm = build_liouvillian(ops)
-    return ops, Lm, MasterPropagator(Lm)
+    return ops, MasterPropagator(ops)
 
 
 def test_density_matrix_validation():
@@ -44,28 +43,28 @@ def test_density_matrix_validation():
 
 
 def test_propagate_identity_at_zero_time(skew11):
-    _, Lm, prop = skew11
+    _, prop = skew11
     rho0 = DensityMatrix.site(11, 6)
     out = prop.propagate(rho0, 0.0)
     assert np.abs(out.rho - rho0.rho).max() < 1e-12
 
 
 def test_maximally_mixed_is_fixed_point(skew11):
-    _, Lm, prop = skew11
+    _, prop = skew11
     rho0 = DensityMatrix.maximally_mixed(11)
     out = prop.propagate(rho0, 7.3)
     assert np.abs(out.rho - rho0.rho).max() < 1e-12
 
 
 def test_long_time_state_is_maximally_mixed(skew11):
-    _, Lm, prop = skew11
-    t_long = relaxation_time(Lm)
+    ops, prop = skew11
+    t_long = relaxation_time(ops)
     out = prop.propagate(DensityMatrix.site(11, 6), t_long)
     assert np.abs(out.rho - np.eye(11) / 11).max() < 1e-3
 
 
 def test_propagation_preserves_state_invariants(skew11):
-    _, _, prop = skew11
+    _, prop = skew11
     rho0 = DensityMatrix.site(11, 6)
     for t in (0.1, 1.0, 5.0, 25.0):
         out = prop.propagate(rho0, t)
@@ -75,7 +74,7 @@ def test_propagation_preserves_state_invariants(skew11):
 
 
 def test_semigroup_property(skew11):
-    _, _, prop = skew11
+    _, prop = skew11
     rho0 = DensityMatrix.site(11, 6)
     two_step = prop.propagate(prop.propagate(rho0, 1.3), 2.1)
     one_step = prop.propagate(rho0, 3.4)
@@ -83,7 +82,7 @@ def test_semigroup_property(skew11):
 
 
 def test_rk4_cross_check(skew11):
-    ops, Lm, prop = skew11
+    ops, prop = skew11
     rho0 = DensityMatrix.site(11, 6)
     rk = propagate_master_rk4(ops, rho0, 2.0, dt=1e-3)
     sp = prop.propagate(rho0, 2.0)
@@ -92,12 +91,11 @@ def test_rk4_cross_check(skew11):
 
 def test_unitary_limit_matches_semiclassical_projector():
     ops = build_obc(BandModel({1: 1.0, -1: 1.0}, {}), 7)
-    Lm = build_liouvillian(ops)
     psi0 = np.zeros(7, complex)
     psi0[3] = 1.0
     state = propagate_semiclassical(ops, psi0, 2.5)
     assert abs(np.linalg.norm(state.psi) - 1) < 1e-10
-    rho = propagate_master(Lm, DensityMatrix.site(7, 4), 2.5)
+    rho = propagate_master(ops, DensityMatrix.site(7, 4), 2.5)
     assert np.abs(rho.rho - np.outer(state.psi, state.psi.conj())).max() < 1e-9
 
 
@@ -140,9 +138,9 @@ def test_entropy_values():
 
 
 def test_entropy_trace_saturates_at_log_n(skew11):
-    ops, Lm, _ = skew11
-    t_long = relaxation_time(Lm)
-    trace = entropy_trace(Lm, ops, DensityMatrix.site(11, 6), [0.0, 1.0, t_long])
+    ops, _ = skew11
+    t_long = relaxation_time(ops)
+    trace = entropy_trace(ops, DensityMatrix.site(11, 6), [0.0, 1.0, t_long])
     assert trace.entropies[0] < 1e-10
     assert abs(trace.entropies[-1] - np.log(11)) < 1e-3
     assert abs(trace.s_infinity - np.log(11)) < 1e-6
@@ -150,8 +148,7 @@ def test_entropy_trace_saturates_at_log_n(skew11):
 
 def test_entropy_trace_symmetric_model_stays_below_log_n():
     ops = build_obc(make_cosine_model(1, 0, 1, 0), 11)
-    Lm = build_liouvillian(ops)
-    trace = entropy_trace(Lm, ops, DensityMatrix.site(11, 6), [1.0])
+    trace = entropy_trace(ops, DensityMatrix.site(11, 6), [1.0])
     assert trace.s_infinity < np.log(11) - 0.05
     # independent construction: project onto the shared sine eigenmodes
     V = open_chain_modes(11)
@@ -161,13 +158,13 @@ def test_entropy_trace_symmetric_model_stays_below_log_n():
 
 
 def test_entropy_trace_constant_for_mixed_start(skew11):
-    ops, Lm, _ = skew11
-    trace = entropy_trace(Lm, ops, DensityMatrix.maximally_mixed(11), [0.0, 2.0, 10.0])
+    ops, _ = skew11
+    trace = entropy_trace(ops, DensityMatrix.maximally_mixed(11), [0.0, 2.0, 10.0])
     assert np.abs(trace.entropies - np.log(11)).max() < 1e-10
 
 
 def test_entropy_monotone_for_pure_start_with_skin(skew11):
-    _, _, prop = skew11
+    _, prop = skew11
     rho0 = DensityMatrix.site(11, 6)
     S = [von_neumann_entropy(prop.propagate(rho0, t)) for t in np.linspace(0, 30, 31)]
     assert np.diff(S).min() > -1e-6
@@ -187,9 +184,22 @@ def test_observables_reference_states():
 
 
 def test_times_must_be_sorted(skew11):
-    ops, Lm, _ = skew11
+    ops, _ = skew11
     with pytest.raises(ParameterError):
-        entropy_trace(Lm, ops, DensityMatrix.site(11, 6), [2.0, 1.0])
+        entropy_trace(ops, DensityMatrix.site(11, 6), [2.0, 1.0])
+
+
+@pytest.mark.parametrize("ops", [
+    build_obc(make_cosine_model(1, 0, 1, np.pi / 2), 11),
+    build_obc(make_cosine_model(1, 0, 1, np.pi / 4), 11),
+    build_hatano_nelson(1, 2, 21),
+], ids=["cosine_phi_half_pi_n11", "cosine_phi_quarter_pi_n11", "hatano_nelson_n21"])
+def test_relaxation_time_matches_the_complex_generator(ops):
+    L = build_liouvillian(ops).L
+    w = np.linalg.eigvals(L)
+    tol = 1e-8 * max(1.0, np.abs(L).max() / ops.n_sites)
+    expect = 10.0 / abs(w.real[w.real < -tol].max())
+    assert abs(relaxation_time(ops) / expect - 1.0) <= 1e-10
 
 
 @pytest.mark.parametrize("generator", ["L", "H_eff"])
@@ -219,7 +229,7 @@ def test_semiclassical_route_follows_eigenbasis_condition():
 
 
 def test_non_psd_start_fails_on_both_master_routes(skew11):
-    ops, _, prop = skew11
+    ops, prop = skew11
     rho0 = np.diag([1.5, -0.5] + [0.0] * 9)
     with pytest.raises(NumericalFailure):
         prop.propagate(rho0, 0.0)
@@ -228,7 +238,7 @@ def test_non_psd_start_fails_on_both_master_routes(skew11):
 
 
 def test_drift_aborts_both_master_routes(skew11):
-    ops, _, prop = skew11
+    ops, prop = skew11
     rho0 = np.eye(11) / 10.0  # trace 1.1
     with pytest.raises(NumericalFailure):
         prop.propagate(rho0, 1.0)
@@ -250,7 +260,7 @@ def test_rk4_in_jump_eigenbasis_matches_site_basis_loop(ops):
 
 
 def test_rk4_rejects_non_hermitian_start(skew11):
-    ops, _, _ = skew11
+    ops, _ = skew11
     rho0 = DensityMatrix.site(11, 6).rho.copy()
     rho0[5, 6], rho0[6, 5] = 1e-3, -1e-3
     for t in (0.0, 0.01):

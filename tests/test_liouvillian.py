@@ -31,9 +31,11 @@ from skinlab import (
 from skinlab.lattice_ops import Construction
 from skinlab.liouvillian import (
     SORT_TIE_TOL,
+    ZERO_TOL_SCALE,
     LiouvillianMatrix,
     _hermitian_basis_generator,
     _spectrum_order,
+    _zero_tolerance,
 )
 
 
@@ -110,12 +112,12 @@ def test_zero_mode_count(ops_symmetric, ops_skewed):
 def test_kernel_dimension_vs_phase(n_sites):
     for phi, expect in ((0.0, n_sites), (np.pi / 4, 1), (np.pi / 2, 1)):
         ops = build_obc(make_cosine_model(1, 0, 1, phi), n_sites)
-        report = stationary_states(build_liouvillian(ops), ops)
+        report = stationary_states(ops)
         assert report.zero_eigenvalue_multiplicity == expect, f"phi={phi}"
 
 
 def test_stationary_report_contains_known_states(ops_symmetric):
-    report = stationary_states(build_liouvillian(ops_symmetric), ops_symmetric)
+    report = stationary_states(ops_symmetric)
     assert kernel_overlap(report, np.eye(11) / 11) >= 1 - 1e-8
     assert kernel_overlap(report, bidiagonal_stationary_state(11)) >= 1 - 1e-8
     for rho in report.kernel_basis:
@@ -126,7 +128,7 @@ def test_stationary_report_contains_known_states(ops_symmetric):
 
 def test_hatano_nelson_kernel_is_simple():
     ops = build_hatano_nelson(1, 2, 21)
-    report = stationary_states(build_liouvillian(ops), ops)
+    report = stationary_states(ops)
     assert report.zero_eigenvalue_multiplicity == 1
     assert not report.ill_conditioned
 
@@ -217,6 +219,26 @@ def test_real_eigenvalues_match_the_complex_solve(n):
         assert np.array_equal(w, w[_spectrum_order(w)])
         # a real matrix has exact conjugate pairs
         assert np.array_equal(np.sort_complex(w), np.sort_complex(w.conj()))
+
+
+def dephased_levels():
+    """Levels 0, 10, 20, 30 with weak hopping, dephased by P = diag(1, 2, 3, 4)."""
+    H = np.diag([0.0, 10.0, 20.0, 30.0]) + 0.1 * (np.eye(4, k=1) + np.eye(4, k=-1))
+    P = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
+    return LatticeOperators(4, H.astype(complex), P, P @ P, H - 0.5j * P @ P,
+                            Construction.TRUNCATE_P)
+
+
+@pytest.mark.parametrize("ops", [
+    build_obc(make_cosine_model(40, 15, 3, np.pi / 4), 6),     # largest entry from H_tilde
+    build_obc(make_cosine_model(0.1, 0, 30, np.pi / 2), 6),    # from D
+    dephased_levels(),                                          # from energy differences
+    build_hatano_nelson(10, 30, 7),
+])
+def test_zero_tolerance_is_the_rule_on_the_real_generator(ops):
+    scale = np.abs(_hermitian_basis_generator(ops)).max() / ops.n_sites
+    assert scale > 1.0          # so the threshold depends on the entry that is read off
+    assert _zero_tolerance(ops) == ZERO_TOL_SCALE * scale
 
 
 def test_real_eigenvalues_cap_fails_before_allocating():

@@ -9,12 +9,13 @@ import dataclasses
 
 import numpy as np
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
     ZeroStream,
     assert_multiset_close,
+    hermitian_basis,
     jump_eigenbasis_generator,
     site_basis_rk4,
 )
@@ -28,11 +29,20 @@ from skinlab import (
     build_obc,
     liouvillian_eigenvalues,
     liouvillian_spectrum,
+    make_cosine_model,
     propagate_master_rk4,
     run_trajectory,
+    stationary_states,
     trajectory_step,
+    vec,
 )
-from skinlab.liouvillian import _hermitian_basis_generator
+from skinlab.evolve import EIG_COND_LIMIT_MASTER, _SpectralExponential
+from skinlab.liouvillian import (
+    ZERO_TOL_SCALE,
+    _from_hermitian_coords,
+    _hermitian_basis_generator,
+    _hermitian_coords,
+)
 from skinlab.trajectories import _split_factors
 
 PROFILE = settings(max_examples=8, derandomize=True, deadline=None, database=None)
@@ -62,7 +72,7 @@ def assert_state(rho):
 @given(ops=lattices(), data=st.data(), t=st.floats(0.0, 2.0))
 def test_master_routes_keep_state_invariants_and_agree(ops, data, t):
     rho0 = DensityMatrix.site(ops.n_sites, data.draw(st.integers(1, ops.n_sites)))
-    spectral = MasterPropagator(build_liouvillian(ops)).propagate(rho0, t).rho
+    spectral = MasterPropagator(ops).propagate(rho0, t).rho
     rk4 = propagate_master_rk4(ops, rho0, t, dt=1e-3).rho
     assert_state(spectral)
     assert_state(rk4)
@@ -156,3 +166,60 @@ def test_split_half_step_is_the_hamiltonian_exponential_in_the_jump_eigenbasis(o
     W_half = _split_factors(ops, dt)[2]
     expect = ops.V.conj().T @ scipy.linalg.expm(-0.5j * dt * ops.H) @ ops.V
     assert np.abs(W_half - expect).max() <= 1e-13
+
+
+def random_matrix(n, seed):
+    return np.random.default_rng(seed).normal(size=(n, n, 2)) @ np.array([1.0, 1j])
+
+
+@PROFILE
+@given(ops=lattices(), seed=seeds)
+def test_hermitian_coordinates_are_the_documented_isometric_basis_change(ops, seed):
+    N = ops.n_sites
+    X = random_matrix(N, seed)
+    x = _hermitian_coords(ops, X)
+    # oracle: U^dagger W^dagger vec(X), W = kron(conj(V), V), U = the documented basis
+    W = np.kron(ops.V.conj(), ops.V)
+    assert np.abs(x - hermitian_basis(N).conj().T @ W.conj().T @ vec(X)).max() <= 1e-13
+    assert np.abs(_from_hermitian_coords(ops, x) - X).max() <= 1e-13
+    y = random_matrix(N, seed + 1).ravel()
+    assert np.abs(_hermitian_coords(ops, _from_hermitian_coords(ops, y)) - y).max() <= 1e-13
+    assert abs(np.linalg.norm(x) - np.linalg.norm(X)) <= 1e-13
+    assert np.abs(_hermitian_coords(ops, X + X.conj().T).imag).max() <= 1e-13
+
+
+@PROFILE
+@given(ops=lattices(), seed=seeds, t=st.floats(0.0, 2.0))
+def test_master_propagator_is_the_exponential_of_the_complex_generator(ops, seed, t):
+    prop = MasterPropagator(ops)
+    expm_Lt = scipy.linalg.expm(build_liouvillian(ops).L * t)
+    X = random_matrix(ops.n_sites, seed)
+    for Y in (X + X.conj().T, X):      # Hermitian and not
+        assert np.abs(vec(prop.evolve(Y, t)) - expm_Lt @ vec(Y)).max() <= 1e-10
+
+
+@PROFILE
+@given(ops=lattices())
+@example(ops=build_obc(make_cosine_model(1, 0, 1, 0.0), 5))    # kernel of dimension 5
+def test_stationary_kernel_projector_matches_the_complex_dense_kernel(ops):
+    report = stationary_states(ops)
+    Lm = build_liouvillian(ops)
+    w, V = liouvillian_spectrum(Lm, eigenvectors=True)
+    tol = ZERO_TOL_SCALE * max(1.0, np.abs(Lm.L).max() / ops.n_sites)
+    dense = np.linalg.qr(V[:, np.abs(w) <= tol])[0]
+    assert report.zero_eigenvalue_multiplicity == dense.shape[1]
+    Q = report.kernel_vectors
+    assert np.abs(Q @ Q.conj().T - dense @ dense.conj().T).max() <= 1e-10
+
+
+@PROFILE
+@given(ops=lattices(), data=st.data())
+def test_expm_fallback_on_the_real_generator_matches_the_spectral_route(ops, data):
+    M = _hermitian_basis_generator(ops)
+    site = data.draw(st.integers(1, ops.n_sites))
+    x = _hermitian_coords(ops, DensityMatrix.site(ops.n_sites, site).rho)
+    spectral = _SpectralExponential(M, EIG_COND_LIMIT_MASTER)
+    fallback = _SpectralExponential(M, 0.0)
+    assert (spectral.method, fallback.method) == ("spectral", "expm")
+    for t in (0.0, 0.7, 3.0, 12.0):
+        assert np.abs(fallback.apply(x, t) - spectral.apply(x, t)).max() <= 1e-10

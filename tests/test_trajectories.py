@@ -13,7 +13,6 @@ from skinlab import (
     NoiseStream,
     ParameterError,
     bloch_trajectory,
-    build_liouvillian,
     build_obc,
     bulk_evolve,
     localized_bulk_state,
@@ -181,7 +180,7 @@ def test_ensemble_estimate_properties(skew11, center11):
 
 def test_ensemble_matches_master_solution(skew11, center11):
     ens = run_ensemble(skew11, center11, 1.5, 0.005, 2000, master_seed=21)
-    rho_master = propagate_master(build_liouvillian(skew11),
+    rho_master = propagate_master(skew11,
                                   DensityMatrix.site(11, 6), 1.5)
     err = np.linalg.norm(ens.rho_estimate - rho_master.rho)
     assert err < 5 * ens.standard_error
@@ -194,7 +193,7 @@ def test_ensemble_mean_wavefunction_is_semiclassical(skew11, center11):
 
 
 def test_ensemble_error_scales_with_sqrt_m(skew11, center11):
-    rho_master = propagate_master(build_liouvillian(skew11),
+    rho_master = propagate_master(skew11,
                                   DensityMatrix.site(11, 6), 1.0).rho
     scaled = []
     ses = {}

@@ -1,9 +1,9 @@
 """Experiment runner: declarative JSON configs to figure-ready datasets.
 
 One config describes one experiment; running it writes CSV/JSON datasets plus
-a manifest recording the resolved configuration, its hash, the tool version
-and wall time.  Numeric output files are byte-identical across reruns of the
-same config.
+a manifest recording the resolved configuration, its hash, the tool version,
+wall time and how the generator was factored.  Numeric output files are
+byte-identical across reruns of the same config.
 
 Command line:
 
@@ -48,8 +48,8 @@ from .lattice_ops import (
 )
 from .liouvillian import (
     SPECTRUM_CAP,
+    _blocked_eigenvalues,
     _spectrum_order,
-    liouvillian_eigenvalues,
     stationary_states,
 )
 from .serialize import (
@@ -329,13 +329,28 @@ def _master_states(
     return states, None
 
 
+def _generator_entry(ops: LatticeOperators, prop: MasterPropagator | None = None,
+                     block_sizes=()) -> dict:
+    """Manifest record of the generator's factorization: structure, blocks and cond(V).
+
+    ``block_sizes`` come from ``prop`` when a dense propagator ran; with neither
+    (the RK4 route) only the structure is known.
+    """
+    entry = {"structure": ops.structure}
+    if prop is not None:
+        block_sizes, entry["cond_V"] = prop.block_sizes, prop.cond
+    if block_sizes:
+        entry.update(blocks=len(block_sizes), largest_block=max(block_sizes))
+    return entry
+
+
 def _timeseries_rows(times, states):
     for t, state in zip(times, states):
         obs = observables(state)
         yield (t, von_neumann_entropy(state), obs.purity, obs.first_moment)
 
 
-def _run_spectra(cfg: ExperimentConfig, outdir: Path) -> list[str]:
+def _run_spectra(cfg: ExperimentConfig, outdir: Path, diagnostics: dict) -> list[str]:
     phi_values = cfg.model.get("phi", 0.0) if cfg.model["type"] == "cosine" else None
     if not isinstance(phi_values, (list, tuple)):
         phi_values = [phi_values] if phi_values is not None else [None]
@@ -365,7 +380,7 @@ def _run_spectra(cfg: ExperimentConfig, outdir: Path) -> list[str]:
     return outputs + ["summary.json"]
 
 
-def _run_bulk_relax(cfg: ExperimentConfig, outdir: Path) -> list[str]:
+def _run_bulk_relax(cfg: ExperimentConfig, outdir: Path, diagnostics: dict) -> list[str]:
     model = _band_model(cfg.model)
     outputs, frames = [], []
     cols = ["n", "m", "re", "im", "abs"]
@@ -380,8 +395,11 @@ def _run_bulk_relax(cfg: ExperimentConfig, outdir: Path) -> list[str]:
     return outputs + ["frames.json"]
 
 
-def _run_obc_relax(cfg: ExperimentConfig, outdir: Path) -> list[str]:
-    return _write_relaxation(cfg, outdir, _lattice(cfg.model, cfg.n_sites))[0]
+def _run_obc_relax(cfg: ExperimentConfig, outdir: Path, diagnostics: dict) -> list[str]:
+    ops = _lattice(cfg.model, cfg.n_sites)
+    outputs, prop = _write_relaxation(cfg, outdir, ops)
+    diagnostics["generator"] = _generator_entry(ops, prop)
+    return outputs
 
 
 def _write_relaxation(cfg: ExperimentConfig, outdir: Path, ops: LatticeOperators):
@@ -404,11 +422,14 @@ def _write_spectrum(cfg: ExperimentConfig, outdir: Path, eigenvalues) -> str:
     return "spectrum.csv"
 
 
-def _run_liouvillian_spectrum(cfg: ExperimentConfig, outdir: Path) -> list[str]:
+def _run_liouvillian_spectrum(cfg: ExperimentConfig, outdir: Path, diagnostics: dict) -> list[str]:
     ops = _lattice(cfg.model, cfg.n_sites)
     if cfg.n_sites > DENSE_PROPAGATION_MAX:
-        return [_write_spectrum(cfg, outdir, liouvillian_eigenvalues(ops))]
+        w, block_sizes = _blocked_eigenvalues(ops)
+        diagnostics["generator"] = _generator_entry(ops, block_sizes=block_sizes)
+        return [_write_spectrum(cfg, outdir, w)]
     report = stationary_states(ops)
+    diagnostics["generator"] = _generator_entry(ops, block_sizes=report.block_sizes)
     write_json(outdir / "stationary.json", {
         "config": cfg.config_hash(),
         "zero_eigenvalue_multiplicity": report.zero_eigenvalue_multiplicity,
@@ -419,10 +440,11 @@ def _run_liouvillian_spectrum(cfg: ExperimentConfig, outdir: Path) -> list[str]:
     return [_write_spectrum(cfg, outdir, report.eigenvalues), "stationary.json"]
 
 
-def _run_entropy_trace(cfg: ExperimentConfig, outdir: Path) -> list[str]:
+def _run_entropy_trace(cfg: ExperimentConfig, outdir: Path, diagnostics: dict) -> list[str]:
     ops = _lattice(cfg.model, cfg.n_sites)
     rho0 = DensityMatrix.site(cfg.n_sites, cfg.rho0_site)
     trace = entropy_trace(ops, rho0, cfg.times)
+    diagnostics["generator"] = _generator_entry(ops, trace.propagator)
     cols = ["t", "entropy", "purity", "first_moment"]
     write_csv(outdir / "entropy.csv", cols, _timeseries_rows(cfg.times, trace.states),
               _headers(cfg, "entropy-trace", cols, s_infinity=trace.s_infinity))
@@ -435,7 +457,7 @@ def _run_entropy_trace(cfg: ExperimentConfig, outdir: Path) -> list[str]:
     return ["entropy.csv", "summary.json"]
 
 
-def _run_trajectories(cfg: ExperimentConfig, outdir: Path) -> list[str]:
+def _run_trajectories(cfg: ExperimentConfig, outdir: Path, diagnostics: dict) -> list[str]:
     ops = _lattice(cfg.model, cfg.n_sites)
     psi0 = np.zeros(cfg.n_sites, dtype=complex)
     psi0[cfg.rho0_site - 1] = 1.0
@@ -456,10 +478,10 @@ def _run_trajectories(cfg: ExperimentConfig, outdir: Path) -> list[str]:
         "max_norm_drift": float(np.abs(ens.norms - 1.0).max()),
         "rho_estimate": matrix_to_json(ens.rho_estimate),
     }
-    if cfg.n_sites <= DENSE_PROPAGATION_MAX:
-        rho_master = MasterPropagator(ops).propagate(
-            DensityMatrix.site(cfg.n_sites, cfg.rho0_site), cfg.t_final
-        )
+    prop = MasterPropagator(ops) if cfg.n_sites <= DENSE_PROPAGATION_MAX else None
+    diagnostics["generator"] = _generator_entry(ops, prop)
+    if prop is not None:
+        rho_master = prop.propagate(DensityMatrix.site(cfg.n_sites, cfg.rho0_site), cfg.t_final)
         err = float(np.linalg.norm(ens.rho_estimate - rho_master.rho))
         summary["master_frobenius_error"] = err
         summary["error_over_standard_error"] = err / ens.standard_error
@@ -467,21 +489,24 @@ def _run_trajectories(cfg: ExperimentConfig, outdir: Path) -> list[str]:
     return ["rho_estimate.csv", "ensemble.json"]
 
 
-def _run_hatano_nelson(cfg: ExperimentConfig, outdir: Path) -> list[str]:
+def _run_hatano_nelson(cfg: ExperimentConfig, outdir: Path, diagnostics: dict) -> list[str]:
     ops = _lattice(cfg.model, cfg.n_sites)
     outputs, prop = _write_relaxation(cfg, outdir, ops)
+    block_sizes = ()
     if cfg.include_spectrum:   # the frames' factorization when the dense route ran
-        w = liouvillian_eigenvalues(ops) if prop is None else prop.eigenvalues
+        w, block_sizes = _blocked_eigenvalues(ops) if prop is None else (prop.eigenvalues, ())
         outputs.append(_write_spectrum(cfg, outdir, w[_spectrum_order(w)]))
+    diagnostics["generator"] = _generator_entry(ops, prop, block_sizes)
     return outputs
 
 
-def _run_semiclassical_drift(cfg: ExperimentConfig, outdir: Path) -> list[str]:
+def _run_semiclassical_drift(cfg: ExperimentConfig, outdir: Path, diagnostics: dict) -> list[str]:
     ops = _lattice(cfg.model, cfg.n_sites)
     rho0 = DensityMatrix.site(cfg.n_sites, cfg.rho0_site)
     psi0 = np.zeros(cfg.n_sites, dtype=complex)
     psi0[cfg.rho0_site - 1] = 1.0
-    master, _ = _master_states(ops, rho0, cfg.times, cfg.dt)
+    master, prop = _master_states(ops, rho0, cfg.times, cfg.dt)
+    diagnostics["generator"] = _generator_entry(ops, prop)
     semi = SemiclassicalPropagator(ops)
     sites = np.arange(1, cfg.n_sites + 1)
     rows, master_pops, semi_pops = [], [], []
@@ -521,8 +546,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
+    diagnostics: dict = {}
     try:
-        outputs = _RUNNERS[cfg.experiment](cfg, outdir)
+        outputs = _RUNNERS[cfg.experiment](cfg, outdir, diagnostics)
     except SkinlabError as exc:
         raise type(exc)(f"[{cfg.experiment}] {exc}") from exc
     manifest = {
@@ -534,6 +560,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         "outputs": outputs,
         "wall_time_s": round(time.perf_counter() - start, 3),
     }
+    if diagnostics:
+        manifest["diagnostics"] = diagnostics
     write_json(outdir / "manifest.json", manifest)
     return manifest
 

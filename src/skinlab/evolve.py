@@ -19,6 +19,8 @@ import scipy.linalg
 from .errors import NumericalFailure, ParameterError
 from .lattice_ops import LatticeOperators
 from .liouvillian import (
+    _block_stacks,
+    _diagonal_blocks,
     _from_hermitian_coords,
     _hermitian_basis_generator,
     _hermitian_coords,
@@ -109,37 +111,89 @@ def _checked_state(rho: np.ndarray) -> DensityMatrix:
 
 
 class _SpectralExponential:
-    """exp(A t) x for any t from one eigendecomposition A = V diag(w) V^-1.
+    """exp(A t) x for any t from one eigendecomposition A = V diag(w) V^-1 per diagonal block.
 
-    Falls back to scaling-and-squaring (scipy expm) when the eigenbasis
-    condition number exceeds ``cond_limit`` or is not finite.
+    ``blocks`` are index sets with A exactly zero between them (default: one
+    block).  cond(V) is max sigma_max / min sigma_min over the blocks; for
+    real A it comes from the real R of :func:`_real_eigenbasis`, with
+    V^-1 = U^dagger R^-1.  Falls back to scaling-and-squaring (scipy expm)
+    when cond(V) exceeds ``cond_limit`` or is not finite.
     """
 
-    def __init__(self, A: np.ndarray, cond_limit: float):
+    def __init__(self, A: np.ndarray, cond_limit: float, blocks=None):
         self.A = A
-        self.eigenvalues, V = np.linalg.eig(A)
-        cond = np.linalg.cond(V)
-        self.use_expm = not np.isfinite(cond) or cond > cond_limit
-        self.V, self.V_inv = (None, None) if self.use_expm else (V, np.linalg.inv(V))
+        blocks = [np.arange(A.shape[0])] if blocks is None else blocks
+        self.block_sizes = [b.size for b in blocks]
+        factors, s_max, s_min = [], 0.0, np.inf
+        for idx, stack in _block_stacks(A, blocks):
+            w, V = np.linalg.eig(stack)
+            R, pairs = _real_eigenbasis(w, V) if np.isrealobj(A) else (V, None)
+            s = np.linalg.svd(R, compute_uv=False)
+            s_max, s_min = max(s_max, float(s[:, 0].max())), min(s_min, float(s[:, -1].min()))
+            factors.append((idx, w, V, R, pairs))
+        self.cond = s_max / s_min if s_min > 0 else np.inf
+        self.use_expm = not np.isfinite(self.cond) or self.cond > cond_limit
+        self.eigenvalues = np.concatenate([w.ravel() for _, w, *_ in factors])
+        self._factors = [] if self.use_expm else [
+            (idx, w, V, _inverse_from_real(R, pairs)) for idx, w, V, R, pairs in factors]
 
     @property
     def method(self) -> str:
         return "expm" if self.use_expm else "spectral"
+
+    def _spectral(self, x: np.ndarray, weight) -> np.ndarray:
+        """sum over blocks of V diag(weight(w)) V^-1 x."""
+        out = np.zeros(x.shape, dtype=complex)
+        for idx, w, V, V_inv in self._factors:
+            y = weight(w) * (V_inv @ x[idx][..., None])[..., 0]
+            out[idx] = (V @ y[..., None])[..., 0]
+        return out
 
     def apply(self, x: np.ndarray, t: float) -> np.ndarray:
         if t < 0:
             raise ParameterError(f"propagation time must be >= 0, got {t}")
         if self.use_expm:
             return scipy.linalg.expm(self.A * t) @ x
-        return self.V @ (np.exp(self.eigenvalues * t) * (self.V_inv @ x))
+        return self._spectral(x, lambda w: np.exp(w * t))
+
+
+def _real_eigenbasis(w: np.ndarray, V: np.ndarray):
+    """Real R with V = R U, U block-unitary, for the eigenvectors of real matrices (stacked).
+
+    Columns of V are real or come in conjugate pairs (v, conj v), the first
+    with Im w > 0; R keeps the real ones and turns each pair into
+    sqrt2 (Re v, Im v).  Returns R and the pairs' (matrix, first column) indices.
+    """
+    R = V.real.copy()
+    k, j = pairs = np.nonzero(w.imag > 0)
+    R[k, :, j] *= np.sqrt(2.0)
+    R[k, :, j + 1] = np.sqrt(2.0) * V.imag[k, :, j]
+    return R, pairs
+
+
+def _inverse_from_real(R: np.ndarray, pairs) -> np.ndarray:
+    """V^-1 = U^dagger R^-1 for R from :func:`_real_eigenbasis` (pairs None: V^-1 = R^-1)."""
+    R_inv = np.linalg.inv(R)
+    if pairs is None:
+        return R_inv
+    V_inv = R_inv.astype(complex)
+    k, j = pairs
+    first, second = R_inv[k, j], R_inv[k, j + 1]
+    V_inv[k, j] = (first - 1j * second) / np.sqrt(2.0)
+    V_inv[k, j + 1] = (first + 1j * second) / np.sqrt(2.0)
+    return V_inv
 
 
 class MasterPropagator(_SpectralExponential):
-    """exp(L t) from one eigendecomposition of the real generator M; expm above cond(V) = 1e8."""
+    """exp(L t) from one eigendecomposition per diagonal block of the real generator M.
+
+    Falls back to expm above cond(V) = 1e8.
+    """
 
     def __init__(self, ops: LatticeOperators):
         self.ops = ops
-        super().__init__(_hermitian_basis_generator(ops), EIG_COND_LIMIT_MASTER)
+        M = _hermitian_basis_generator(ops)
+        super().__init__(M, EIG_COND_LIMIT_MASTER, _diagonal_blocks(M))
 
     def evolve(self, rho0: np.ndarray, t: float) -> np.ndarray:
         """Raw matrix-form solution at time t without state validation."""
@@ -154,8 +208,9 @@ class MasterPropagator(_SpectralExponential):
         """Infinite-time limit: projection of rho0 onto the kernel eigenmodes."""
         if self.use_expm:  # pragma: no cover
             raise NumericalFailure("kernel projection unavailable in expm fallback mode")
-        keep = np.abs(self.eigenvalues) <= _zero_tolerance(self.ops)
-        out = self.V[:, keep] @ (self.V_inv[keep] @ _hermitian_coords(self.ops, _matrix(rho0)))
+        tol = _zero_tolerance(self.ops)
+        out = self._spectral(_hermitian_coords(self.ops, _matrix(rho0)),
+                             lambda w: (np.abs(w) <= tol).astype(float))
         rho = _from_hermitian_coords(self.ops, out)
         return 0.5 * (rho + rho.conj().T)
 
@@ -179,9 +234,9 @@ def propagate_master_rk4(
     state checks; the step count is rounded so the final time is hit exactly.
     It runs in P's eigenbasis from ``ops``, where a Hermitian state's generator
     is X + X^dagger + D * rho with X = -i H_tilde rho (one matrix product per
-    application), in the Horner form y <- rho + (h/k) L(y), k = 4, 3, 2, 1, of
-    the RK4 step.  A start whose Hermiticity deviation exceeds ``DRIFT_ABORT``
-    raises NumericalFailure.
+    application, a real one when -i H_tilde is real), in the Horner form
+    y <- rho + (h/k) L(y), k = 4, 3, 2, 1, of the RK4 step.  A start whose
+    Hermiticity deviation exceeds ``DRIFT_ABORT`` raises NumericalFailure.
     """
     if t_final < 0:
         raise ParameterError(f"propagation time must be >= 0, got {t_final}")
@@ -197,13 +252,15 @@ def propagate_master_rk4(
     if n_steps == 0:
         return _checked_state(rho)
     h = t_final / n_steps
-    V, minus_iH = ops.V, -1j * ops.H_tilde
+    V, A = ops.V, -1j * ops.H_tilde
+    real = not A.imag.any()     # then one real GEMM on y's interleaved (Re, Im) columns
+    A = A.real if real else A
     stages = [(h / k, (h / k) * ops.D) for k in (4.0, 3.0, 2.0, 1.0)]
     y = V.conj().T @ rho @ V
     for _ in range(n_steps):
         start = y
         for hk, hk_D in stages:
-            X = minus_iH @ y
+            X = (A @ y.view(float)).view(complex) if real else A @ y
             y = start + hk * (X + X.conj().T) + hk_D * y
     return _checked_state(V @ y @ V.conj().T)
 
@@ -241,7 +298,8 @@ def von_neumann_entropy(rho: DensityMatrix | np.ndarray) -> float:
 class EntropyTrace:
     """Entropy along a time grid plus the infinite-time (kernel-projected) value.
 
-    ``states`` holds the propagated state at each time.
+    ``states`` holds the propagated state at each time and ``propagator`` the
+    factorization that produced them.
     """
 
     times: np.ndarray
@@ -249,6 +307,7 @@ class EntropyTrace:
     s_infinity: float
     rho_infinity: np.ndarray
     states: list[DensityMatrix]
+    propagator: MasterPropagator
 
 
 def entropy_trace(
@@ -266,7 +325,7 @@ def entropy_trace(
     states = [prop.propagate(rho0, t) for t in times]
     entropies = np.array([von_neumann_entropy(s) for s in states])
     rho_inf = prop.stationary_projection(rho0)
-    return EntropyTrace(times, entropies, von_neumann_entropy(rho_inf), rho_inf, states)
+    return EntropyTrace(times, entropies, von_neumann_entropy(rho_inf), rho_inf, states, prop)
 
 
 @dataclass(frozen=True)

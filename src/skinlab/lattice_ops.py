@@ -8,7 +8,7 @@ at most by design.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -21,6 +21,8 @@ HERMITICITY_TOL = 1e-12
 P2_CONSISTENCY_TOL = 1e-10
 PSD_CLAMP_TOL = 1e-10          # eigenvalues of P^2 in [-tol, 0) clamp to zero
 SPECTRUM_RESIDUAL_TOL = 1e-8   # relative eigenpair residual bound
+SECTOR_TOL = 1e-12             # relative size of the parts the transpose gauge drops
+COMMUTING_TOL = 1e-12          # relative size of the off-diagonal H_tilde the commuting case drops
 
 
 class Construction(Enum):
@@ -49,6 +51,10 @@ class LatticeOperators:
     Construction diagonalizes P = V diag(p) V^dagger once and stores ``p``,
     ``V``, ``H_tilde`` = V^dagger H V and ``D``, D_ab = -(p_a - p_b)^2 / 2:
     in that basis the generator is rho -> -i[H_tilde, rho] + D * rho.
+    ``structure`` names what the basis makes exact (see :func:`_jump_eigenbasis`):
+    "transpose_sector" when H_tilde - tr H / N is purely imaginary, "commuting"
+    when H_tilde is diagonal, "none" otherwise.  ``eigenbasis`` lets a builder
+    that already diagonalized P pass (p, V, H_tilde, structure) on.
     """
 
     n_sites: int
@@ -57,28 +63,92 @@ class LatticeOperators:
     P2: np.ndarray
     H_eff: np.ndarray
     construction: Construction
+    eigenbasis: InitVar[tuple | None] = None
     p: np.ndarray = field(init=False, repr=False, compare=False)
     V: np.ndarray = field(init=False, repr=False, compare=False)
     H_tilde: np.ndarray = field(init=False, repr=False, compare=False)
     D: np.ndarray = field(init=False, repr=False, compare=False)
+    structure: str = field(init=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, eigenbasis):
         for name in ("H", "P", "P2"):
             M = getattr(self, name)
             if _maxabs(M - M.conj().T) > HERMITICITY_TOL:
                 raise ParameterError(f"{name} is not Hermitian to {HERMITICITY_TOL}")
         if _maxabs(self.P @ self.P - self.P2) > P2_CONSISTENCY_TOL * max(1.0, _maxabs(self.P2)):
             raise ParameterError("P2 does not match P @ P")
-        p, V = np.linalg.eigh(self.P)
+        p, V, H_tilde, structure = eigenbasis or _jump_eigenbasis(self.H, self.P)
         if p[0] < -PSD_CLAMP_TOL:
             raise NotPSDError(f"P has eigenvalue {p[0]:.3e} < 0", min_eigenvalue=float(p[0]))
         im_max = float(np.linalg.eigvals(self.H_eff).imag.max())
         if im_max > 1e-10:
             raise ParameterError(f"H_eff has eigenvalue with Im = {im_max:.3e} > 0")
+        # all off-diagonal entries at once: dropping only the small ones of a
+        # non-normal generator moves its spectrum far more than they weigh
+        off = H_tilde - np.diag(H_tilde.diagonal())
+        if _maxabs(off) <= COMMUTING_TOL * max(1.0, _maxabs(H_tilde)):
+            H_tilde, structure = np.diag(H_tilde.diagonal().real).astype(complex), "commuting"
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "V", V)
-        object.__setattr__(self, "H_tilde", V.conj().T @ self.H @ V)
+        object.__setattr__(self, "H_tilde", H_tilde)
         object.__setattr__(self, "D", -0.5 * (p[:, None] - p[None, :]) ** 2)
+        object.__setattr__(self, "structure", structure)
+
+
+def _transpose_gauge(H: np.ndarray, X: np.ndarray) -> np.ndarray | None:
+    """Unit-modulus g making G^dagger X G real and G^dagger (H - tr H / N) G imaginary, or None.
+
+    G = diag(g).  Each nonzero X_ab or H_ab fixes arg g_b - arg g_a modulo pi;
+    one pass along a spanning forest of that pattern sets every phase, and
+    every entry is then checked: the parts dropped must stay below
+    SECTOR_TOL * max(1, max|X|) and SECTOR_TOL * max(1, max|H|).
+    """
+    N = H.shape[0]
+    Hc = H - (np.trace(H).real / N) * np.eye(N)
+    tol_x, tol_h = (SECTOR_TOL * max(1.0, _maxabs(M)) for M in (X, H))
+    on_x = np.abs(X) > tol_x
+    step = np.where(on_x, -np.angle(X), 0.5 * np.pi - np.angle(Hc))
+    linked = on_x | (np.abs(Hc) > tol_h)
+    theta = np.full(N, np.nan)
+    for root in range(N):
+        if not np.isnan(theta[root]):
+            continue
+        theta[root], frontier = 0.0, [root]
+        while frontier:
+            reached = []
+            for a in frontier:
+                new = np.flatnonzero(linked[a] & np.isnan(theta))
+                theta[new] = np.mod(theta[a] + step[a, new], 2.0 * np.pi)
+                reached.extend(new)
+            frontier = reached
+    g = np.exp(1j * theta)
+    if _maxabs(_gauged(X, g).imag) > tol_x or _maxabs(_gauged(Hc, g).real) > tol_h:
+        return None
+    return g
+
+
+def _gauged(M: np.ndarray, g: np.ndarray) -> np.ndarray:
+    return g.conj()[:, None] * M * g[None, :]
+
+
+def _jump_eigenbasis(H: np.ndarray, X: np.ndarray):
+    """(w, V, H_tilde, structure) from one eigh of X = V diag(w) V^dagger.
+
+    With a transpose gauge G of (H, X) the eigh is the real one of
+    Re(G^dagger X G) = O diag(w) O^T, V = G O, and H_tilde is set to exactly
+    i O^T Im(G^dagger (H - c) G) O + c, c = tr H / N (imaginary off the
+    diagonal, constant real diagonal).  X may be P or, for a square-root
+    construction, P^2: both share the eigenvectors and the gauge.
+    """
+    g = _transpose_gauge(H, X)
+    if g is None:
+        w, V = np.linalg.eigh(X)
+        return w, V, V.conj().T @ H @ V, "none"
+    w, O = np.linalg.eigh(_gauged(X, g).real)
+    c = np.trace(H).real / H.shape[0]
+    B = O.T @ _gauged(H, g).imag @ O
+    H_tilde = 1j * (0.5 * (B - B.T)) + c * np.eye(H.shape[0])
+    return w, g[:, None] * O, H_tilde, "transpose_sector"
 
 
 @dataclass(frozen=True)
@@ -171,7 +241,7 @@ def build_obc(
     else:
         p2_coeffs = convolve_coefficients(model.p_coeffs, model.p_coeffs)
         P2 = toeplitz_from_coefficients(p2_coeffs, n_sites)
-        P = sqrt_psd(P2)
+        return _sqrt_construction(n_sites, H, P2)
     H_eff = H - 0.5j * P2
     return LatticeOperators(n_sites, H, P, P2, H_eff, construction)
 
@@ -196,9 +266,24 @@ def build_hatano_nelson(J1: float, J2: float, n_sites: int) -> LatticeOperators:
         - 1j * g * np.eye(n_sites, k=1)
         + 1j * g * np.eye(n_sites, k=-1)
     ).astype(complex)
-    P = sqrt_psd(P2)
-    H_eff = H - 0.5j * P2
-    return LatticeOperators(n_sites, H, P, P2, H_eff, Construction.TRUNCATE_P2_THEN_SQRT)
+    return _sqrt_construction(n_sites, H, P2)
+
+
+def _sqrt_construction(n_sites: int, H: np.ndarray, P2: np.ndarray) -> LatticeOperators:
+    """Operators with P the PSD square root of P2, from P2's one eigendecomposition.
+
+    P2 = V diag(w) V^dagger gives P = V diag(sqrt w) V^dagger and P's eigenbasis
+    at once; eigenvalues in [-1e-10, 0) clamp to zero as in :func:`sqrt_psd`.
+    """
+    w, V, H_tilde, structure = _jump_eigenbasis(H, P2)
+    if w[0] < -PSD_CLAMP_TOL:
+        raise NotPSDError(f"P^2 has eigenvalue {w[0]:.3e} below the PSD clamp tolerance",
+                          min_eigenvalue=float(w[0]))
+    p = np.sqrt(np.clip(w, 0.0, None))
+    P = (V * p) @ V.conj().T
+    P = 0.5 * (P + P.conj().T)
+    return LatticeOperators(n_sites, H, P, P2, H - 0.5j * P2,
+                            Construction.TRUNCATE_P2_THEN_SQRT, (p, V, H_tilde, structure))
 
 
 def hatano_nelson_pbc_dispersion(J1: float, J2: float, k) -> np.ndarray:

@@ -16,7 +16,8 @@ above is frozen package-wide.
 
 L preserves Hermiticity, so in an orthonormal basis of Hermitian matrices it
 is a real matrix M with the same spectrum, singular values and cond(V); every
-dense solve runs on M, assembled in P's eigenbasis from H_tilde and D.
+dense solve runs on M, assembled in P's eigenbasis from H_tilde and D, one
+diagonal block (connected component of its nonzero pattern) at a time.
 """
 
 from __future__ import annotations
@@ -64,7 +65,8 @@ class StationaryReport:
     :func:`liouvillian_spectrum`.  ``gap_ratio`` compares the first
     decaying singular value against the largest kernel one;
     ``ill_conditioned`` flags a first decaying mode within a factor
-    ``KERNEL_GAP_WARN`` of the zero threshold.
+    ``KERNEL_GAP_WARN`` of the zero threshold.  ``block_sizes`` lists the
+    diagonal blocks of the real generator that were factored one by one.
     """
 
     zero_eigenvalue_multiplicity: int
@@ -73,6 +75,7 @@ class StationaryReport:
     gap_ratio: float
     ill_conditioned: bool
     eigenvalues: np.ndarray
+    block_sizes: list[int]
 
 
 def build_liouvillian(ops: LatticeOperators) -> LiouvillianMatrix:
@@ -108,19 +111,63 @@ def liouvillian_spectrum(Lm: LiouvillianMatrix, eigenvectors: bool = False,
 
 def _sorted_spectrum(A: np.ndarray, eigenvectors: bool):
     """Eigenvalues of A in :func:`_spectrum_order`; with eigenvectors, residual-checked."""
-    try:
-        w, V = np.linalg.eig(A) if eigenvectors else (np.linalg.eigvals(A), None)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise NumericalFailure(f"eigensolver did not converge: {exc}") from exc
-    order = _spectrum_order(w)
-    if V is None:
-        return w[order]
-    w, V = w[order], V[:, order]
-    residual = float(np.abs(A @ V - V * w).max())
-    if residual > 1e-8 * float(np.linalg.norm(A)):
-        raise NumericalFailure(f"eigenpair residual {residual:.3e} exceeds 1e-8 * ||L||",
-                               residual=residual)
-    return w, V
+    (_, w, V), = _block_spectra(A, [np.arange(A.shape[0])], eigenvectors)
+    order = _spectrum_order(w[0])
+    return w[0][order] if V is None else (w[0][order], V[0][:, order])
+
+
+def _diagonal_blocks(M: np.ndarray) -> list[np.ndarray]:
+    """Index sets of M's diagonal blocks: the connected components of its nonzero pattern.
+
+    Each set is sorted and the sets come in order of their first index; every
+    entry of M between two sets is exactly zero.  One set means no structure.
+    """
+    nonzero = M != 0
+    linked = nonzero | nonzero.T
+    unseen = np.ones(M.shape[0], dtype=bool)
+    blocks = []
+    for start in range(M.shape[0]):
+        if not unseen[start]:
+            continue
+        members = np.zeros_like(unseen)
+        members[start] = True
+        frontier = members.copy()
+        while frontier.any():
+            frontier = linked[frontier].any(axis=0) & ~members
+            members |= frontier
+        unseen &= ~members
+        blocks.append(np.flatnonzero(members))
+    return blocks
+
+
+def _block_stacks(M: np.ndarray, blocks: list[np.ndarray]):
+    """Equal-size blocks batched: (idx, stack), idx (k, s), stack[i] = M[idx[i]][:, idx[i]]."""
+    if len(blocks) == 1:
+        yield blocks[0][None], M[None]
+        return
+    for size in sorted({b.size for b in blocks}):
+        idx = np.stack([b for b in blocks if b.size == size])
+        yield idx, M[idx[:, :, None], idx[:, None, :]]
+
+
+def _block_spectra(M: np.ndarray, blocks: list[np.ndarray], eigenvectors: bool):
+    """[(idx, w, V)] per size group of :func:`_block_stacks`: one batched eig (V None: eigvals).
+
+    With eigenvectors every eigenpair residual is checked against 1e-8 * ||M||_F.
+    """
+    out, bound = [], 1e-8 * float(np.linalg.norm(M))
+    for idx, stack in _block_stacks(M, blocks):
+        try:
+            w, V = np.linalg.eig(stack) if eigenvectors else (np.linalg.eigvals(stack), None)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover
+            raise NumericalFailure(f"eigensolver did not converge: {exc}") from exc
+        if V is not None:
+            residual = float(np.abs(stack @ V - V * w[:, None, :]).max())
+            if residual > bound:
+                raise NumericalFailure(f"eigenpair residual {residual:.3e} exceeds 1e-8 * ||L||",
+                                       residual=residual)
+        out.append((idx, w, V))
+    return out
 
 
 def _check_cap(n_sites: int, cap: int) -> None:
@@ -186,10 +233,11 @@ def _hermitian_basis_generator(ops: LatticeOperators) -> np.ndarray:
 
 
 def liouvillian_eigenvalues(ops: LatticeOperators, cap: int = SPECTRUM_CAP) -> np.ndarray:
-    """Full generator spectrum from one real eigensolve, sorted as :func:`liouvillian_spectrum`.
+    """Full generator spectrum from real eigensolves, sorted as :func:`liouvillian_spectrum`.
 
-    Works on :func:`_hermitian_basis_generator`, so the eigenvalues come in
-    exact complex-conjugate pairs.
+    Works on :func:`_hermitian_basis_generator`, one ``eigvals`` per diagonal
+    block (:func:`_diagonal_blocks`), so the eigenvalues come in exact
+    complex-conjugate pairs.
 
     Raises
     ------
@@ -198,8 +246,16 @@ def liouvillian_eigenvalues(ops: LatticeOperators, cap: int = SPECTRUM_CAP) -> n
     NumericalFailure
         On eigensolver non-convergence.
     """
+    return _blocked_eigenvalues(ops, cap)[0]
+
+
+def _blocked_eigenvalues(ops: LatticeOperators, cap: int = SPECTRUM_CAP):
+    """:func:`liouvillian_eigenvalues` and the generator's block sizes."""
     _check_cap(ops.n_sites, cap)
-    return _sorted_spectrum(_hermitian_basis_generator(ops), eigenvectors=False)
+    M = _hermitian_basis_generator(ops)
+    blocks = _diagonal_blocks(M)
+    w = np.concatenate([w.ravel() for _, w, _ in _block_spectra(M, blocks, False)])
+    return w[_spectrum_order(w)], [b.size for b in blocks]
 
 
 def _hermitian_coords(ops: LatticeOperators, X: np.ndarray) -> np.ndarray:
@@ -238,24 +294,42 @@ def _zero_tolerance(ops: LatticeOperators) -> float:
 
 
 def stationary_states(ops: LatticeOperators) -> StationaryReport:
-    """Count and construct the non-decaying states from one eig and one SVD of the real M."""
+    """Count and construct the non-decaying states from one eig and one SVD per block of M.
+
+    The kernel basis comes block by block, in order of the blocks' first
+    index (:func:`_diagonal_blocks`), so a kernel spread over many blocks has
+    a canonical basis: for the commuting case the projectors |v_a><v_a| on
+    P's eigenvectors.
+    """
     _check_cap(ops.n_sites, SPECTRUM_CAP)
     M = _hermitian_basis_generator(ops)
+    blocks = _diagonal_blocks(M)
     tol = _zero_tolerance(ops)
-    w, X = _sorted_spectrum(M, eigenvectors=True)
-    kernel_mask = np.abs(w) <= tol
-    multiplicity = int(kernel_mask.sum())
-    if multiplicity == 0:  # pragma: no cover - trace preservation forbids this
+    spectra = _block_spectra(M, blocks, eigenvectors=True)
+    w = np.concatenate([w.ravel() for _, w, _ in spectra])
+    found = []
+    for idx, wk, Vk in spectra:
+        for b, w_b, V_b in zip(idx, wk, Vk):
+            order = _spectrum_order(w_b)
+            K = V_b[:, order[np.abs(w_b[order]) <= tol]]
+            if K.shape[1] == 0:
+                continue
+            # M is real: its kernel is the real span of its kernel eigenvectors, whose
+            # real coordinates are Hermitian matrices (of unit norm: the map is isometric)
+            Q = np.linalg.svd(np.hstack([K.real, K.imag]), full_matrices=False)[0]
+            for q in Q[:, :K.shape[1]].T:
+                x = np.zeros(M.shape[0])
+                x[b] = q
+                found.append((b[0], x))
+    if not found:  # pragma: no cover - trace preservation forbids this
         raise NumericalFailure("no zero eigenvalue found; generator is not trace-preserving")
-
-    # M is real: its kernel is the real span of its kernel eigenvectors, whose
-    # real coordinates are Hermitian matrices (of unit norm: the map is isometric)
-    K = X[:, kernel_mask]
-    Q = np.linalg.svd(np.hstack([K.real, K.imag]), full_matrices=False)[0][:, :multiplicity]
-    kernel = [_from_hermitian_coords(ops, q) for q in Q.T]
+    found.sort(key=lambda item: item[0])
+    kernel = [_from_hermitian_coords(ops, x) for _, x in found]
+    multiplicity = len(kernel)
 
     # singular-value picture of the kernel separation
-    svals = np.linalg.svd(M, compute_uv=False)[::-1]  # ascending
+    svals = np.sort(np.concatenate([np.linalg.svd(stack, compute_uv=False).ravel()
+                                    for _, stack in _block_stacks(M, blocks)]))
     first_decaying = float(svals[multiplicity]) if multiplicity < svals.size else np.inf
     kernel_floor = max(float(svals[:multiplicity].max()), np.finfo(float).eps * float(svals[-1]))
     gap_ratio = first_decaying / kernel_floor if kernel_floor > 0 else np.inf   # M = 0: all kernel
@@ -265,7 +339,8 @@ def stationary_states(ops: LatticeOperators) -> StationaryReport:
     traces = [np.trace(m).real for m in basis]
     basis = [m / tr if abs(tr) > 1e-8 else m for m, tr in zip(basis, traces)]
     vectors = np.stack([vec(m) for m in kernel], axis=1)
-    return StationaryReport(multiplicity, basis, vectors, gap_ratio, ill_conditioned, w)
+    return StationaryReport(multiplicity, basis, vectors, gap_ratio, ill_conditioned,
+                            w[_spectrum_order(w)], [b.size for b in blocks])
 
 
 def kernel_overlap(report: StationaryReport, rho: np.ndarray) -> float:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from skinlab import build_liouvillian, vec
+from skinlab import build_hatano_nelson, build_liouvillian, build_obc, make_cosine_model, vec
+from skinlab.lattice_ops import Construction
 
 
 def assert_multiset_close(a, b, tol):
@@ -14,6 +15,25 @@ def assert_multiset_close(a, b, tol):
     rows, cols = linear_sum_assignment(cost)
     worst = cost[rows, cols].max()
     assert worst <= tol, f"multiset mismatch: worst pairing distance {worst:.3e} > {tol:.0e}"
+
+
+def cosine(phi, T=0.0, R=1.0, construction=Construction.TRUNCATE_P):
+    return lambda n: build_obc(make_cosine_model(1.0, T, R, phi), n, construction)
+
+
+# name: (lattice of n sites, structure its jump eigenbasis exposes)
+SUITE_MODELS = {
+    "cosine_phi0": (cosine(0.0), "commuting"),
+    "cosine_phi_quarter_pi": (cosine(np.pi / 4), "none"),
+    "cosine_phi_half_pi": (cosine(np.pi / 2), "transpose_sector"),
+    "cosine_phi_half_pi_T05": (cosine(np.pi / 2, T=0.5), "none"),
+    "cosine_phi_0.7_T03": (cosine(0.7, T=0.3), "none"),
+    "hatano_nelson": (lambda n: build_hatano_nelson(1.0, 2.0, n), "transpose_sector"),
+    "sqrt_phi_half_pi": (cosine(np.pi / 2, construction=Construction.TRUNCATE_P2_THEN_SQRT),
+                         "transpose_sector"),
+    "sqrt_phi_0.4": (cosine(0.4, construction=Construction.TRUNCATE_P2_THEN_SQRT), "none"),
+    "no_jumps": (cosine(0.0, R=0.0), "transpose_sector"),
+}
 
 
 def master_rhs(ops, rho):

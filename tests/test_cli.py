@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -8,6 +10,7 @@ import pytest
 from skinlab import build_hatano_nelson, build_obc, make_cosine_model
 from skinlab.cli import load_config, main, run_experiment, validate_config
 from skinlab.errors import ConfigError
+from skinlab.serialize import matrix_from_json
 
 DENSE_LINALG = ("eig", "eigvals", "svd", "cond", "inv")
 
@@ -299,15 +302,20 @@ def test_hatano_nelson_without_spectrum_skips_the_cap():
     assert not cfg.include_spectrum
 
 
-def dense_linalg_calls(monkeypatch, cfg) -> list[tuple[str, np.dtype]]:
-    """Name and input dtype of each np.linalg factorization of an N^2 x N^2 matrix in one run."""
-    side = cfg.n_sites**2
+def dense_linalg_calls(monkeypatch, cfg) -> list[tuple[str, np.dtype, int, int]]:
+    """Name, input dtype, stack count and side of each np.linalg factorization of square matrices.
+
+    Generator blocks reach numpy stacked by size, so a call on a (k, s, s)
+    array factors k blocks of side s.  Unstacked N x N calls (the lattice
+    operators' own checks) are left out.
+    """
     calls = []
 
     def counting(name, original):
         def wrapper(a, *args, **kwargs):
-            if np.shape(a) == (side, side):
-                calls.append((name, np.asarray(a).dtype))
+            shape = np.shape(a)
+            if len(shape) >= 2 and shape[-1] == shape[-2] and shape != (cfg.n_sites,) * 2:
+                calls.append((name, np.asarray(a).dtype, int(np.prod(shape[:-2])), shape[-1]))
             return original(a, *args, **kwargs)
         return wrapper
 
@@ -318,9 +326,15 @@ def dense_linalg_calls(monkeypatch, cfg) -> list[tuple[str, np.dtype]]:
 
 
 def count_dense_factorizations(monkeypatch, cfg) -> dict:
-    """Calls of each np.linalg factorization on N^2 x N^2 matrices during one run."""
-    names = [name for name, _ in dense_linalg_calls(monkeypatch, cfg)]
-    return {name: names.count(name) for name in DENSE_LINALG}
+    """How often each np.linalg factorization covered the N^2 x N^2 generator in one run.
+
+    A call counts by the generator coordinates its blocks cover, so the whole
+    generator factored once counts 1 whether it came as one block or many.
+    """
+    covered = dict.fromkeys(DENSE_LINALG, 0)
+    for name, _, count, side in dense_linalg_calls(monkeypatch, cfg):
+        covered[name] += count * side
+    return {name: n / cfg.n_sites**2 for name, n in covered.items()}
 
 
 def test_each_generator_is_factored_once(tmp_path, monkeypatch):
@@ -330,7 +344,7 @@ def test_each_generator_is_factored_once(tmp_path, monkeypatch):
         "times": [0.0, 1.0, 5.0], "output_dir": str(tmp_path / "ent"),
     })
     assert count_dense_factorizations(monkeypatch, entropy) == \
-        {"eig": 1, "eigvals": 0, "svd": 0, "cond": 1, "inv": 1}
+        {"eig": 1, "eigvals": 0, "svd": 1, "cond": 0, "inv": 1}
     spectrum = validate_config({
         "experiment": "LiouvillianSpectrum", "model": model, "n_sites": 11,
         "output_dir": str(tmp_path / "lsp"),
@@ -345,7 +359,7 @@ def test_hatano_nelson_factors_its_dense_generator_once(tmp_path, monkeypatch):
         "n_sites": 9, "times": [0.5, 1.0], "output_dir": str(tmp_path / "hn"),
     })
     assert count_dense_factorizations(monkeypatch, cfg) == \
-        {"eig": 1, "eigvals": 0, "svd": 0, "cond": 1, "inv": 1}
+        {"eig": 1, "eigvals": 0, "svd": 1, "cond": 0, "inv": 1}
 
 
 DENSE_ROUTE_CONFIGS = [
@@ -380,7 +394,7 @@ def test_no_runner_builds_the_complex_generator(tmp_path, monkeypatch, raw):
         if name.split(".")[0] == "skinlab" and vars(module).get("build_liouvillian") is original:
             monkeypatch.setattr(module, "build_liouvillian", counting)
     cfg = validate_config({**raw, "output_dir": str(tmp_path / "out")})
-    solves = [dtype for name, dtype in dense_linalg_calls(monkeypatch, cfg)
+    solves = [dtype for name, dtype, *_ in dense_linalg_calls(monkeypatch, cfg)
               if name in ("eig", "eigvals", "svd")]
     assert built == []
     assert solves and all(dtype == np.float64 for dtype in solves)
@@ -401,15 +415,19 @@ def test_jump_operator_is_diagonalized_once_per_experiment(tmp_path, monkeypatch
     cfg = validate_config({**raw, "output_dir": str(tmp_path / "out")})
     model = cfg.model
     if model["type"] == "hatano_nelson":
-        P = build_hatano_nelson(model["J1"], model["J2"], cfg.n_sites).P
+        ops = build_hatano_nelson(model["J1"], model["J2"], cfg.n_sites)
     else:
-        P = build_obc(make_cosine_model(model["J"], model["T"], model["R"], model["phi"]),
-                      cfg.n_sites).P
+        ops = build_obc(make_cosine_model(model["J"], model["T"], model["R"], model["phi"]),
+                        cfg.n_sites)
     calls = []
+
+    def is_jump(a):   # P, or P^2 of a square-root construction, in any diagonal gauge
+        return np.shape(a) == ops.P.shape and any(
+            np.allclose(np.abs(a), np.abs(X), rtol=0, atol=1e-12) for X in (ops.P, ops.P2))
 
     def counting(original):
         def wrapper(a, *args, **kwargs):
-            if np.shape(a) == P.shape and np.array_equal(a, P):
+            if is_jump(a):
                 calls.append(original.__name__)
             return original(a, *args, **kwargs)
         return wrapper
@@ -418,3 +436,77 @@ def test_jump_operator_is_diagonalized_once_per_experiment(tmp_path, monkeypatch
         monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
     run_experiment(cfg)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("phi, entry", [
+    (0.0, {"structure": "commuting", "blocks": 28, "largest_block": 2}),
+    (PHI_HALF_PI, {"structure": "transpose_sector", "blocks": 2, "largest_block": 28}),
+    (0.7853981633974483, {"structure": "none", "blocks": 1, "largest_block": 49}),
+], ids=["commuting", "transpose_sector", "none"])
+def test_manifest_records_the_generator_structure(tmp_path, phi, entry):
+    model = {"type": "cosine", "J": 1, "T": 0, "R": 1, "phi": phi}
+    relax = validate_config({"experiment": "ObcRelax", "model": model, "n_sites": 7,
+                             "times": [0.5, 2.0], "output_dir": str(tmp_path / "relax")})
+    generator = run_experiment(relax)["diagnostics"]["generator"]
+    assert generator.pop("cond_V") >= 1.0
+    assert generator == entry
+    spectrum = validate_config({"experiment": "LiouvillianSpectrum", "model": model,
+                                "n_sites": 7, "output_dir": str(tmp_path / "lsp")})
+    run_experiment(spectrum)
+    manifest = json.loads((tmp_path / "lsp" / "manifest.json").read_text())
+    assert manifest["diagnostics"]["generator"] == entry
+    rk4 = validate_config({"experiment": "SemiclassicalDrift", "model": model, "n_sites": 33,
+                           "rho0_site": 17, "times": [0.1], "output_dir": str(tmp_path / "rk4")})
+    assert run_experiment(rk4)["diagnostics"] == {"generator": {"structure": entry["structure"]}}
+
+
+def test_commuting_stationary_file_is_canonical_under_blas_threads(tmp_path):
+    config = write_config(tmp_path, {
+        "experiment": "LiouvillianSpectrum",
+        "model": {"type": "cosine", "J": 1, "T": 0, "R": 1, "phi": 0.0}, "n_sites": 11,
+    })
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "MKL_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-m", "skinlab.cli", "run", str(config),
+                        "--out", str(tmp_path / threads)],
+                       env=env, capture_output=True, timeout=300, check=True)
+    files = [(tmp_path / t / "stationary.json").read_bytes() for t in ("1", "2")]
+    assert files[0] == files[1]
+    basis = [matrix_from_json(m) for m in json.loads(files[0])["kernel_basis"]]
+    V = build_obc(make_cosine_model(1, 0, 1, 0.0), 11).V
+    assert len(basis) == 11
+    for v, rho in zip(V.T, basis):
+        assert np.abs(rho - np.outer(v, v.conj())).max() <= 1e-12
+
+
+def largest_blocks(monkeypatch, cfg) -> dict:
+    """Largest side each np.linalg factorization saw on a generator block in one run."""
+    sides = dict.fromkeys(DENSE_LINALG, 0)
+    for name, _, _, side in dense_linalg_calls(monkeypatch, cfg):
+        sides[name] = max(sides[name], side)
+    return sides
+
+
+@pytest.mark.parametrize("phi, largest", [(0.0, 2), (PHI_HALF_PI, 300)],
+                         ids=["phi0", "phi_half_pi"])
+def test_superoperator_pass_factors_only_generator_blocks(tmp_path, monkeypatch, phi, largest):
+    model = {"type": "cosine", "J": 1, "T": 0, "R": 1, "phi": phi}
+    for raw in ({"experiment": "LiouvillianSpectrum"},
+                {"experiment": "EntropyTrace", "rho0_site": 9, "times": [0.0, 1.0, 320.0]},
+                {"experiment": "ObcRelax", "rho0_site": 9, "times": [0.5, 64.0]}):
+        cfg = validate_config({**raw, "model": model, "n_sites": 24,
+                               "output_dir": str(tmp_path / raw["experiment"])})
+        sides = largest_blocks(monkeypatch, cfg)
+        assert max(sides[name] for name in ("eig", "eigvals", "svd", "inv")) == largest
+        assert sides["cond"] == 0
+
+
+def test_hatano_nelson_spectrum_solves_each_sector_alone(tmp_path, monkeypatch):
+    cfg = validate_config({
+        "experiment": "HatanoNelson", "model": {"type": "hatano_nelson", "J1": 1, "J2": 2},
+        "n_sites": 40, "rho0_site": 20, "times": [0.01], "output_dir": str(tmp_path / "hn"),
+    })
+    assert largest_blocks(monkeypatch, cfg)["eigvals"] == 820

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import site_basis_rk4
 from skinlab import (
@@ -24,7 +25,13 @@ from skinlab import (
     vec,
     von_neumann_entropy,
 )
-from skinlab.evolve import EIG_COND_LIMIT_MASTER, EIG_COND_LIMIT_SEMI, _SpectralExponential
+from skinlab.evolve import (
+    EIG_COND_LIMIT_MASTER,
+    EIG_COND_LIMIT_SEMI,
+    _inverse_from_real,
+    _real_eigenbasis,
+    _SpectralExponential,
+)
 
 
 @pytest.fixture(scope="module")
@@ -266,3 +273,27 @@ def test_rk4_rejects_non_hermitian_start(skew11):
     for t in (0.0, 0.01):
         with pytest.raises(NumericalFailure, match="not Hermitian"):
             propagate_master_rk4(ops, rho0, t, dt=0.01)
+
+
+@pytest.mark.parametrize("symmetric", [False, True], ids=["conjugate_pairs", "real_spectrum"])
+def test_real_eigenbasis_gives_the_complex_condition_number_and_inverse(symmetric):
+    A = np.random.default_rng(5).normal(size=(6, 9, 9))
+    A = A + A.swapaxes(1, 2) if symmetric else A
+    w, V = np.linalg.eig(A)
+    R, pairs = _real_eigenbasis(w, V)
+    assert R.dtype == np.float64
+    assert (pairs[0].size == 0) == symmetric
+    assert np.abs(np.linalg.cond(R) / np.linalg.cond(V) - 1.0).max() <= 1e-10
+    V_inv = np.linalg.inv(V)
+    assert np.abs(_inverse_from_real(R, pairs) - V_inv).max() <= 1e-12 * np.abs(V_inv).max()
+
+
+def test_blocked_condition_number_is_that_of_the_whole_eigenbasis():
+    rng = np.random.default_rng(9)
+    A = scipy.linalg.block_diag(rng.normal(size=(5, 5)), rng.normal(size=(4, 4)))
+    blocks = [np.arange(5), np.arange(5, 9)]
+    blocked = _SpectralExponential(A, EIG_COND_LIMIT_MASTER, blocks)
+    assert blocked.block_sizes == [5, 4]
+    assert abs(blocked.cond / np.linalg.cond(np.linalg.eig(A)[1]) - 1.0) <= 1e-10
+    x = rng.normal(size=9)
+    assert np.abs(blocked.apply(x, 0.8) - scipy.linalg.expm(0.8 * A) @ x).max() <= 1e-12

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import SUITE_MODELS
 from skinlab import (
     BandModel,
     Construction,
@@ -180,3 +181,43 @@ def test_matrix_json_round_trip():
     ops = build_obc(make_cosine_model(1, 0, 1, 0.3), 4)
     back = matrix_from_json(matrix_to_json(ops.H_eff))
     assert np.abs(back - ops.H_eff).max() < 1e-15
+
+
+@pytest.mark.parametrize("n", [11, 24])
+@pytest.mark.parametrize("name", SUITE_MODELS)
+def test_jump_eigenbasis_exposes_the_model_structure(name, n):
+    build, structure = SUITE_MODELS[name]
+    ops = build(n)
+    assert ops.structure == structure
+    V, H_tilde = ops.V, ops.H_tilde
+    assert np.abs(V.conj().T @ V - np.eye(n)).max() <= 1e-13
+    assert np.abs((V * ops.p) @ V.conj().T - ops.P).max() <= 1e-13
+    assert np.abs(V @ H_tilde @ V.conj().T - ops.H).max() <= 1e-13
+    off = H_tilde[~np.eye(n, dtype=bool)]
+    energies = H_tilde.diagonal()
+    if structure == "commuting":
+        assert not off.any() and not energies.imag.any()
+    elif structure == "transpose_sector":
+        assert not off.real.any() and not energies.imag.any() and np.ptp(energies.real) == 0
+    else:   # nothing dropped, however small
+        assert np.array_equal(H_tilde, V.conj().T @ ops.H @ V)
+    if ops.construction is Construction.TRUNCATE_P2_THEN_SQRT:
+        assert np.abs(ops.P - sqrt_psd(ops.P2)).max() <= 1e-13
+
+
+def test_square_root_constructions_diagonalize_once(monkeypatch):
+    calls = []
+
+    def counting(name, original):
+        def wrapper(a, *args, **kwargs):
+            calls.append(name)
+            return original(a, *args, **kwargs)
+        return wrapper
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    build_hatano_nelson(1, 2, 40)
+    assert calls == ["eigh"]
+    calls.clear()
+    build_obc(make_cosine_model(1, 0, 1, 0.4), 9, Construction.TRUNCATE_P2_THEN_SQRT)
+    assert calls == ["eigh"]

@@ -2,8 +2,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import (
+    SUITE_MODELS,
     assert_multiset_close,
     conjugation_symmetric,
     hermitian_basis,
@@ -13,6 +15,7 @@ from conftest import (
 from skinlab import (
     BandModel,
     LatticeOperators,
+    MasterPropagator,
     ParameterError,
     analytic_commuting_spectrum,
     bidiagonal_stationary_state,
@@ -33,6 +36,7 @@ from skinlab.liouvillian import (
     SORT_TIE_TOL,
     ZERO_TOL_SCALE,
     LiouvillianMatrix,
+    _diagonal_blocks,
     _hermitian_basis_generator,
     _spectrum_order,
     _zero_tolerance,
@@ -277,3 +281,36 @@ def test_spectrum_order_is_stable_under_round_off_in_tied_real_parts():
     rows = [liouvillian_spectrum(LiouvillianMatrix(4, np.diag(x)), cap=16) for x in (a, b)]
     assert np.abs(rows[0] - rows[1]).max() <= 1e-12
     assert_multiset_close(rows[0], w, 1e-12)
+
+
+def expected_block_sizes(structure, n):
+    return {"none": [n * n],
+            "transpose_sector": sorted([n * (n + 1) // 2, n * (n - 1) // 2]),
+            "commuting": [1] * n + [2] * (n * (n - 1) // 2)}[structure]
+
+
+@pytest.mark.parametrize("name", SUITE_MODELS)
+def test_blocked_factorizations_match_the_complex_generator(name):
+    build, structure = SUITE_MODELS[name]
+    n = 7
+    ops = build(n)
+    L = build_liouvillian(ops).L
+    blocks = _diagonal_blocks(_hermitian_basis_generator(ops))
+    assert sorted(b.size for b in blocks) == expected_block_sizes(structure, n)
+    w = liouvillian_spectrum(LiouvillianMatrix(n, L))
+    tol = 1e-10 * max(1.0, np.abs(w).max())
+    prop = MasterPropagator(ops)
+    for blocked in (liouvillian_eigenvalues(ops), stationary_states(ops).eigenvalues,
+                    prop.eigenvalues):
+        assert_multiset_close(blocked, w, tol)
+    X = np.random.default_rng(3).normal(size=(n, n, 2)) @ np.array([1.0, 1j])
+    for t in (0.3, 2.0, 9.0):
+        assert np.abs(vec(prop.evolve(X, t)) - scipy.linalg.expm(L * t) @ vec(X)).max() <= 1e-10
+
+
+def test_commuting_kernel_basis_is_the_jump_eigenprojectors():
+    ops = build_obc(make_cosine_model(1, 0, 1, 0.0), 11)
+    report = stationary_states(ops)
+    assert report.zero_eigenvalue_multiplicity == 11
+    for v, rho in zip(ops.V.T, report.kernel_basis):
+        assert np.abs(rho - np.outer(v, v.conj())).max() <= 1e-12

@@ -39,6 +39,7 @@ from skinlab import (
 from skinlab.evolve import EIG_COND_LIMIT_MASTER, _SpectralExponential
 from skinlab.liouvillian import (
     ZERO_TOL_SCALE,
+    _diagonal_blocks,
     _from_hermitian_coords,
     _hermitian_basis_generator,
     _hermitian_coords,
@@ -59,6 +60,17 @@ def lattices(draw):
         p[m] = complex(draw(coefficient), draw(coefficient))
         p[-m] = p[m].conjugate()
     p[0] = 2.0 * (abs(p[1]) + abs(p[2])) + draw(st.floats(0.0, 0.5))
+    return build_obc(BandModel(h, p), draw(st.integers(3, 6)))
+
+
+@st.composite
+def sector_lattices(draw):
+    """Random models with a transpose gauge diag(i^n): real h_0, h_1; p_1 imaginary, p_2 real."""
+    h = {0: draw(coefficient)}
+    h[1] = h[-1] = draw(coefficient)
+    p1, p2 = draw(coefficient), draw(coefficient)
+    p = {1: 1j * p1, -1: -1j * p1, 2: p2, -2: p2}
+    p[0] = 2.0 * (abs(p1) + abs(p2)) + draw(st.floats(0.0, 0.5))
     return build_obc(BandModel(h, p), draw(st.integers(3, 6)))
 
 
@@ -223,3 +235,40 @@ def test_expm_fallback_on_the_real_generator_matches_the_spectral_route(ops, dat
     assert (spectral.method, fallback.method) == ("spectral", "expm")
     for t in (0.0, 0.7, 3.0, 12.0):
         assert np.abs(fallback.apply(x, t) - spectral.apply(x, t)).max() <= 1e-10
+
+
+@PROFILE
+@given(ops=st.one_of(lattices(), sector_lattices()))
+def test_generator_is_exactly_zero_between_its_blocks(ops):
+    M = _hermitian_basis_generator(ops)
+    label = np.empty(M.shape[0], dtype=int)
+    for k, block in enumerate(_diagonal_blocks(M)):
+        label[block] = k
+    assert not M[label[:, None] != label[None, :]].any()
+
+
+@PROFILE
+@given(ops=sector_lattices(), seed=seeds, t=st.floats(0.0, 2.0))
+@example(ops=build_obc(make_cosine_model(1, 0, 1, np.pi / 2), 5), seed=1, t=0.7)
+def test_real_rk4_of_sector_models_matches_site_basis_loop(ops, seed, t):
+    if ops.structure == "transpose_sector" and not ops.H.diagonal().any():
+        assert not (-1j * ops.H_tilde).imag.any()      # the real stage product runs
+    rho0 = DensityMatrix.pure(random_state(ops.n_sites, seed))
+    fast = propagate_master_rk4(ops, rho0, t, dt=1e-3).rho
+    assert np.abs(fast - site_basis_rk4(ops, rho0.rho, t, 1e-3)).max() <= 1e-12
+
+
+@PROFILE
+@given(ops=lattices())
+def test_models_without_structure_keep_a_single_block(ops):
+    M = _hermitian_basis_generator(ops)
+    assert ops.structure != "none" or len(_diagonal_blocks(M)) == 1
+
+
+@PROFILE
+@given(ops=st.one_of(lattices(), sector_lattices()))
+def test_jump_eigenbasis_reconstructs_the_lattice_operators(ops):
+    V = ops.V
+    assert np.abs(V.conj().T @ V - np.eye(ops.n_sites)).max() <= 1e-13
+    assert np.abs((V * ops.p) @ V.conj().T - ops.P).max() <= 1e-12
+    assert np.abs(V @ ops.H_tilde @ V.conj().T - ops.H).max() <= 1e-12

@@ -478,13 +478,11 @@ def _run_trajectories(cfg: ExperimentConfig, outdir: Path, diagnostics: dict) ->
         "max_norm_drift": float(np.abs(ens.norms - 1.0).max()),
         "rho_estimate": matrix_to_json(ens.rho_estimate),
     }
-    prop = MasterPropagator(ops) if cfg.n_sites <= DENSE_PROPAGATION_MAX else None
+    rho0 = DensityMatrix.site(cfg.n_sites, cfg.rho0_site)
+    (rho_master,), prop = _master_states(ops, rho0, [cfg.t_final], cfg.dt)
     diagnostics["generator"] = _generator_entry(ops, prop)
-    if prop is not None:
-        rho_master = prop.propagate(DensityMatrix.site(cfg.n_sites, cfg.rho0_site), cfg.t_final)
-        err = float(np.linalg.norm(ens.rho_estimate - rho_master.rho))
-        summary["master_frobenius_error"] = err
-        summary["error_over_standard_error"] = err / ens.standard_error
+    err = float(np.linalg.norm(ens.rho_estimate - rho_master.rho))
+    summary.update(master_frobenius_error=err, error_over_standard_error=err / ens.standard_error)
     write_json(outdir / "ensemble.json", summary)
     return ["rho_estimate.csv", "ensemble.json"]
 

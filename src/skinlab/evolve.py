@@ -24,6 +24,7 @@ from .liouvillian import (
     _from_hermitian_coords,
     _hermitian_basis_generator,
     _hermitian_coords,
+    _stationary_kernel,
     _zero_tolerance,
     liouvillian_eigenvalues,
 )
@@ -122,10 +123,10 @@ class _SpectralExponential:
 
     def __init__(self, A: np.ndarray, cond_limit: float, blocks=None):
         self.A = A
-        blocks = [np.arange(A.shape[0])] if blocks is None else blocks
-        self.block_sizes = [b.size for b in blocks]
+        self.blocks = [np.arange(A.shape[0])] if blocks is None else blocks
+        self.block_sizes = [b.size for b in self.blocks]
         factors, s_max, s_min = [], 0.0, np.inf
-        for idx, stack in _block_stacks(A, blocks):
+        for idx, stack in _block_stacks(A, self.blocks):
             w, V = np.linalg.eig(stack)
             R, pairs = _real_eigenbasis(w, V) if np.isrealobj(A) else (V, None)
             s = np.linalg.svd(R, compute_uv=False)
@@ -141,20 +142,19 @@ class _SpectralExponential:
     def method(self) -> str:
         return "expm" if self.use_expm else "spectral"
 
-    def _spectral(self, x: np.ndarray, weight) -> np.ndarray:
-        """sum over blocks of V diag(weight(w)) V^-1 x."""
-        out = np.zeros(x.shape, dtype=complex)
-        for idx, w, V, V_inv in self._factors:
-            y = weight(w) * (V_inv @ x[idx][..., None])[..., 0]
-            out[idx] = (V @ y[..., None])[..., 0]
-        return out
-
     def apply(self, x: np.ndarray, t: float) -> np.ndarray:
+        """exp(A t) x; t = 0 returns x itself, free of V V^-1 round-off, as RK4 does."""
         if t < 0:
             raise ParameterError(f"propagation time must be >= 0, got {t}")
+        if t == 0:
+            return np.array(x, dtype=complex)
         if self.use_expm:
             return scipy.linalg.expm(self.A * t) @ x
-        return self._spectral(x, lambda w: np.exp(w * t))
+        out = np.zeros(x.shape, dtype=complex)
+        for idx, w, V, V_inv in self._factors:
+            y = np.exp(w * t) * (V_inv @ x[idx][..., None])[..., 0]
+            out[idx] = (V @ y[..., None])[..., 0]
+        return out
 
 
 def _real_eigenbasis(w: np.ndarray, V: np.ndarray):
@@ -187,7 +187,8 @@ def _inverse_from_real(R: np.ndarray, pairs) -> np.ndarray:
 class MasterPropagator(_SpectralExponential):
     """exp(L t) from one eigendecomposition per diagonal block of the real generator M.
 
-    Falls back to expm above cond(V) = 1e8.
+    Falls back to expm above cond(V) = 1e8.  Raises ParameterError before
+    allocating when N^2 exceeds ``SPECTRUM_CAP``.
     """
 
     def __init__(self, ops: LatticeOperators):
@@ -205,13 +206,10 @@ class MasterPropagator(_SpectralExponential):
         return _checked_state(self.evolve(rho0, t))
 
     def stationary_projection(self, rho0: DensityMatrix | np.ndarray) -> np.ndarray:
-        """Infinite-time limit: projection of rho0 onto the kernel eigenmodes."""
-        if self.use_expm:  # pragma: no cover
-            raise NumericalFailure("kernel projection unavailable in expm fallback mode")
-        tol = _zero_tolerance(self.ops)
-        out = self._spectral(_hermitian_coords(self.ops, _matrix(rho0)),
-                             lambda w: (np.abs(w) <= tol).astype(float))
-        rho = _from_hermitian_coords(self.ops, out)
+        """Infinite-time limit Q Q^T rho0, Q the kernel basis of :func:`_stationary_kernel`."""
+        Q = _stationary_kernel(self.ops, self.A, self.blocks)[0]
+        x = _hermitian_coords(self.ops, _matrix(rho0))
+        rho = _from_hermitian_coords(self.ops, Q @ (Q.T @ x))
         return 0.5 * (rho + rho.conj().T)
 
 
@@ -286,12 +284,15 @@ def propagate_semiclassical(
 def von_neumann_entropy(rho: DensityMatrix | np.ndarray) -> float:
     """-sum_i lambda_i ln lambda_i over the state's eigenvalues (nats).
 
-    Eigenvalues are clamped to [0, 1] and 0 ln 0 counts as 0.
+    Eigenvalues are clamped to [0, 1]; those at most N eps max(lambda), the
+    eigensolver's round-off, count as 0 (0 ln 0 = 0), and the rest are
+    renormalized to unit sum, so a pure state reads exactly 0.
     """
     rho = _matrix(rho)
     w = np.clip(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)), 0.0, 1.0)
-    w = w[w > 0]
-    return float(-(w * np.log(w)).sum())
+    w = w[w > rho.shape[0] * np.finfo(float).eps * w.max()]
+    w = w / w.sum()
+    return float((w * np.log(1.0 / w)).sum())
 
 
 @dataclass(frozen=True)
@@ -315,8 +316,8 @@ def entropy_trace(
 ) -> EntropyTrace:
     """Von Neumann entropy at each time, with the stationary limit appended.
 
-    The infinite-time state is the spectral projection of rho0 onto the
-    kernel of the generator (not the last sampled time).
+    The infinite-time state is the projection of rho0 onto the kernel of the
+    generator (not the last sampled time), on the spectral and expm routes alike.
     """
     times = np.asarray(times, dtype=float)
     if times.size and np.any(np.diff(times) < 0):

@@ -61,10 +61,9 @@ class StationaryReport:
     trace whenever their trace is nonzero (Frobenius-normalized otherwise).
     ``kernel_vectors`` is an orthonormal basis of the kernel as column
     vectors, for projector overlap queries.  ``eigenvalues`` is the full
-    spectrum from the same eigendecomposition, sorted as by
-    :func:`liouvillian_spectrum`.  ``gap_ratio`` compares the first
-    decaying singular value against the largest kernel one;
-    ``ill_conditioned`` flags a first decaying mode within a factor
+    spectrum, sorted as by :func:`liouvillian_spectrum`.  ``gap_ratio``
+    compares the first decaying singular value against the largest kernel
+    one; ``ill_conditioned`` flags a first decaying mode within a factor
     ``KERNEL_GAP_WARN`` of the zero threshold.  ``block_sizes`` lists the
     diagonal blocks of the real generator that were factored one by one.
     """
@@ -106,14 +105,19 @@ def liouvillian_spectrum(Lm: LiouvillianMatrix, eigenvectors: bool = False,
         On eigensolver non-convergence or residuals above the bound.
     """
     _check_cap(Lm.n_sites, cap)
-    return _sorted_spectrum(Lm.L, eigenvectors)
-
-
-def _sorted_spectrum(A: np.ndarray, eigenvectors: bool):
-    """Eigenvalues of A in :func:`_spectrum_order`; with eigenvectors, residual-checked."""
-    (_, w, V), = _block_spectra(A, [np.arange(A.shape[0])], eigenvectors)
-    order = _spectrum_order(w[0])
-    return w[0][order] if V is None else (w[0][order], V[0][:, order])
+    L = Lm.L
+    try:
+        w, V = np.linalg.eig(L) if eigenvectors else (np.linalg.eigvals(L), None)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover
+        raise NumericalFailure(f"eigensolver did not converge: {exc}") from exc
+    order = _spectrum_order(w)
+    if V is None:
+        return w[order]
+    residual = float(np.abs(L @ V - V * w).max())
+    if residual > 1e-8 * float(np.linalg.norm(L)):
+        raise NumericalFailure(f"eigenpair residual {residual:.3e} exceeds 1e-8 * ||L||",
+                               residual=residual)
+    return w[order], V[:, order]
 
 
 def _diagonal_blocks(M: np.ndarray) -> list[np.ndarray]:
@@ -150,24 +154,14 @@ def _block_stacks(M: np.ndarray, blocks: list[np.ndarray]):
         yield idx, M[idx[:, :, None], idx[:, None, :]]
 
 
-def _block_spectra(M: np.ndarray, blocks: list[np.ndarray], eigenvectors: bool):
-    """[(idx, w, V)] per size group of :func:`_block_stacks`: one batched eig (V None: eigvals).
-
-    With eigenvectors every eigenpair residual is checked against 1e-8 * ||M||_F.
-    """
-    out, bound = [], 1e-8 * float(np.linalg.norm(M))
-    for idx, stack in _block_stacks(M, blocks):
-        try:
-            w, V = np.linalg.eig(stack) if eigenvectors else (np.linalg.eigvals(stack), None)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover
-            raise NumericalFailure(f"eigensolver did not converge: {exc}") from exc
-        if V is not None:
-            residual = float(np.abs(stack @ V - V * w[:, None, :]).max())
-            if residual > bound:
-                raise NumericalFailure(f"eigenpair residual {residual:.3e} exceeds 1e-8 * ||L||",
-                                       residual=residual)
-        out.append((idx, w, V))
-    return out
+def _block_eigenvalues(M: np.ndarray, blocks: list[np.ndarray]) -> np.ndarray:
+    """Eigenvalues of M, one ``eigvals`` per size group of blocks, in :func:`_spectrum_order`."""
+    try:
+        w = np.concatenate([np.linalg.eigvals(stack).ravel()
+                            for _, stack in _block_stacks(M, blocks)])
+    except np.linalg.LinAlgError as exc:  # pragma: no cover
+        raise NumericalFailure(f"eigensolver did not converge: {exc}") from exc
+    return w[_spectrum_order(w)]
 
 
 def _check_cap(n_sites: int, cap: int) -> None:
@@ -187,7 +181,7 @@ def _spectrum_order(w: np.ndarray) -> np.ndarray:
     return by_real[np.lexsort((w.imag[by_real], group))]
 
 
-def _hermitian_basis_generator(ops: LatticeOperators) -> np.ndarray:
+def _hermitian_basis_generator(ops: LatticeOperators, cap: int = SPECTRUM_CAP) -> np.ndarray:
     """The generator as a real N^2 x N^2 matrix in an orthonormal Hermitian basis.
 
     The basis lives in P's eigenbasis: |a><a| (a = 0..N-1), then
@@ -198,7 +192,9 @@ def _hermitian_basis_generator(ops: LatticeOperators) -> np.ndarray:
     <S_de, S_cd> = -<A_de, A_cd> = Im z, <S_de, A_cd> = <A_de, S_cd> = Re z,
     <S_ce, |c><c|> = sqrt2 Im z, <A_ce, |c><c|> = sqrt2 Re z and
     <A_cd, S_cd> = H_tilde[d, d] - H_tilde[c, c]: O(N^3) entries, set by scatters.
+    Raises ParameterError before allocating if N^2 exceeds ``cap``.
     """
+    _check_cap(ops.n_sites, cap)
     N, h = ops.n_sites, ops.H_tilde
     rows, cols = np.triu_indices(N, 1)
     n_pairs, sites = rows.size, np.arange(N)
@@ -251,11 +247,9 @@ def liouvillian_eigenvalues(ops: LatticeOperators, cap: int = SPECTRUM_CAP) -> n
 
 def _blocked_eigenvalues(ops: LatticeOperators, cap: int = SPECTRUM_CAP):
     """:func:`liouvillian_eigenvalues` and the generator's block sizes."""
-    _check_cap(ops.n_sites, cap)
-    M = _hermitian_basis_generator(ops)
+    M = _hermitian_basis_generator(ops, cap)
     blocks = _diagonal_blocks(M)
-    w = np.concatenate([w.ravel() for _, w, _ in _block_spectra(M, blocks, False)])
-    return w[_spectrum_order(w)], [b.size for b in blocks]
+    return _block_eigenvalues(M, blocks), [b.size for b in blocks]
 
 
 def _hermitian_coords(ops: LatticeOperators, X: np.ndarray) -> np.ndarray:
@@ -293,54 +287,59 @@ def _zero_tolerance(ops: LatticeOperators) -> float:
     return ZERO_TOL_SCALE * max(1.0, scale / ops.n_sites)
 
 
-def stationary_states(ops: LatticeOperators) -> StationaryReport:
-    """Count and construct the non-decaying states from one eig and one SVD per block of M.
+def _stationary_kernel(ops: LatticeOperators, M: np.ndarray, blocks):
+    """Orthonormal real basis Q (columns) of ker M, and M's singular values, ascending.
 
-    The kernel basis comes block by block, in order of the blocks' first
-    index (:func:`_diagonal_blocks`), so a kernel spread over many blocks has
-    a canonical basis: for the commuting case the projectors |v_a><v_a| on
-    P's eigenvectors.
+    M = A + diag(d), A antisymmetric, d = (0_N, D_ab, D_ab) <= 0, so
+    x^T M x = sum_k d_k x_k^2 for real x.  So a kernel vector vanishes where
+    d_k < 0, and there M x = A x = -M^T x: ker M = ker M^T, and Q Q^T is the
+    spectral projector onto the stationary states.  So too |M x| >= min|d_k|
+    |x| on a block whose d_k all exceed :func:`_zero_tolerance` in size: it
+    holds no kernel and gets a values-only SVD.  In every other block the
+    right singular vectors with singular values up to that threshold span
+    its part of the kernel, in the order of ``blocks``.
     """
-    _check_cap(ops.n_sites, SPECTRUM_CAP)
+    tol, d = _zero_tolerance(ops), M.diagonal()
+    columns, svals = [], []
+    for b in blocks:
+        M_b = M[b[:, None], b]
+        if np.abs(d[b]).min() > tol:
+            svals.append(np.linalg.svd(M_b, compute_uv=False))
+            continue
+        _, s, Vt = np.linalg.svd(M_b)
+        svals.append(s)
+        for v in Vt[s <= tol]:
+            columns.append(np.zeros(M.shape[0]))
+            columns[-1][b] = v
+    return np.stack(columns, axis=1), np.sort(np.concatenate(svals))
+
+
+def stationary_states(ops: LatticeOperators) -> StationaryReport:
+    """Count and construct the non-decaying states of the real generator M, block by block.
+
+    The kernel and the gap ratio come from the SVDs of :func:`_stationary_kernel`,
+    the spectrum from one ``eigvals`` per block.  The kernel basis follows
+    the blocks, so a kernel spread over many blocks has a canonical basis:
+    for the commuting case the projectors |v_a><v_a| on P's eigenvectors.
+    """
     M = _hermitian_basis_generator(ops)
     blocks = _diagonal_blocks(M)
-    tol = _zero_tolerance(ops)
-    spectra = _block_spectra(M, blocks, eigenvectors=True)
-    w = np.concatenate([w.ravel() for _, w, _ in spectra])
-    found = []
-    for idx, wk, Vk in spectra:
-        for b, w_b, V_b in zip(idx, wk, Vk):
-            order = _spectrum_order(w_b)
-            K = V_b[:, order[np.abs(w_b[order]) <= tol]]
-            if K.shape[1] == 0:
-                continue
-            # M is real: its kernel is the real span of its kernel eigenvectors, whose
-            # real coordinates are Hermitian matrices (of unit norm: the map is isometric)
-            Q = np.linalg.svd(np.hstack([K.real, K.imag]), full_matrices=False)[0]
-            for q in Q[:, :K.shape[1]].T:
-                x = np.zeros(M.shape[0])
-                x[b] = q
-                found.append((b[0], x))
-    if not found:  # pragma: no cover - trace preservation forbids this
-        raise NumericalFailure("no zero eigenvalue found; generator is not trace-preserving")
-    found.sort(key=lambda item: item[0])
-    kernel = [_from_hermitian_coords(ops, x) for _, x in found]
+    Q, svals = _stationary_kernel(ops, M, blocks)
+    kernel = [_from_hermitian_coords(ops, q) for q in Q.T]
     multiplicity = len(kernel)
 
     # singular-value picture of the kernel separation
-    svals = np.sort(np.concatenate([np.linalg.svd(stack, compute_uv=False).ravel()
-                                    for _, stack in _block_stacks(M, blocks)]))
     first_decaying = float(svals[multiplicity]) if multiplicity < svals.size else np.inf
     kernel_floor = max(float(svals[:multiplicity].max()), np.finfo(float).eps * float(svals[-1]))
     gap_ratio = first_decaying / kernel_floor if kernel_floor > 0 else np.inf   # M = 0: all kernel
-    ill_conditioned = first_decaying < KERNEL_GAP_WARN * tol
+    ill_conditioned = first_decaying < KERNEL_GAP_WARN * _zero_tolerance(ops)
 
     basis = [0.5 * (m + m.conj().T) for m in kernel]
     traces = [np.trace(m).real for m in basis]
     basis = [m / tr if abs(tr) > 1e-8 else m for m, tr in zip(basis, traces)]
     vectors = np.stack([vec(m) for m in kernel], axis=1)
     return StationaryReport(multiplicity, basis, vectors, gap_ratio, ill_conditioned,
-                            w[_spectrum_order(w)], [b.size for b in blocks])
+                            _block_eigenvalues(M, blocks), [b.size for b in blocks])
 
 
 def kernel_overlap(report: StationaryReport, rho: np.ndarray) -> float:

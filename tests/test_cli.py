@@ -109,6 +109,20 @@ def test_trajectories_experiment_threads_do_not_change_bytes(tmp_path):
     assert summary["max_norm_drift"] < 1e-9
 
 
+def test_trajectories_side_check_runs_above_the_dense_propagation_cap(tmp_path):
+    cfg = validate_config({
+        "experiment": "Trajectories",
+        "model": {"type": "cosine", "J": 1, "T": 0, "R": 1, "phi": PHI_HALF_PI},
+        "n_sites": 33, "rho0_site": 17, "t_final": 0.05, "dt": 0.01, "n_traj": 8,
+        "output_dir": str(tmp_path / "traj"),
+    })
+    manifest = run_experiment(cfg)
+    assert manifest["diagnostics"] == {"generator": {"structure": "transpose_sector"}}
+    summary = json.loads((tmp_path / "traj" / "ensemble.json").read_text())
+    assert 0 < summary["master_frobenius_error"] < 1
+    assert summary["error_over_standard_error"] > 0
+
+
 def test_entropy_trace_experiment(tmp_path):
     cfg = validate_config({
         "experiment": "EntropyTrace",
@@ -124,6 +138,19 @@ def test_entropy_trace_experiment(tmp_path):
             if not l.startswith("#")]
     last = rows[-1].split(",")
     assert abs(float(last[1]) - np.log(11)) < 1e-3
+
+
+def test_entropy_trace_runs_on_the_expm_fallback_route(tmp_path):
+    config = write_config(tmp_path, {
+        "experiment": "EntropyTrace",
+        "model": {"type": "cosine", "J": 1, "T": 0, "R": 1, "phi": 0.7853981633974483},
+        "n_sites": 20,
+        "times": [0.0, 1.0],
+        "output_dir": str(tmp_path / "ent"),
+    })
+    assert main(["run", str(config)]) == 0
+    summary = json.loads((tmp_path / "ent" / "summary.json").read_text())
+    assert abs(summary["s_infinity"] - np.log(20)) <= 1e-8
 
 
 def test_bulk_and_drift_and_liouvillian_experiments(tmp_path):
@@ -343,14 +370,15 @@ def test_each_generator_is_factored_once(tmp_path, monkeypatch):
         "experiment": "EntropyTrace", "model": model, "n_sites": 11,
         "times": [0.0, 1.0, 5.0], "output_dir": str(tmp_path / "ent"),
     })
+    # the propagator's eig, the SVD behind cond(V) and inv; the kernel's SVD
     assert count_dense_factorizations(monkeypatch, entropy) == \
-        {"eig": 1, "eigvals": 0, "svd": 1, "cond": 0, "inv": 1}
+        {"eig": 1, "eigvals": 0, "svd": 2, "cond": 0, "inv": 1}
     spectrum = validate_config({
         "experiment": "LiouvillianSpectrum", "model": model, "n_sites": 11,
         "output_dir": str(tmp_path / "lsp"),
     })
     assert count_dense_factorizations(monkeypatch, spectrum) == \
-        {"eig": 1, "eigvals": 0, "svd": 1, "cond": 0, "inv": 0}
+        {"eig": 0, "eigvals": 1, "svd": 1, "cond": 0, "inv": 0}
 
 
 def test_hatano_nelson_factors_its_dense_generator_once(tmp_path, monkeypatch):
@@ -502,6 +530,8 @@ def test_superoperator_pass_factors_only_generator_blocks(tmp_path, monkeypatch,
         sides = largest_blocks(monkeypatch, cfg)
         assert max(sides[name] for name in ("eig", "eigvals", "svd", "inv")) == largest
         assert sides["cond"] == 0
+        if raw["experiment"] == "LiouvillianSpectrum":
+            assert sides["eig"] == 0        # spectrum from eigvals, kernel from the SVD
 
 
 def test_hatano_nelson_spectrum_solves_each_sector_alone(tmp_path, monkeypatch):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -151,6 +153,37 @@ def test_entropy_trace_saturates_at_log_n(skew11):
     assert trace.entropies[0] < 1e-10
     assert abs(trace.entropies[-1] - np.log(11)) < 1e-3
     assert abs(trace.s_infinity - np.log(11)) < 1e-6
+
+
+def test_pure_start_at_zero_time_has_exactly_zero_entropy():
+    ops = build_obc(make_cosine_model(1, 0.5, 1, np.pi / 2), 24)
+    trace = entropy_trace(ops, DensityMatrix.site(24, 12), [0.0])
+    assert trace.propagator.method == "spectral"
+    assert trace.entropies[0] == 0.0
+
+
+def test_entropy_trace_projects_onto_the_kernel_in_expm_fallback_mode():
+    # the skin-effect chain itself: cond(V) 1.4e8 at N = 20 takes the expm route
+    ops = build_obc(make_cosine_model(1, 0, 1, np.pi / 4), 20)
+    trace = entropy_trace(ops, DensityMatrix.site(20, 10), [0.0, 1.0])
+    assert trace.propagator.method == "expm"
+    assert abs(trace.s_infinity - np.log(20)) <= 1e-8
+    assert np.abs(trace.rho_infinity - np.eye(20) / 20).max() <= 1e-12
+
+
+def test_dense_master_routes_fail_before_allocating_above_the_cap():
+    ops = build_hatano_nelson(1, 2, 65)
+    rho0 = DensityMatrix.site(65, 33)
+    tracemalloc.start()
+    try:
+        for run in (lambda: MasterPropagator(ops), lambda: propagate_master(ops, rho0, 1.0),
+                    lambda: entropy_trace(ops, rho0, [1.0])):
+            with pytest.raises(ParameterError):
+                run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_entropy_trace_symmetric_model_stays_below_log_n():

@@ -224,6 +224,26 @@ def test_stationary_kernel_projector_matches_the_complex_dense_kernel(ops):
     assert np.abs(Q @ Q.conj().T - dense @ dense.conj().T).max() <= 1e-10
 
 
+def dense_kernel_projector(ops):
+    """Orthogonal projector onto the zero eigenvectors of the complex L (the dense oracle)."""
+    Lm = build_liouvillian(ops)
+    w, V = liouvillian_spectrum(Lm, eigenvectors=True)
+    tol = ZERO_TOL_SCALE * max(1.0, np.abs(Lm.L).max() / ops.n_sites)
+    dense = np.linalg.qr(V[:, np.abs(w) <= tol])[0]
+    return dense @ dense.conj().T
+
+
+@PROFILE
+@given(ops=lattices(), seed=seeds)
+@example(ops=build_obc(make_cosine_model(1, 0, 1, np.pi / 4), 20), seed=0)   # expm fallback
+def test_stationary_projection_matches_the_complex_dense_kernel_projector(ops, seed):
+    prop = MasterPropagator(ops)
+    X = random_matrix(ops.n_sites, seed)
+    rho = X + X.conj().T
+    expect = dense_kernel_projector(ops) @ vec(rho)
+    assert np.abs(vec(prop.stationary_projection(rho)) - expect).max() <= 1e-10
+
+
 @PROFILE
 @given(ops=lattices(), data=st.data())
 def test_expm_fallback_on_the_real_generator_matches_the_spectral_route(ops, data):

@@ -33,9 +33,9 @@ from .evolve import (
     DensityMatrix,
     MasterPropagator,
     SemiclassicalPropagator,
+    _taylor_master_states,
     entropy_trace,
     observables,
-    propagate_master_rk4,
     von_neumann_entropy,
 )
 from .lattice_ops import (
@@ -315,28 +315,29 @@ def _headers(cfg: ExperimentConfig, dataset: str, columns: list[str], **extra) -
 
 
 def _master_states(
-    ops: LatticeOperators, rho0: DensityMatrix, times: list[float], dt: float
-) -> tuple[list[DensityMatrix], MasterPropagator | None]:
-    """Master-equation states at the given times, and the dense propagator (None on RK4)."""
+    ops: LatticeOperators, rho0: DensityMatrix, times: list[float]
+) -> tuple[list[DensityMatrix], MasterPropagator | None, dict]:
+    """Master-equation states at the given times, the dense propagator and the generator record.
+
+    Up to ``DENSE_PROPAGATION_MAX`` sites the dense propagator factors the
+    generator; above, the Taylor route runs (propagator None).
+    """
     if ops.n_sites <= DENSE_PROPAGATION_MAX:
         prop = MasterPropagator(ops)
-        return [prop.propagate(rho0, t) for t in times], prop
-    states, current, t_prev = [], rho0, 0.0
-    for t in times:
-        current = propagate_master_rk4(ops, current, t - t_prev, dt)
-        states.append(current)
-        t_prev = t
-    return states, None
+        return [prop.propagate(rho0, t) for t in times], prop, _generator_entry(ops, prop)
+    states, taylor = _taylor_master_states(ops, rho0, times)
+    return states, None, _generator_entry(ops, taylor=taylor)
 
 
 def _generator_entry(ops: LatticeOperators, prop: MasterPropagator | None = None,
-                     block_sizes=()) -> dict:
-    """Manifest record of the generator's factorization: structure, blocks and cond(V).
+                     block_sizes=(), taylor: dict | None = None) -> dict:
+    """Manifest record of the generator: structure, blocks, cond(V) and the Taylor route's record.
 
-    ``block_sizes`` come from ``prop`` when a dense propagator ran; with neither
-    (the RK4 route) only the structure is known.
+    ``block_sizes`` come from ``prop`` when a dense propagator ran; ``taylor``
+    is the record of :func:`skinlab.evolve._taylor_master_states` (route, norm
+    bound, degree and substeps per interval, generator products).
     """
-    entry = {"structure": ops.structure}
+    entry = {"structure": ops.structure, **(taylor or {})}
     if prop is not None:
         block_sizes, entry["cond_V"] = prop.block_sizes, prop.cond
     if block_sizes:
@@ -397,22 +398,21 @@ def _run_bulk_relax(cfg: ExperimentConfig, outdir: Path, diagnostics: dict) -> l
 
 def _run_obc_relax(cfg: ExperimentConfig, outdir: Path, diagnostics: dict) -> list[str]:
     ops = _lattice(cfg.model, cfg.n_sites)
-    outputs, prop = _write_relaxation(cfg, outdir, ops)
-    diagnostics["generator"] = _generator_entry(ops, prop)
+    outputs, _, diagnostics["generator"] = _write_relaxation(cfg, outdir, ops)
     return outputs
 
 
 def _write_relaxation(cfg: ExperimentConfig, outdir: Path, ops: LatticeOperators):
-    """Write timeseries.csv and frames.json; their names, and the dense propagator or None."""
+    """Write timeseries.csv and frames.json; their names, dense propagator and generator record."""
     rho0 = DensityMatrix.site(cfg.n_sites, cfg.rho0_site)
-    states, prop = _master_states(ops, rho0, cfg.times, cfg.dt)
+    states, prop, entry = _master_states(ops, rho0, cfg.times)
     cols = ["t", "entropy", "purity", "first_moment"]
     write_csv(outdir / "timeseries.csv", cols, _timeseries_rows(cfg.times, states),
               _headers(cfg, "relaxation-timeseries", cols))
     sites = np.arange(1, cfg.n_sites + 1)
     frames = [(t, sites, s.rho) for t, s in zip(cfg.times, states)]
     write_json(outdir / "frames.json", {"config": cfg.config_hash(), **frames_to_json(frames)})
-    return ["timeseries.csv", "frames.json"], prop
+    return ["timeseries.csv", "frames.json"], prop, entry
 
 
 def _write_spectrum(cfg: ExperimentConfig, outdir: Path, eigenvalues) -> str:
@@ -479,8 +479,8 @@ def _run_trajectories(cfg: ExperimentConfig, outdir: Path, diagnostics: dict) ->
         "rho_estimate": matrix_to_json(ens.rho_estimate),
     }
     rho0 = DensityMatrix.site(cfg.n_sites, cfg.rho0_site)
-    (rho_master,), prop = _master_states(ops, rho0, [cfg.t_final], cfg.dt)
-    diagnostics["generator"] = _generator_entry(ops, prop)
+    (rho_master,), taylor = _taylor_master_states(ops, rho0, [cfg.t_final])
+    diagnostics["generator"] = _generator_entry(ops, taylor=taylor)
     err = float(np.linalg.norm(ens.rho_estimate - rho_master.rho))
     summary.update(master_frobenius_error=err, error_over_standard_error=err / ens.standard_error)
     write_json(outdir / "ensemble.json", summary)
@@ -489,12 +489,15 @@ def _run_trajectories(cfg: ExperimentConfig, outdir: Path, diagnostics: dict) ->
 
 def _run_hatano_nelson(cfg: ExperimentConfig, outdir: Path, diagnostics: dict) -> list[str]:
     ops = _lattice(cfg.model, cfg.n_sites)
-    outputs, prop = _write_relaxation(cfg, outdir, ops)
-    block_sizes = ()
+    outputs, prop, entry = _write_relaxation(cfg, outdir, ops)
     if cfg.include_spectrum:   # the frames' factorization when the dense route ran
-        w, block_sizes = _blocked_eigenvalues(ops) if prop is None else (prop.eigenvalues, ())
+        if prop is None:
+            w, block_sizes = _blocked_eigenvalues(ops)
+            entry.update(_generator_entry(ops, block_sizes=block_sizes))
+        else:
+            w = prop.eigenvalues
         outputs.append(_write_spectrum(cfg, outdir, w[_spectrum_order(w)]))
-    diagnostics["generator"] = _generator_entry(ops, prop, block_sizes)
+    diagnostics["generator"] = entry
     return outputs
 
 
@@ -503,8 +506,7 @@ def _run_semiclassical_drift(cfg: ExperimentConfig, outdir: Path, diagnostics: d
     rho0 = DensityMatrix.site(cfg.n_sites, cfg.rho0_site)
     psi0 = np.zeros(cfg.n_sites, dtype=complex)
     psi0[cfg.rho0_site - 1] = 1.0
-    master, prop = _master_states(ops, rho0, cfg.times, cfg.dt)
-    diagnostics["generator"] = _generator_entry(ops, prop)
+    master, _, diagnostics["generator"] = _master_states(ops, rho0, cfg.times)
     semi = SemiclassicalPropagator(ops)
     sites = np.arange(1, cfg.n_sites + 1)
     rows, master_pops, semi_pops = [], [], []

@@ -3,14 +3,15 @@
 Propagation is exact-exponential: one helper diagonalizes the generator (L
 as a real matrix in P's eigenbasis, or -i H_eff for the no-jump wavefunction)
 once and applies exp(A t) spectrally for every time, falling back to scipy
-expm above a per-generator eigenbasis condition limit.  Fixed-step RK4 of the
-master equation, run in the jump operator's eigenbasis, is an independent
-cross-check and the route for lattices too large for the dense
-superoperator; both master routes end in the same state checks.
+expm above a per-generator eigenbasis condition limit.  Lattices too large
+for the dense superoperator take the truncated Taylor series with scaling of
+exp(t L) rho, run in the jump operator's eigenbasis; fixed-step RK4 there is
+an independent cross-check.  All master routes end in the same state checks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,19 @@ POSITIVITY_TOL = 1e-8       # beyond this the propagation aborts, never clips
 DRIFT_ABORT = 1e-6          # hermiticity/trace drift that counts as failure
 EIG_COND_LIMIT_MASTER = 1e8
 EIG_COND_LIMIT_SEMI = 1e10
+
+# theta_m: the largest ||t A||_1 for which the degree-m Taylor polynomial, s = 1, is the
+# exact exponential of a matrix within relative backward error 2^-53 of t A.  Al-Mohy &
+# Higham, SIAM J. Sci. Comput. 33, 488 (2011): m <= 30 from Higham, Functions of
+# Matrices (SIAM 2008), Table A.3; m = 35..55 from their Table 3.1.
+TAYLOR_THETA = {
+    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3, 6: 9.07e-3, 7: 2.38e-2,
+    8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1, 11: 2.14e-1, 12: 3.00e-1, 13: 4.00e-1,
+    14: 5.14e-1, 15: 6.41e-1, 16: 7.81e-1, 17: 9.31e-1, 18: 1.09, 19: 1.26, 20: 1.44,
+    21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43, 26: 2.64, 27: 2.86, 28: 3.08,
+    29: 3.31, 30: 3.54, 35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
+}
+TAYLOR_TOL = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -240,12 +254,7 @@ def propagate_master_rk4(
         raise ParameterError(f"propagation time must be >= 0, got {t_final}")
     if dt <= 0:
         raise ParameterError(f"dt must be > 0, got {dt}")
-    rho = _matrix(rho0)
-    herm_drift = float(np.abs(rho - rho.conj().T).max())
-    if not herm_drift <= DRIFT_ABORT:
-        raise NumericalFailure(
-            f"RK4 start not Hermitian: max deviation {herm_drift:.3e}", residual=herm_drift
-        )
+    rho = _hermitian_start(rho0, "RK4")
     n_steps = max(1, round(t_final / dt)) if t_final > 0 else 0
     if n_steps == 0:
         return _checked_state(rho)
@@ -261,6 +270,100 @@ def propagate_master_rk4(
             X = (A @ y.view(float)).view(complex) if real else A @ y
             y = start + hk * (X + X.conj().T) + hk_D * y
     return _checked_state(V @ y @ V.conj().T)
+
+
+def _hermitian_start(rho0: DensityMatrix | np.ndarray, route: str) -> np.ndarray:
+    """The start as a matrix; NumericalFailure if its Hermiticity deviation exceeds DRIFT_ABORT.
+
+    The eigenbasis routes apply the generator as X + X^dagger + D * rho, which
+    holds only for a Hermitian rho.
+    """
+    rho = _matrix(rho0)
+    herm_drift = float(np.abs(rho - rho.conj().T).max())
+    if not herm_drift <= DRIFT_ABORT:
+        raise NumericalFailure(
+            f"{route} start not Hermitian: max deviation {herm_drift:.3e}", residual=herm_drift
+        )
+    return rho
+
+
+def _taylor_steps(norm_t: float) -> tuple[int, int]:
+    """Degree m and substep count s, norm_t / s <= theta_m, that need the fewest products m * s."""
+    return min(((m, max(1, math.ceil(norm_t / theta))) for m, theta in TAYLOR_THETA.items()),
+               key=lambda ms: ms[0] * ms[1])
+
+
+def _taylor_master_states(
+    ops: LatticeOperators, rho0: DensityMatrix | np.ndarray, times
+) -> tuple[list[DensityMatrix], dict]:
+    """Checked master-equation states at ascending times from a truncated Taylor series of exp(t L).
+
+    Algorithm 3.2 of Al-Mohy & Higham (2011) in P's eigenbasis from ``ops``,
+    run from one output time to the next.  With h = diag(H_tilde) and A = -i
+    times H_tilde off its diagonal, one product of the shifted generator is
+    X + X^dagger + E * y with X = A y and E_ab = D_ab - mu - i (h_a - h_b),
+    mu = mean(D) (the trace of L over N^2); exp(mu t) scales it back.  Per
+    interval of length t the degree m and the substep count s come from the
+    a-priori bound ||L - mu||_1 <= 2 ||A||_1 + max |E|; a substep's series stops
+    early once two successive terms fall below 2^-53 of the sum, in max-norm,
+    so reruns repeat every operation.  With A and E real (the transpose sector)
+    the product is real: on the real matrix alone when the rotated start is
+    real to within its round-off ("real"), on y's interleaved (Re, Im) columns
+    otherwise ("interleaved"); any other model takes complex products ("complex").
+
+    An interval of length 0 returns the checked state; a negative one raises
+    ParameterError and a start whose Hermiticity deviation exceeds
+    ``DRIFT_ABORT`` NumericalFailure, both before any propagation.  Returns the
+    states and a record of the route: its arithmetic, norm bound, m and s per
+    interval and the number of generator products.
+    """
+    times = [float(t) for t in times]
+    if any(t < 0 for t in np.diff([0.0] + times)):
+        raise ParameterError(f"propagation times must be >= 0 and ascending, got {times}")
+    rho = _hermitian_start(rho0, "Taylor")
+    V, H_tilde = ops.V, ops.H_tilde
+    h = H_tilde.diagonal().real
+    mu = float(ops.D.mean())
+    A = -1j * (H_tilde - np.diag(H_tilde.diagonal()))
+    E = (ops.D - mu) - 1j * (h[:, None] - h[None, :])
+    norm = 2.0 * float(np.abs(A).sum(axis=0).max()) + float(np.abs(E).max())
+    y = V.conj().T @ rho @ V
+    arithmetic = "complex"
+    if not (A.imag.any() or E.imag.any()):
+        A, E, arithmetic = A.real, E.real, "interleaved"
+        if np.abs(y.imag).max() <= np.finfo(float).eps * np.abs(y).max():
+            y, arithmetic = y.real, "real"      # the symmetric sector
+
+    def generator(y):
+        X = (A @ y.view(float)).view(complex) if arithmetic == "interleaved" else A @ y
+        return X + X.conj().T + E * y
+
+    states, degrees, substeps, products, t_prev = [], [], [], 0, 0.0
+    for t in times:
+        tau, t_prev = t - t_prev, t
+        if tau > 0:
+            m, s = _taylor_steps(norm * tau)
+            scale = math.exp(mu * tau / s)
+            for _ in range(s):
+                term = total = y
+                previous = np.abs(term).max()
+                for j in range(1, m + 1):
+                    term = (tau / (s * j)) * generator(term)
+                    products += 1
+                    total = total + term
+                    current = np.abs(term).max()
+                    if previous + current <= TAYLOR_TOL * np.abs(total).max():
+                        break
+                    previous = current
+                y = scale * total
+            rho = V @ y @ V.conj().T
+        else:
+            m, s = 0, 0
+        degrees.append(m)
+        substeps.append(s)
+        states.append(_checked_state(rho))
+    return states, {"route": "taylor", "arithmetic": arithmetic, "norm_bound": norm,
+                    "taylor_degree": degrees, "substeps": substeps, "products": products}
 
 
 class SemiclassicalPropagator(_SpectralExponential):

@@ -10,6 +10,7 @@ import pytest
 from skinlab import build_hatano_nelson, build_obc, make_cosine_model
 from skinlab.cli import load_config, main, run_experiment, validate_config
 from skinlab.errors import ConfigError
+from skinlab.evolve import _taylor_steps
 from skinlab.serialize import matrix_from_json
 
 DENSE_LINALG = ("eig", "eigvals", "svd", "cond", "inv")
@@ -21,6 +22,17 @@ def write_config(tmp_path, obj, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(obj))
     return path
+
+
+def assert_taylor_record(generator, times):
+    """The Taylor route's manifest record: per-interval degree and substeps follow its bound."""
+    assert set(generator) == {"route", "arithmetic", "norm_bound", "taylor_degree", "substeps",
+                              "products"}
+    assert generator["route"] == "taylor" and generator["norm_bound"] > 0
+    steps = [_taylor_steps(generator["norm_bound"] * t) for t in np.diff([0.0, *times])]
+    assert generator["taylor_degree"] == [m for m, _ in steps]
+    assert generator["substeps"] == [s for _, s in steps]
+    assert sum(s for _, s in steps) <= generator["products"] <= sum(m * s for m, s in steps)
 
 
 def spectra_config(tmp_path, **overrides):
@@ -116,8 +128,10 @@ def test_trajectories_side_check_runs_above_the_dense_propagation_cap(tmp_path):
         "n_sites": 33, "rho0_site": 17, "t_final": 0.05, "dt": 0.01, "n_traj": 8,
         "output_dir": str(tmp_path / "traj"),
     })
-    manifest = run_experiment(cfg)
-    assert manifest["diagnostics"] == {"generator": {"structure": "transpose_sector"}}
+    generator = run_experiment(cfg)["diagnostics"]["generator"]
+    assert generator.pop("structure") == "transpose_sector"
+    assert generator["arithmetic"] == "real"    # a site start in the transpose gauge
+    assert_taylor_record(generator, [0.05])
     summary = json.loads((tmp_path / "traj" / "ensemble.json").read_text())
     assert 0 < summary["master_frobenius_error"] < 1
     assert summary["error_over_standard_error"] > 0
@@ -425,7 +439,9 @@ def test_no_runner_builds_the_complex_generator(tmp_path, monkeypatch, raw):
     solves = [dtype for name, dtype, *_ in dense_linalg_calls(monkeypatch, cfg)
               if name in ("eig", "eigvals", "svd")]
     assert built == []
-    assert solves and all(dtype == np.float64 for dtype in solves)
+    assert all(dtype == np.float64 for dtype in solves)
+    # the Trajectories side check takes the Taylor route: no dense solve at all
+    assert bool(solves) == (raw["experiment"] != "Trajectories")
 
 
 @pytest.mark.parametrize("raw", [
@@ -483,9 +499,12 @@ def test_manifest_records_the_generator_structure(tmp_path, phi, entry):
     run_experiment(spectrum)
     manifest = json.loads((tmp_path / "lsp" / "manifest.json").read_text())
     assert manifest["diagnostics"]["generator"] == entry
-    rk4 = validate_config({"experiment": "SemiclassicalDrift", "model": model, "n_sites": 33,
-                           "rho0_site": 17, "times": [0.1], "output_dir": str(tmp_path / "rk4")})
-    assert run_experiment(rk4)["diagnostics"] == {"generator": {"structure": entry["structure"]}}
+    taylor = validate_config({"experiment": "SemiclassicalDrift", "model": model, "n_sites": 33,
+                              "rho0_site": 17, "times": [0.1, 0.35],
+                              "output_dir": str(tmp_path / "taylor")})
+    generator = run_experiment(taylor)["diagnostics"]["generator"]
+    assert generator.pop("structure") == entry["structure"]
+    assert_taylor_record(generator, [0.1, 0.35])
 
 
 def test_commuting_stationary_file_is_canonical_under_blas_threads(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import site_basis_rk4
+from conftest import SUITE_MODELS, site_basis_rk4
 from skinlab import (
     BandModel,
     DensityMatrix,
@@ -30,9 +30,12 @@ from skinlab import (
 from skinlab.evolve import (
     EIG_COND_LIMIT_MASTER,
     EIG_COND_LIMIT_SEMI,
+    TAYLOR_THETA,
     _inverse_from_real,
     _real_eigenbasis,
     _SpectralExponential,
+    _taylor_master_states,
+    _taylor_steps,
 )
 
 
@@ -330,3 +333,95 @@ def test_blocked_condition_number_is_that_of_the_whole_eigenbasis():
     assert abs(blocked.cond / np.linalg.cond(np.linalg.eig(A)[1]) - 1.0) <= 1e-10
     x = rng.normal(size=9)
     assert np.abs(blocked.apply(x, 0.8) - scipy.linalg.expm(0.8 * A) @ x).max() <= 1e-12
+
+
+def expm_states(ops, rho0, times):
+    """exp(L t) rho0 from scipy expm of the complex superoperator, as matrices."""
+    n, L = ops.n_sites, build_liouvillian(ops).L
+    return [(scipy.linalg.expm(L * t) @ vec(rho0)).reshape((n, n), order="F") for t in times]
+
+
+@pytest.mark.parametrize("name", SUITE_MODELS)
+def test_taylor_route_matches_expm_and_rk4_on_every_suite_model(name):
+    build, structure = SUITE_MODELS[name]
+    ops = build(6)
+    assert ops.structure == structure
+    real = structure == "transpose_sector"
+    psi = np.random.default_rng(6).normal(size=(6, 2)) @ np.array([1.0, 1j])
+    times = [0.0, 0.4, 1.5, 1.5, 4.0]
+    for rho0, arithmetic in ((DensityMatrix.site(6, 3), "real" if real else "complex"),
+                             (DensityMatrix.pure(psi), "interleaved" if real else "complex")):
+        states, record = _taylor_master_states(ops, rho0, times)
+        assert record["arithmetic"] == arithmetic
+        for state, exact in zip(states, expm_states(ops, rho0.rho, times)):
+            assert np.abs(state.rho - exact).max() <= 1e-13
+        rk4 = propagate_master_rk4(ops, rho0, 1.5, dt=1e-3)
+        assert np.abs(states[2].rho - rk4.rho).max() <= 1e-9
+
+
+@pytest.mark.parametrize("name", SUITE_MODELS)
+def test_taylor_norm_bound_holds_on_every_suite_model(name):
+    ops = SUITE_MODELS[name][0](5)
+    W = np.kron(ops.V.conj(), ops.V)     # the series runs in P's eigenbasis
+    L = W.conj().T @ build_liouvillian(ops).L @ W
+    shifted = L - (np.trace(L) / L.shape[0]) * np.eye(L.shape[0])
+    _, record = _taylor_master_states(ops, DensityMatrix.site(5, 2), [1.0])
+    assert record["norm_bound"] >= np.abs(shifted).sum(axis=0).max() * (1.0 - 1e-12)
+
+
+@pytest.mark.parametrize("ops", [
+    build_obc(make_cosine_model(1, 0, 1, np.pi / 2), 41),
+    build_hatano_nelson(1, 2, 40),
+    build_obc(make_cosine_model(1, 0, 1, np.pi / 4), 33),
+], ids=["cosine_phi_half_pi_n41", "hatano_nelson_n40", "cosine_phi_quarter_pi_n33"])
+def test_taylor_route_matches_rk4_above_the_dense_cap(ops):
+    n, times = ops.n_sites, [0.5, 1.0, 2.0]
+    states, _ = _taylor_master_states(ops, DensityMatrix.site(n, n // 2 + 1), times)
+    rk4, previous = DensityMatrix.site(n, n // 2 + 1), 0.0
+    for t, state in zip(times, states):
+        rk4, previous = propagate_master_rk4(ops, rk4, t - previous, dt=1e-3), t
+        assert np.abs(state.rho - rk4.rho).max() <= 1e-10
+    again, _ = _taylor_master_states(ops, DensityMatrix.site(n, n // 2 + 1), times)
+    assert all(np.array_equal(a.rho, b.rho) for a, b in zip(states, again))
+
+
+def test_taylor_steps_minimize_the_product_count():
+    assert _taylor_steps(0.0) == (1, 1)
+    assert _taylor_steps(1e-3) == (5, 1)
+    assert _taylor_steps(12.3301073251299) == (45, 2)   # semiclassical_drift_n61, one unit of t
+    for norm_t in np.linspace(0.0, 40.0, 401):
+        m, s = _taylor_steps(norm_t)
+        assert norm_t / s <= TAYLOR_THETA[m]
+        assert m * s == min(k * max(1, int(np.ceil(norm_t / theta)))
+                            for k, theta in TAYLOR_THETA.items())
+
+
+def test_taylor_series_runs_to_its_full_degree_on_short_intervals(skew11):
+    # at ||t L||_1 = 1e-3 the fifth term is still above 2^-53 of the sum: no early stop
+    ops, _ = skew11
+    rho0 = DensityMatrix.site(11, 6)
+    norm = _taylor_master_states(ops, rho0, [1.0])[1]["norm_bound"]
+    (state,), record = _taylor_master_states(ops, rho0, [1e-3 / norm])
+    assert (record["taylor_degree"], record["substeps"], record["products"]) == ([5], [1], 5)
+    (exact,) = expm_states(ops, rho0.rho, [1e-3 / norm])
+    assert np.abs(state.rho - exact).max() <= 1e-15
+
+
+def test_taylor_route_rejects_what_rk4_rejects(skew11):
+    ops, _ = skew11
+    rho0 = DensityMatrix.site(11, 6)
+    (taylor,), record = _taylor_master_states(ops, rho0, [0.0])
+    assert np.array_equal(taylor.rho, propagate_master_rk4(ops, rho0, 0.0).rho)
+    assert record["products"] == 0 and record["substeps"] == [0]
+    with pytest.raises(ParameterError):
+        _taylor_master_states(ops, rho0, [1.0, 0.5])
+    with pytest.raises(ParameterError):
+        _taylor_master_states(ops, rho0, [-0.5])
+    skew = rho0.rho.copy()
+    skew[5, 6], skew[6, 5] = 1e-3, -1e-3
+    for t in (0.0, 0.01):
+        with pytest.raises(NumericalFailure, match="not Hermitian"):
+            _taylor_master_states(ops, skew, [t])
+    for bad in (np.diag([1.5, -0.5] + [0.0] * 9), np.eye(11) / 10.0):   # not PSD; trace 1.1
+        with pytest.raises(NumericalFailure):
+            _taylor_master_states(ops, bad, [0.0, 1.0])

@@ -36,7 +36,7 @@ from skinlab import (
     trajectory_step,
     vec,
 )
-from skinlab.evolve import EIG_COND_LIMIT_MASTER, _SpectralExponential
+from skinlab.evolve import EIG_COND_LIMIT_MASTER, _SpectralExponential, _taylor_master_states
 from skinlab.liouvillian import (
     ZERO_TOL_SCALE,
     _diagonal_blocks,
@@ -97,6 +97,22 @@ def test_rk4_in_jump_eigenbasis_matches_site_basis_loop(ops, seed, t):
     rho0 = DensityMatrix.pure(random_state(ops.n_sites, seed))
     fast = propagate_master_rk4(ops, rho0, t, dt=1e-3).rho
     assert np.abs(fast - site_basis_rk4(ops, rho0.rho, t, 1e-3)).max() <= 1e-12
+
+
+@PROFILE
+@given(ops=st.one_of(lattices(), sector_lattices()), seed=st.integers(0, 2**32 - 1),
+       t=st.floats(0.0, 3.0))
+def test_taylor_route_matches_the_complex_superoperator_exponential(ops, seed, t):
+    rho0 = DensityMatrix.pure(random_state(ops.n_sites, seed))
+    times = [0.5 * t, t]
+    states, record = _taylor_master_states(ops, rho0, times)
+    L = build_liouvillian(ops).L
+    for tk, state in zip(times, states):
+        exact = (scipy.linalg.expm(L * tk) @ vec(rho0.rho)).reshape(rho0.rho.shape, order="F")
+        assert_state(state.rho)
+        assert np.abs(state.rho - exact).max() <= 1e-12
+    assert record["products"] <= sum(m * s for m, s in zip(record["taylor_degree"],
+                                                           record["substeps"]))
 
 
 @PROFILE

@@ -11,7 +11,10 @@ at the rate set by the jump-amplitude mismatch.  The site-basis density
 matrix for an excitation launched at site 0 is the double Fourier transform
 of the multiplier, evaluated here by the trapezoidal rule on an even
 M-point grid (spectrally accurate for periodic integrands) as a matrix
-congruence F E F^dagger.
+congruence F E F^dagger.  The multiplier factors as
+E_jl = e^{-i h_j t} G_jl e^{i h_l t} with the real symmetric
+G_jl = exp[-t (p_j - p_l)^2 / 2], so F E F^dagger = X G X^dagger with
+X_nj = exp[i (k_j n - h_j t)]: one real exponential and one real GEMM.
 """
 
 from __future__ import annotations
@@ -131,10 +134,7 @@ def bulk_wannier_density(
                 f"window {window} outside the effective lattice [-{n_k // 2}, {n_k // 2})"
             )
         sites = np.arange(lo, hi + 1)
-    k = momentum_grid(n_k)
-    E = _multiplier(model, n_k, t)
-    F = np.exp(1j * np.outer(sites, k))
-    rho = F @ E @ F.conj().T / n_k**2
+    rho = _fourier_congruence(model, n_k, t, sites, sites)
     rho = 0.5 * (rho + rho.conj().T)
     return WannierDensity(sites, rho, t)
 
@@ -142,11 +142,22 @@ def bulk_wannier_density(
 def wannier_element(model: BandModel, n_k: int, t: float, n: int, m: int) -> complex:
     """Single density-matrix element rho_{n,m}(t) of the bulk solution."""
     _check_horizon(model, n_k, t)
-    k = momentum_grid(n_k)
-    E = _multiplier(model, n_k, t)
-    u_n = np.exp(1j * k * n)
-    u_m = np.exp(1j * k * m)
-    return complex(u_n @ E @ u_m.conj()) / n_k**2
+    return complex(_fourier_congruence(model, n_k, t, [n], [m])[0, 0])
+
+
+def _fourier_congruence(model: BandModel, n_k: int, t: float, left_sites, right_sites):
+    """F_L E F_R^dagger / n_k^2 as X_L G X_R^dagger / n_k^2 (see the module docstring).
+
+    G multiplies the interleaved (Re, Im) columns of X_R^dagger in one real GEMM.
+    """
+    k, h, p = _grid_dispersion(model, n_k)
+    G = np.subtract.outer(p, p)
+    G *= G
+    G *= -0.5 * t
+    np.exp(G, out=G)
+    x_right = np.exp(-1j * (np.multiply.outer(k, right_sites) - (h * t)[:, None]))
+    x_left = np.exp(1j * (np.multiply.outer(left_sites, k) - h * t))
+    return x_left @ (G @ x_right.view(float)).view(complex) / n_k**2
 
 
 def _linear_fit(x: np.ndarray, y: np.ndarray):

@@ -2,8 +2,9 @@
 
 One config describes one experiment; running it writes CSV/JSON datasets plus
 a manifest recording the resolved configuration, its hash, the tool version,
-wall time and how the generator was factored.  Numeric output files are
-byte-identical across reruns of the same config.
+wall time, how the generator was factored, the numpy and scipy versions and
+the BLAS thread variables.  Numeric output files are byte-identical across
+reruns of the same config at a fixed BLAS pool size.
 
 Command line:
 
@@ -18,12 +19,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .band import BandModel, make_cosine_model, pbc_spectrum
@@ -75,6 +78,7 @@ EXPERIMENTS = (
 
 DENSE_PROPAGATION_MAX = 32   # largest N propagated through the dense superoperator
 UNITS_NOTE = "units: energies in units of the hopping scale (J or J1), times in its inverse"
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass
@@ -345,10 +349,10 @@ def _generator_entry(ops: LatticeOperators, prop: MasterPropagator | None = None
     return entry
 
 
-def _timeseries_rows(times, states):
-    for t, state in zip(times, states):
-        obs = observables(state)
-        yield (t, von_neumann_entropy(state), obs.purity, obs.first_moment)
+def _timeseries_rows(times, states) -> list:
+    obs = [observables(state) for state in states]
+    return [times, [von_neumann_entropy(s) for s in states], [o.purity for o in obs],
+            [o.first_moment for o in obs]]
 
 
 def _run_spectra(cfg: ExperimentConfig, outdir: Path, diagnostics: dict) -> list[str]:
@@ -362,7 +366,7 @@ def _run_spectra(cfg: ExperimentConfig, outdir: Path, diagnostics: dict) -> list
         k, energies = pbc_spectrum(model, cfg.n_k)
         pbc_path = outdir / f"pbc_{tag}.csv"
         cols = ["k", "re_E", "im_E"]
-        write_csv(pbc_path, cols, ((kk, e.real, e.imag) for kk, e in zip(k, energies)),
+        write_csv(pbc_path, cols, [k, energies.real, energies.imag],
                   _headers(cfg, f"pbc-curve-{tag}", cols, phi=phi))
         ops = build_obc(model, cfg.n_sites, Construction.TRUNCATE_P)
         report = obc_spectrum(ops)
@@ -417,7 +421,7 @@ def _write_relaxation(cfg: ExperimentConfig, outdir: Path, ops: LatticeOperators
 
 def _write_spectrum(cfg: ExperimentConfig, outdir: Path, eigenvalues) -> str:
     cols = ["re", "im"]
-    write_csv(outdir / "spectrum.csv", cols, ((w.real, w.imag) for w in eigenvalues),
+    write_csv(outdir / "spectrum.csv", cols, [eigenvalues.real, eigenvalues.imag],
               _headers(cfg, "superoperator-spectrum", cols))
     return "spectrum.csv"
 
@@ -509,22 +513,19 @@ def _run_semiclassical_drift(cfg: ExperimentConfig, outdir: Path, diagnostics: d
     master, _, diagnostics["generator"] = _master_states(ops, rho0, cfg.times)
     semi = SemiclassicalPropagator(ops)
     sites = np.arange(1, cfg.n_sites + 1)
-    rows, master_pops, semi_pops = [], [], []
-    for t, state in zip(cfg.times, master):
-        psi = semi.at(psi0, t)
-        pops = np.abs(psi) ** 2
-        pops = pops / pops.sum()
-        rows.append((t, observables(state).first_moment, float(sites @ pops)))
-        master_pops.append(observables(state).populations.tolist())
-        semi_pops.append(pops.tolist())
+    semi_pops = [np.abs(semi.at(psi0, t)) ** 2 for t in cfg.times]
+    semi_pops = [pops / pops.sum() for pops in semi_pops]
+    master_obs = [observables(state) for state in master]
     cols = ["t", "master_first_moment", "semiclassical_first_moment"]
-    write_csv(outdir / "drift.csv", cols, rows, _headers(cfg, "drift-comparison", cols))
+    write_csv(outdir / "drift.csv", cols,
+              [cfg.times, [o.first_moment for o in master_obs], [sites @ p for p in semi_pops]],
+              _headers(cfg, "drift-comparison", cols))
     write_json(outdir / "populations.json", {
         "config": cfg.config_hash(),
         "times": list(cfg.times),
         "sites": [int(s) for s in sites],
-        "master": master_pops,
-        "semiclassical": semi_pops,
+        "master": [o.populations.tolist() for o in master_obs],
+        "semiclassical": [pops.tolist() for pops in semi_pops],
     })
     return ["drift.csv", "populations.json"]
 
@@ -546,7 +547,10 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    diagnostics: dict = {}
+    diagnostics: dict = {"environment": {
+        "numpy": np.__version__, "scipy": scipy.__version__,
+        **{var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+    }}
     try:
         outputs = _RUNNERS[cfg.experiment](cfg, outdir, diagnostics)
     except SkinlabError as exc:
@@ -559,9 +563,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         "config_hash": cfg.config_hash(),
         "outputs": outputs,
         "wall_time_s": round(time.perf_counter() - start, 3),
+        "diagnostics": diagnostics,
     }
-    if diagnostics:
-        manifest["diagnostics"] = diagnostics
     write_json(outdir / "manifest.json", manifest)
     return manifest
 

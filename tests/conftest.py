@@ -42,6 +42,16 @@ def master_rhs(ops, rho):
     return -1j * (H @ rho - rho @ H) - 0.5 * (P2 @ rho + rho @ P2) + P @ rho @ P
 
 
+def rowwise_csv(columns, rows, header_lines=()):
+    """Reference CSV text written row by row: str(int) for integer cells, %.17g for the rest."""
+    def cell(x):
+        return str(int(x)) if isinstance(x, (int, np.integer)) else "%.17g" % float(x)
+
+    lines = [f"# {line}" for line in header_lines] + [",".join(columns)]
+    lines += [",".join(cell(x) for x in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def hermitian_basis(n):
     """Columns vec(B) of the orthonormal Hermitian basis, in the documented order."""
     basis = [np.diag(np.eye(n)[a]).astype(complex) for a in range(n)]

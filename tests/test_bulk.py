@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skinlab import (
+    BandModel,
     ParameterError,
     UnderflowError,
     bulk_evolve,
@@ -10,7 +13,8 @@ from skinlab import (
     localized_bulk_state,
     make_cosine_model,
 )
-from skinlab.bulk import wannier_element
+from skinlab.band import momentum_grid
+from skinlab.bulk import _multiplier, wannier_element
 
 
 @pytest.fixture(scope="module")
@@ -177,3 +181,37 @@ def test_decay_fit_argument_checks(model_skew):
         decay_exponents(model_skew, [1, 2, 3], "sideways", 2.0)
     with pytest.raises(UnderflowError):
         decay_exponents(model_skew, [30, 40, 50, 60], "antidiagonal", 2.0)
+
+
+coefficient = st.floats(-0.5, 0.5, allow_nan=False)
+
+
+@st.composite
+def bulk_cases(draw):
+    """Random range-2 band model, grid, window holding site 0 and a time inside the horizon."""
+    h = {0: draw(coefficient)}
+    p = {}
+    for m in (1, 2):
+        h[m] = h[-m] = draw(coefficient)
+        p[m] = complex(draw(coefficient), draw(coefficient))
+        p[-m] = p[m].conjugate()
+    p[0] = 2.0 * (abs(p[1]) + abs(p[2])) + draw(st.floats(0.0, 0.5))
+    model = BandModel(h, p)
+    n_k = draw(st.sampled_from([2, 6, 64, 256]))
+    window = (draw(st.integers(-n_k // 2, 0)), draw(st.integers(0, n_k // 2 - 1)))
+    v_max = model.max_group_velocity()
+    horizon = n_k / (4.0 * v_max) if v_max > 0 else 10.0
+    return model, n_k, window, draw(st.floats(0.0, 1.0)) * horizon
+
+
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(bulk_cases())
+def test_factored_congruence_matches_the_literal_fourier_sum(case):
+    model, n_k, window, t = case
+    wd = bulk_wannier_density(model, n_k, t, window)
+    F = np.exp(1j * np.outer(wd.sites, momentum_grid(n_k)))
+    literal = F @ _multiplier(model, n_k, t) @ F.conj().T / n_k**2
+    assert np.abs(wd.rho - literal).max() <= 1e-14 * np.abs(literal).max()
+    i, j = len(wd.sites) - 1, 0
+    element = wannier_element(model, n_k, t, int(wd.sites[i]), int(wd.sites[j]))
+    assert abs(element - wd.rho[i, j]) <= 1e-14 * np.abs(literal).max()

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from skinlab import build_hatano_nelson, build_obc, make_cosine_model
 from skinlab.cli import load_config, main, run_experiment, validate_config
@@ -98,6 +99,28 @@ def test_reruns_are_byte_identical(tmp_path):
     run_experiment(cfg_a)
     run_experiment(cfg_b)
     for name in ("pbc_phi0.csv", "obc_phi1.csv", "summary.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_manifest_records_the_environment_and_no_numeric_file_does(tmp_path, monkeypatch):
+    base = {
+        "experiment": "BulkRelax",
+        "model": {"type": "cosine", "J": 1, "T": 0, "R": 1, "phi": PHI_HALF_PI},
+        "n_k": 64, "times": [0.5, 2.0], "window": [-6, 6],
+    }
+    manifests = {}
+    for sub, threads in (("a", "1"), ("b", "7")):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+        monkeypatch.setenv("OMP_NUM_THREADS", threads)
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        run_experiment(validate_config({**base, "output_dir": str(tmp_path / sub)}))
+        manifests[sub] = json.loads((tmp_path / sub / "manifest.json").read_text())
+    assert manifests["b"]["diagnostics"]["environment"] == {
+        "numpy": np.__version__, "scipy": scipy.__version__,
+        "OPENBLAS_NUM_THREADS": "7", "OMP_NUM_THREADS": "7", "MKL_NUM_THREADS": None,
+    }
+    assert manifests["a"]["diagnostics"]["environment"]["OPENBLAS_NUM_THREADS"] == "1"
+    for name in manifests["a"]["outputs"]:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 

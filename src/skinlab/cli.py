@@ -327,7 +327,7 @@ def _master_states(
     generator; above, the Taylor route runs (propagator None).
     """
     if ops.n_sites <= DENSE_PROPAGATION_MAX:
-        prop = MasterPropagator(ops)
+        prop = MasterPropagator(ops, rho0)
         return [prop.propagate(rho0, t) for t in times], prop, _generator_entry(ops, prop)
     states, taylor = _taylor_master_states(ops, rho0, times)
     return states, None, _generator_entry(ops, taylor=taylor)
@@ -335,17 +335,25 @@ def _master_states(
 
 def _generator_entry(ops: LatticeOperators, prop: MasterPropagator | None = None,
                      block_sizes=(), taylor: dict | None = None) -> dict:
-    """Manifest record of the generator: structure, blocks, cond(V) and the Taylor route's record.
+    """Manifest record of the generator: structure, mirror, blocks, cond(V) and the Taylor record.
 
-    ``block_sizes`` come from ``prop`` when a dense propagator ran; ``taylor``
-    is the record of :func:`skinlab.evolve._taylor_master_states` (route, norm
-    bound, degree and substeps per interval, generator products).
+    ``blocks`` and ``largest_block`` count the diagonal blocks of the real
+    generator (with a mirror, the sectors; ``sector_sizes`` lists them).
+    ``block_sizes`` come from ``prop`` when a dense propagator ran; then
+    ``factored_blocks`` counts the blocks its start reached, ``cond_V`` is
+    their eigenbasis' condition number and ``route`` says whether they took
+    the spectral route, expm or both.  ``taylor`` is the record of
+    :func:`skinlab.evolve._taylor_master_states` (route, norm bound, degree,
+    substeps and last-term ratio per interval, generator products).
     """
-    entry = {"structure": ops.structure, **(taylor or {})}
+    entry = {"structure": ops.structure, "mirror": ops.mirror is not None, **(taylor or {})}
     if prop is not None:
-        block_sizes, entry["cond_V"] = prop.block_sizes, prop.cond
+        block_sizes = prop.block_sizes
+        entry.update(factored_blocks=prop.factored_blocks, cond_V=prop.cond, route=prop.method)
     if block_sizes:
         entry.update(blocks=len(block_sizes), largest_block=max(block_sizes))
+        if ops.mirror is not None:
+            entry["sector_sizes"] = list(block_sizes)
     return entry
 
 

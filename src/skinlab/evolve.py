@@ -2,8 +2,9 @@
 
 Propagation is exact-exponential: one helper diagonalizes the generator (L
 as a real matrix in P's eigenbasis, or -i H_eff for the no-jump wavefunction)
-once and applies exp(A t) spectrally for every time, falling back to scipy
-expm above a per-generator eigenbasis condition limit.  Lattices too large
+once, block by block and only in the blocks the start reaches, and applies
+exp(A t) spectrally for every time, falling back to scipy expm in a block
+above a per-generator eigenbasis condition limit.  Lattices too large
 for the dense superoperator take the truncated Taylor series with scaling of
 exp(t L) rho, run in the jump operator's eigenbasis; fixed-step RK4 there is
 an independent cross-check.  All master routes end in the same state checks.
@@ -18,8 +19,9 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NumericalFailure, ParameterError
-from .lattice_ops import LatticeOperators
+from .lattice_ops import SECTOR_TOL, LatticeOperators
 from .liouvillian import (
+    _block_eigenvalues,
     _block_stacks,
     _diagonal_blocks,
     _from_hermitian_coords,
@@ -126,35 +128,82 @@ def _checked_state(rho: np.ndarray) -> DensityMatrix:
 
 
 class _SpectralExponential:
-    """exp(A t) x for any t from one eigendecomposition A = V diag(w) V^-1 per diagonal block.
+    """exp(A t) x for any t from one eigendecomposition A_b = V diag(w) V^-1 per diagonal block b.
 
     ``blocks`` are index sets with A exactly zero between them (default: one
-    block).  cond(V) is max sigma_max / min sigma_min over the blocks; for
-    real A it comes from the real R of :func:`_real_eigenbasis`, with
-    V^-1 = U^dagger R^-1.  Falls back to scaling-and-squaring (scipy expm)
-    when cond(V) exceeds ``cond_limit`` or is not finite.
+    block).  Without ``start`` every block is factored at once; with it only
+    the blocks the start reaches, and any other block when :meth:`apply`
+    first meets a vector that reaches it.  A vector reaches a block where one
+    of its coordinates exceeds ``floor`` times its largest in size (by
+    default where it is nonzero); a block it does not reach stays exactly
+    zero.  A block's cond(V) is sigma_max / sigma_min of V,
+    for real A of the real R of :func:`_real_eigenbasis`, with
+    V^-1 = U^dagger R^-1; a block whose cond(V) exceeds ``cond_limit`` or is
+    not finite takes scaling-and-squaring (scipy expm) instead.  ``cond`` is
+    max sigma_max / min sigma_min over the factored blocks: the cond(V) of
+    their whole eigenbasis.
     """
 
-    def __init__(self, A: np.ndarray, cond_limit: float, blocks=None):
-        self.A = A
+    def __init__(self, A: np.ndarray, cond_limit: float, blocks=None, start=None,
+                 floor: float = 0.0):
+        self.A, self.cond_limit, self.floor = A, cond_limit, floor
         self.blocks = [np.arange(A.shape[0])] if blocks is None else blocks
         self.block_sizes = [b.size for b in self.blocks]
-        factors, s_max, s_min = [], 0.0, np.inf
-        for idx, stack in _block_stacks(A, self.blocks):
+        self._label = np.empty(A.shape[0], dtype=np.intp)
+        for k, b in enumerate(self.blocks):
+            self._label[b] = k
+        self._pending = np.ones(len(self.blocks), dtype=bool)
+        self._spectral, self._expm, self._w = [], [], []
+        self._s_max, self._s_min = 0.0, np.inf
+        self._factor(self._pending.copy() if start is None else self._reached(start))
+
+    def _reached(self, x: np.ndarray) -> np.ndarray:
+        """Mask of the blocks x reaches."""
+        size = np.abs(x)
+        on = np.flatnonzero(size > self.floor * size.max(initial=0.0))
+        return np.bincount(self._label[on], minlength=len(self.blocks)) > 0
+
+    def _factor(self, todo: np.ndarray) -> None:
+        """Factor the blocks in mask ``todo`` not factored yet."""
+        todo = todo & self._pending
+        if not todo.any():
+            return
+        self._pending &= ~todo
+        real = np.isrealobj(self.A)
+        for idx, stack in _block_stacks(self.A, [b for b, t in zip(self.blocks, todo) if t]):
             w, V = np.linalg.eig(stack)
-            R, pairs = _real_eigenbasis(w, V) if np.isrealobj(A) else (V, None)
+            R = _real_eigenbasis(w, V)[0] if real else V
             s = np.linalg.svd(R, compute_uv=False)
-            s_max, s_min = max(s_max, float(s[:, 0].max())), min(s_min, float(s[:, -1].min()))
-            factors.append((idx, w, V, R, pairs))
-        self.cond = s_max / s_min if s_min > 0 else np.inf
-        self.use_expm = not np.isfinite(self.cond) or self.cond > cond_limit
-        self.eigenvalues = np.concatenate([w.ravel() for _, w, *_ in factors])
-        self._factors = [] if self.use_expm else [
-            (idx, w, V, _inverse_from_real(R, pairs)) for idx, w, V, R, pairs in factors]
+            self._s_max = max(self._s_max, float(s[:, 0].max()))
+            self._s_min = min(self._s_min, float(s[:, -1].min()))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                spectral = s[:, 0] / s[:, -1] <= self.cond_limit
+            self._w.append(w.ravel())
+            self._expm += [(b, A_b) for b, A_b in zip(idx[~spectral], stack[~spectral])]
+            if spectral.any():
+                w, V = w[spectral], V[spectral]
+                V_inv = _inverse_from_real(*_real_eigenbasis(w, V)) if real else np.linalg.inv(V)
+                self._spectral.append((idx[spectral], w, V, V_inv))
+
+    @property
+    def cond(self) -> float:
+        return self._s_max / self._s_min if self._s_min > 0 else np.inf
+
+    @property
+    def factored_blocks(self) -> int:
+        return int((~self._pending).sum())
 
     @property
     def method(self) -> str:
-        return "expm" if self.use_expm else "spectral"
+        """"spectral", "expm", or "spectral+expm" when the factored blocks took both."""
+        return "+".join(name for name, used in (("spectral", self._spectral), ("expm", self._expm))
+                        if used) or "spectral"
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        """A's eigenvalues, unsorted: the factored blocks' from eig, the rest's from eigvals."""
+        rest = [b for b, pending in zip(self.blocks, self._pending) if pending]
+        return np.concatenate(self._w + ([_block_eigenvalues(self.A, rest)] if rest else []))
 
     def apply(self, x: np.ndarray, t: float) -> np.ndarray:
         """exp(A t) x; t = 0 returns x itself, free of V V^-1 round-off, as RK4 does."""
@@ -162,12 +211,13 @@ class _SpectralExponential:
             raise ParameterError(f"propagation time must be >= 0, got {t}")
         if t == 0:
             return np.array(x, dtype=complex)
-        if self.use_expm:
-            return scipy.linalg.expm(self.A * t) @ x
+        self._factor(self._reached(x))
         out = np.zeros(x.shape, dtype=complex)
-        for idx, w, V, V_inv in self._factors:
+        for idx, w, V, V_inv in self._spectral:
             y = np.exp(w * t) * (V_inv @ x[idx][..., None])[..., 0]
             out[idx] = (V @ y[..., None])[..., 0]
+        for b, A_b in self._expm:
+            out[b] = scipy.linalg.expm(A_b * t) @ x[b]
         return out
 
 
@@ -186,10 +236,8 @@ def _real_eigenbasis(w: np.ndarray, V: np.ndarray):
 
 
 def _inverse_from_real(R: np.ndarray, pairs) -> np.ndarray:
-    """V^-1 = U^dagger R^-1 for R from :func:`_real_eigenbasis` (pairs None: V^-1 = R^-1)."""
+    """V^-1 = U^dagger R^-1 for R and its pairs from :func:`_real_eigenbasis`."""
     R_inv = np.linalg.inv(R)
-    if pairs is None:
-        return R_inv
     V_inv = R_inv.astype(complex)
     k, j = pairs
     first, second = R_inv[k, j], R_inv[k, j + 1]
@@ -199,16 +247,23 @@ def _inverse_from_real(R: np.ndarray, pairs) -> np.ndarray:
 
 
 class MasterPropagator(_SpectralExponential):
-    """exp(L t) from one eigendecomposition per diagonal block of the real generator M.
+    """exp(L t) from one eigendecomposition per diagonal block (sector) of the real generator M.
 
-    Falls back to expm above cond(V) = 1e8.  Raises ParameterError before
-    allocating when N^2 exceeds ``SPECTRUM_CAP``.
+    Given ``rho0``, factors only the blocks rho0 reaches (see
+    :class:`_SpectralExponential`).  With a mirror, whose sectors are exact
+    only to ``SECTOR_TOL``, a state reaches a sector where a coordinate
+    exceeds SECTOR_TOL times its largest: the round-off a mirror-symmetric
+    start leaves in the odd sectors stays out.  A block falls back to expm
+    above cond(V) = 1e8.  Raises ParameterError before allocating when N^2
+    exceeds ``SPECTRUM_CAP``.
     """
 
-    def __init__(self, ops: LatticeOperators):
+    def __init__(self, ops: LatticeOperators, rho0: DensityMatrix | np.ndarray | None = None):
         self.ops = ops
         M = _hermitian_basis_generator(ops)
-        super().__init__(M, EIG_COND_LIMIT_MASTER, _diagonal_blocks(M))
+        start = None if rho0 is None else _hermitian_coords(ops, _matrix(rho0))
+        super().__init__(M, EIG_COND_LIMIT_MASTER, _diagonal_blocks(M), start,
+                         0.0 if ops.mirror is None else SECTOR_TOL)
 
     def evolve(self, rho0: np.ndarray, t: float) -> np.ndarray:
         """Raw matrix-form solution at time t without state validation."""
@@ -220,10 +275,16 @@ class MasterPropagator(_SpectralExponential):
         return _checked_state(self.evolve(rho0, t))
 
     def stationary_projection(self, rho0: DensityMatrix | np.ndarray) -> np.ndarray:
-        """Infinite-time limit Q Q^T rho0, Q the kernel basis of :func:`_stationary_kernel`."""
-        Q = _stationary_kernel(self.ops, self.A, self.blocks)[0]
+        """Infinite-time limit Q Q^T rho0, Q the kernel basis of :func:`_stationary_kernel`.
+
+        The kernel comes only from the blocks rho0 reaches, and Q Q^T acts on
+        the coordinates' (Re, Im) columns by real products.
+        """
         x = _hermitian_coords(self.ops, _matrix(rho0))
-        rho = _from_hermitian_coords(self.ops, Q @ (Q.T @ x))
+        reached = [b for b, on in zip(self.blocks, self._reached(x)) if on]
+        Q = _stationary_kernel(self.ops, self.A, reached, values=False)[0]
+        parts = x.view(float).reshape(-1, 2)
+        rho = _from_hermitian_coords(self.ops, (Q @ (Q.T @ parts)).view(complex).ravel())
         return 0.5 * (rho + rho.conj().T)
 
 
@@ -231,7 +292,7 @@ def propagate_master(
     ops: LatticeOperators, rho0: DensityMatrix | np.ndarray, t: float
 ) -> DensityMatrix:
     """One-shot master-equation propagation; see :class:`MasterPropagator`."""
-    return MasterPropagator(ops).propagate(rho0, t)
+    return MasterPropagator(ops, rho0).propagate(rho0, t)
 
 
 def propagate_master_rk4(
@@ -306,16 +367,18 @@ def _taylor_master_states(
     interval of length t the degree m and the substep count s come from the
     a-priori bound ||L - mu||_1 <= 2 ||A||_1 + max |E|; a substep's series stops
     early once two successive terms fall below 2^-53 of the sum, in max-norm,
-    so reruns repeat every operation.  With A and E real (the transpose sector)
-    the product is real: on the real matrix alone when the rotated start is
-    real to within its round-off ("real"), on y's interleaved (Re, Im) columns
-    otherwise ("interleaved"); any other model takes complex products ("complex").
+    so reruns repeat every operation; the a-posteriori record is, per
+    interval, the largest max-norm ratio of a substep's last term to its sum.
+    With A and E real (the transpose sector) the product is real: on the real
+    matrix alone when the rotated start is real to within its round-off
+    ("real"), on y's interleaved (Re, Im) columns otherwise ("interleaved");
+    any other model takes complex products ("complex").
 
     An interval of length 0 returns the checked state; a negative one raises
     ParameterError and a start whose Hermiticity deviation exceeds
     ``DRIFT_ABORT`` NumericalFailure, both before any propagation.  Returns the
-    states and a record of the route: its arithmetic, norm bound, m and s per
-    interval and the number of generator products.
+    states and a record of the route: its arithmetic, norm bound, m, s and
+    the last-term ratio per interval and the number of generator products.
     """
     times = [float(t) for t in times]
     if any(t < 0 for t in np.diff([0.0] + times)):
@@ -338,9 +401,10 @@ def _taylor_master_states(
         X = (A @ y.view(float)).view(complex) if arithmetic == "interleaved" else A @ y
         return X + X.conj().T + E * y
 
-    states, degrees, substeps, products, t_prev = [], [], [], 0, 0.0
+    states, degrees, substeps, tails, products, t_prev = [], [], [], [], 0, 0.0
     for t in times:
         tau, t_prev = t - t_prev, t
+        tail = 0.0
         if tau > 0:
             m, s = _taylor_steps(norm * tau)
             scale = math.exp(mu * tau / s)
@@ -351,19 +415,22 @@ def _taylor_master_states(
                     term = (tau / (s * j)) * generator(term)
                     products += 1
                     total = total + term
-                    current = np.abs(term).max()
-                    if previous + current <= TAYLOR_TOL * np.abs(total).max():
+                    current, size = np.abs(term).max(), np.abs(total).max()
+                    if previous + current <= TAYLOR_TOL * size:
                         break
                     previous = current
+                tail = max(tail, float(current / size))
                 y = scale * total
             rho = V @ y @ V.conj().T
         else:
             m, s = 0, 0
         degrees.append(m)
         substeps.append(s)
+        tails.append(tail)
         states.append(_checked_state(rho))
     return states, {"route": "taylor", "arithmetic": arithmetic, "norm_bound": norm,
-                    "taylor_degree": degrees, "substeps": substeps, "products": products}
+                    "taylor_degree": degrees, "substeps": substeps, "last_term_ratio": tails,
+                    "products": products}
 
 
 class SemiclassicalPropagator(_SpectralExponential):
@@ -425,7 +492,7 @@ def entropy_trace(
     times = np.asarray(times, dtype=float)
     if times.size and np.any(np.diff(times) < 0):
         raise ParameterError("times must be sorted ascending")
-    prop = MasterPropagator(ops)
+    prop = MasterPropagator(ops, rho0)
     states = [prop.propagate(rho0, t) for t in times]
     entropies = np.array([von_neumann_entropy(s) for s in states])
     rho_inf = prop.stationary_projection(rho0)

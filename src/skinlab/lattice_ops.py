@@ -41,6 +41,26 @@ class Construction(Enum):
 
 
 @dataclass(frozen=True)
+class Mirror:
+    """A unitary W with W H W^dagger = H and W P W^dagger = c - P: a weak symmetry of L.
+
+    The dissipator -1/2 [P, [P, rho]] is unchanged under P -> c - P, so
+    rho -> W rho W^dagger commutes with the generator (Buca & Prosen, New J.
+    Phys. 14, 073007 (2012)); for the cosine chain at phi = pi/2 W is the
+    site mirror.  In the basis ``V`` (P's eigenvectors, columns rephased) W
+    maps e_a to signs[a] e_(N-1-a).  ``H_tilde`` = V^dagger H V and ``D`` are
+    made exactly mirror-symmetric, H_tilde[N-1-a, N-1-b] = signs[a] signs[b]
+    H_tilde[a, b] and D[N-1-a, N-1-b] = D[a, b], so the dense generator splits
+    into mirror sectors with exact zeros between them.
+    """
+
+    signs: np.ndarray
+    V: np.ndarray
+    H_tilde: np.ndarray
+    D: np.ndarray
+
+
+@dataclass(frozen=True)
 class LatticeOperators:
     """Dense N-site operators of a purely dissipative open chain.
 
@@ -53,8 +73,10 @@ class LatticeOperators:
     in that basis the generator is rho -> -i[H_tilde, rho] + D * rho.
     ``structure`` names what the basis makes exact (see :func:`_jump_eigenbasis`):
     "transpose_sector" when H_tilde - tr H / N is purely imaginary, "commuting"
-    when H_tilde is diagonal, "none" otherwise.  ``eigenbasis`` lets a builder
-    that already diagonalized P pass (p, V, H_tilde, structure) on.
+    when H_tilde is diagonal, "none" otherwise.  ``mirror`` is the weak
+    symmetry P -> c - P of a non-commuting model (see :class:`Mirror`), or
+    None.  ``eigenbasis`` lets a builder that already diagonalized P pass
+    (p, V, H_tilde, structure) on.
     """
 
     n_sites: int
@@ -69,6 +91,7 @@ class LatticeOperators:
     H_tilde: np.ndarray = field(init=False, repr=False, compare=False)
     D: np.ndarray = field(init=False, repr=False, compare=False)
     structure: str = field(init=False, compare=False)
+    mirror: Mirror | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, eigenbasis):
         for name in ("H", "P", "P2"):
@@ -93,6 +116,8 @@ class LatticeOperators:
         object.__setattr__(self, "H_tilde", H_tilde)
         object.__setattr__(self, "D", -0.5 * (p[:, None] - p[None, :]) ** 2)
         object.__setattr__(self, "structure", structure)
+        object.__setattr__(self, "mirror", None if structure == "commuting"
+                           else _find_mirror(p, V, H_tilde))
 
 
 def _transpose_gauge(H: np.ndarray, X: np.ndarray) -> np.ndarray | None:
@@ -108,23 +133,71 @@ def _transpose_gauge(H: np.ndarray, X: np.ndarray) -> np.ndarray | None:
     tol_x, tol_h = (SECTOR_TOL * max(1.0, _maxabs(M)) for M in (X, H))
     on_x = np.abs(X) > tol_x
     step = np.where(on_x, -np.angle(X), 0.5 * np.pi - np.angle(Hc))
-    linked = on_x | (np.abs(Hc) > tol_h)
-    theta = np.full(N, np.nan)
-    for root in range(N):
-        if not np.isnan(theta[root]):
-            continue
-        theta[root], frontier = 0.0, [root]
-        while frontier:
-            reached = []
-            for a in frontier:
-                new = np.flatnonzero(linked[a] & np.isnan(theta))
-                theta[new] = np.mod(theta[a] + step[a, new], 2.0 * np.pi)
-                reached.extend(new)
-            frontier = reached
-    g = np.exp(1j * theta)
+    g = np.exp(1j * _forest_phases(on_x | (np.abs(Hc) > tol_h), step))
     if _maxabs(_gauged(X, g).imag) > tol_x or _maxabs(_gauged(Hc, g).real) > tol_h:
         return None
     return g
+
+
+def _forest_phases(linked: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """Angles theta with theta_b = theta_a + step[a, b] along a spanning forest of ``linked``.
+
+    Each tree's root (its smallest unset index) gets angle 0, then one BFS
+    level at a time: a new node takes its first linked parent in frontier
+    order, and the next frontier is ordered by parent, then index.
+    """
+    theta = np.full(linked.shape[0], np.nan)
+    for root in range(linked.shape[0]):
+        if not np.isnan(theta[root]):
+            continue
+        theta[root], frontier = 0.0, np.array([root])
+        while frontier.size:
+            reach = linked[frontier] & np.isnan(theta)
+            new = np.flatnonzero(reach.any(axis=0))
+            first = reach[:, new].argmax(axis=0)
+            order = np.lexsort((new, first))
+            new, parent = new[order], frontier[first[order]]
+            theta[new] = np.mod(theta[parent] + step[parent, new], 2.0 * np.pi)
+            frontier = new
+    return theta
+
+
+def _find_mirror(p: np.ndarray, V: np.ndarray, H_tilde: np.ndarray) -> Mirror | None:
+    """The :class:`Mirror` of P's eigenbasis (p ascending, V, H_tilde), or None.
+
+    Needs non-degenerate p with p_a + p_(N-1-a) = c, so W = diag-phased
+    reversal: W e_a = g_a e_(N-1-a).  Then W H_tilde W^dagger = H_tilde fixes
+    arg g_b - arg g_a from every nonzero H_tilde_ab, set along a spanning
+    forest; every entry and W^2 = const are checked to SECTOR_TOL.  The
+    cheap checks come first, so a model without the mirror costs O(N) or
+    O(N^2).  Real relative phases keep V (the transpose gauge stays real);
+    otherwise the columns are rephased to make W a signed reversal.
+    """
+    scale_p = SECTOR_TOL * max(1.0, float(np.abs(p).max()))
+    if np.diff(p).min() <= scale_p or np.abs(p + p[::-1] - (p[0] + p[-1])).max() > scale_p:
+        return None
+    tol = SECTOR_TOL * max(1.0, _maxabs(H_tilde))
+    flipped = H_tilde[::-1, ::-1]
+    if (np.abs(H_tilde.diagonal() - flipped.diagonal()).max() > tol
+            or _maxabs(np.abs(H_tilde) - np.abs(flipped)) > tol):
+        return None
+    g = np.exp(1j * _forest_phases(np.abs(H_tilde) > tol, np.angle(H_tilde) - np.angle(flipped)))
+    kappa = g * g[::-1]
+    if (_maxabs(_gauged(H_tilde, g.conj()) - flipped) > tol
+            or _maxabs(kappa - kappa[0]) > SECTOR_TOL):
+        return None
+    e = np.ones(p.size)
+    if _maxabs(g.imag) > SECTOR_TOL:            # g_0 = 1: complex relative phases
+        g = g / np.sqrt(kappa[0])               # W^2 = 1, so g_a g_(N-1-a) = 1
+        e = g ** -0.5
+        g = e[::-1].conj() * g * e              # the rephased W: a signed reversal
+    signs = np.sign(g.real)
+    if _maxabs(g - signs) > SECTOR_TOL:
+        return None
+    h = _gauged(H_tilde, e)
+    u = 0.5 * (p - p[::-1])                     # p - c/2, exactly odd under the reversal
+    return Mirror(signs, V * e, 0.5 * (h + np.outer(signs, signs) * h[::-1, ::-1]),
+                  -0.5 * (u[:, None] - u[None, :]) ** 2)
 
 
 def _gauged(M: np.ndarray, g: np.ndarray) -> np.ndarray:

@@ -17,7 +17,9 @@ above is frozen package-wide.
 L preserves Hermiticity, so in an orthonormal basis of Hermitian matrices it
 is a real matrix M with the same spectrum, singular values and cond(V); every
 dense solve runs on M, assembled in P's eigenbasis from H_tilde and D, one
-diagonal block (connected component of its nonzero pattern) at a time.
+diagonal block (connected component of its nonzero pattern) at a time.  A
+model with a mirror (:class:`skinlab.lattice_ops.Mirror`) has M rotated to
+the mirror's even and odd coordinates, so its blocks are the mirror sectors.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ SPECTRUM_CAP = 4096             # largest N^2 the dense solver will accept
 ZERO_TOL_SCALE = 1e-8           # relative zero-eigenvalue threshold
 KERNEL_GAP_WARN = 10.0          # flag kernels whose first decaying mode sits this close
 SORT_TIE_TOL = 1e-9             # relative real-part tie tolerance of the spectrum order
+_HALF = np.sqrt(0.5)
+_CHUNK = 2**15                  # entries per temporary of the mirror-sector rotation
 
 
 def vec(rho: np.ndarray) -> np.ndarray:
@@ -125,12 +129,28 @@ def _diagonal_blocks(M: np.ndarray) -> list[np.ndarray]:
 
     Each set is sorted and the sets come in order of their first index; every
     entry of M between two sets is exactly zero.  One set means no structure.
+    A BFS finds the components.  When index 0 has at most one link, as every
+    index has in the commuting case, the components of one or two indices are
+    first peeled off in one vectorized step.
     """
+    n = M.shape[0]
     nonzero = M != 0
     linked = nonzero | nonzero.T
-    unseen = np.ones(M.shape[0], dtype=bool)
-    blocks = []
-    for start in range(M.shape[0]):
+    blocks, unseen = [], np.ones(n, dtype=bool)
+    if np.count_nonzero(linked[0, 1:]) <= 1:
+        linked[np.diag_indices(n)] = False
+        # each row's first link, then whether a second one follows (argmax stops at the first)
+        rows = np.arange(n)
+        partner = linked.argmax(axis=1)
+        lone = ~linked[rows, partner]
+        linked[rows, partner] = False
+        single = ~lone & ~linked[rows, linked.argmax(axis=1)]
+        linked[rows, partner] = ~lone
+        paired = single & single[partner]
+        first = np.flatnonzero(paired & (partner > rows))
+        blocks = [*np.flatnonzero(lone)[:, None], *np.stack([first, partner[first]], axis=1)]
+        unseen = ~(lone | paired)
+    for start in np.flatnonzero(unseen):
         if not unseen[start]:
             continue
         members = np.zeros_like(unseen)
@@ -141,12 +161,12 @@ def _diagonal_blocks(M: np.ndarray) -> list[np.ndarray]:
             members |= frontier
         unseen &= ~members
         blocks.append(np.flatnonzero(members))
-    return blocks
+    return sorted(blocks, key=lambda b: b[0])
 
 
 def _block_stacks(M: np.ndarray, blocks: list[np.ndarray]):
     """Equal-size blocks batched: (idx, stack), idx (k, s), stack[i] = M[idx[i]][:, idx[i]]."""
-    if len(blocks) == 1:
+    if len(blocks) == 1 and blocks[0].size == M.shape[0]:
         yield blocks[0][None], M[None]
         return
     for size in sorted({b.size for b in blocks}):
@@ -181,21 +201,76 @@ def _spectrum_order(w: np.ndarray) -> np.ndarray:
     return by_real[np.lexsort((w.imag[by_real], group))]
 
 
+def _frame(ops: LatticeOperators):
+    """Where the dense route reads V, H_tilde and D: the mirror's symmetric copies, or ops."""
+    return ops if ops.mirror is None else ops.mirror
+
+
+def _mirror_pairs(ops: LatticeOperators):
+    """(K, J, eps), K < J: rho -> W rho W^dagger maps coordinate K[i] to eps[i] times J[i].
+
+    In the mirror's basis W maps |a><a| to |a'><a'|, a' = N-1-a, S_ab to
+    s_a s_b S_b'a' and A_ab to -s_a s_b A_b'a' (s = ``ops.mirror.signs``).
+    The coordinates W maps to plus or minus themselves (|c><c| at the centre
+    c of odd N, S_aa' and A_aa') are left out: each lies in one sector.
+    """
+    N, s = ops.n_sites, ops.mirror.signs
+    rows, cols = np.triu_indices(N, 1)
+    pair = np.zeros((N, N), dtype=np.intp)
+    pair[rows, cols] = np.arange(rows.size)
+    image = pair[N - 1 - cols, N - 1 - rows]
+    sign = s[rows] * s[cols]
+    sigma = np.concatenate([np.arange(N)[::-1], N + image, N + rows.size + image])
+    eps = np.concatenate([np.ones(N), sign, -sign])
+    K = np.flatnonzero(np.arange(N * N) < sigma)
+    return K, sigma[K], eps[K]
+
+
+def _to_sectors(x: np.ndarray, pairs, inverse: bool = False) -> np.ndarray:
+    """Rotate axis 0 of x in place to the mirror's even and odd coordinates, or back.
+
+    With (K, J, eps) from :func:`_mirror_pairs`, x_K, x_J become
+    (x_K + eps x_J)/sqrt2 and (x_K - eps x_J)/sqrt2: even at K, odd at J.
+    Rows go in chunks of about _CHUNK entries.  A generator that commutes with
+    the mirror exactly gets exact zeros between the sectors, since every
+    entry pair there rounds the same sum.
+    """
+    K, J, eps = pairs
+    step = max(1, _CHUNK // max(1, x[0].size))
+    for lo in range(0, K.size, step):
+        k, j = K[lo:lo + step], J[lo:lo + step]
+        e = eps[lo:lo + step].reshape((-1,) + (1,) * (x.ndim - 1))
+        a, b = x[k], x[j]
+        if not inverse:
+            b *= e
+        total = a + b
+        a -= b
+        total *= _HALF
+        a *= _HALF
+        if inverse:
+            a *= e
+        x[k], x[j] = total, a
+    return x
+
+
 def _hermitian_basis_generator(ops: LatticeOperators, cap: int = SPECTRUM_CAP) -> np.ndarray:
     """The generator as a real N^2 x N^2 matrix in an orthonormal Hermitian basis.
 
-    The basis lives in P's eigenbasis: |a><a| (a = 0..N-1), then
-    S_ab = (|a><b| + |b><a|)/sqrt2 and A_ab = i(|a><b| - |b><a|)/sqrt2 over the
-    pairs a < b in ``np.triu_indices`` order.  The matrix is the real
-    antisymmetric one of -i[H_tilde, .] plus the diagonal (0_N, D_ab, D_ab).
+    The basis lives in P's eigenbasis (the mirror's, see :func:`_frame`):
+    |a><a| (a = 0..N-1), then S_ab = (|a><b| + |b><a|)/sqrt2 and
+    A_ab = i(|a><b| - |b><a|)/sqrt2 over the pairs a < b in ``np.triu_indices``
+    order.  The matrix is the real antisymmetric one of -i[H_tilde, .] plus
+    the diagonal (0_N, D_ab, D_ab).
     With z = H_tilde[e, c], A_ed = -A_de and c, d, e distinct, its entries are
     <S_de, S_cd> = -<A_de, A_cd> = Im z, <S_de, A_cd> = <A_de, S_cd> = Re z,
     <S_ce, |c><c|> = sqrt2 Im z, <A_ce, |c><c|> = sqrt2 Re z and
     <A_cd, S_cd> = H_tilde[d, d] - H_tilde[c, c]: O(N^3) entries, set by scatters.
+    With a mirror, rows and columns are then rotated by :func:`_to_sectors`.
     Raises ParameterError before allocating if N^2 exceeds ``cap``.
     """
     _check_cap(ops.n_sites, cap)
-    N, h = ops.n_sites, ops.H_tilde
+    frame = _frame(ops)
+    N, h = ops.n_sites, frame.H_tilde
     rows, cols = np.triu_indices(N, 1)
     n_pairs, sites = rows.size, np.arange(N)
     S = N + np.arange(n_pairs)                                  # index of S_ab; A_ab follows
@@ -224,7 +299,13 @@ def _hermitian_basis_generator(ops: LatticeOperators, cap: int = SPECTRUM_CAP) -
     energies = h.diagonal().real
     out[S + n_pairs, S] = energies[cols] - energies[rows]
     out[S, S + n_pairs] = energies[rows] - energies[cols]
-    out[S, S] = out[S + n_pairs, S + n_pairs] = ops.D[rows, cols]
+    out[S, S] = out[S + n_pairs, S + n_pairs] = frame.D[rows, cols]
+    if ops.mirror is not None:
+        pairs = _mirror_pairs(ops)
+        _to_sectors(out, pairs)
+        rows = max(1, _CHUNK // (N * N))
+        for lo in range(0, N * N, rows):    # columns, a cache-sized band of rows at a time
+            _to_sectors(out[lo:lo + rows].T, pairs)
     return out
 
 
@@ -256,23 +337,28 @@ def _hermitian_coords(ops: LatticeOperators, X: np.ndarray) -> np.ndarray:
     """Coordinates tr(B_k X) in the basis of :func:`_hermitian_basis_generator`.
 
     With Y = V^dagger X V they are diag Y, (Y_ab + Y_ba)/sqrt2 and
-    i(Y_ba - Y_ab)/sqrt2: complex-linear, isometric, and real for Hermitian X.
+    i(Y_ba - Y_ab)/sqrt2, rotated to the mirror sectors when there is a
+    mirror: complex-linear, isometric, and real for Hermitian X.
     """
-    Y = ops.V.conj().T @ X @ ops.V
+    V = _frame(ops).V
+    Y = V.conj().T @ X @ V
     rows, cols = np.triu_indices(ops.n_sites, 1)
     upper, lower = Y[rows, cols], Y[cols, rows]
-    return np.concatenate([Y.diagonal(), (upper + lower) / np.sqrt(2.0),
-                           1j * (lower - upper) / np.sqrt(2.0)])
+    x = np.concatenate([Y.diagonal(), (upper + lower) / np.sqrt(2.0),
+                        1j * (lower - upper) / np.sqrt(2.0)])
+    return x if ops.mirror is None else _to_sectors(x, _mirror_pairs(ops))
 
 
 def _from_hermitian_coords(ops: LatticeOperators, x: np.ndarray) -> np.ndarray:
     """Inverse of :func:`_hermitian_coords`: sum_k x_k B_k in the site basis."""
-    N = ops.n_sites
+    N, V = ops.n_sites, _frame(ops).V
+    if ops.mirror is not None:
+        x = _to_sectors(np.array(x, dtype=complex), _mirror_pairs(ops), inverse=True)
     rows, cols = np.triu_indices(N, 1)
     sym, anti = np.split(x[N:] / np.sqrt(2.0), 2)
     Y = np.diag(np.asarray(x[:N], dtype=complex))
     Y[rows, cols], Y[cols, rows] = sym + 1j * anti, sym - 1j * anti
-    return ops.V @ Y @ ops.V.conj().T
+    return V @ Y @ V.conj().T
 
 
 def _zero_tolerance(ops: LatticeOperators) -> float:
@@ -287,7 +373,7 @@ def _zero_tolerance(ops: LatticeOperators) -> float:
     return ZERO_TOL_SCALE * max(1.0, scale / ops.n_sites)
 
 
-def _stationary_kernel(ops: LatticeOperators, M: np.ndarray, blocks):
+def _stationary_kernel(ops: LatticeOperators, M: np.ndarray, blocks, values: bool = True):
     """Orthonormal real basis Q (columns) of ker M, and M's singular values, ascending.
 
     M = A + diag(d), A antisymmetric, d = (0_N, D_ab, D_ab) <= 0, so
@@ -295,23 +381,28 @@ def _stationary_kernel(ops: LatticeOperators, M: np.ndarray, blocks):
     d_k < 0, and there M x = A x = -M^T x: ker M = ker M^T, and Q Q^T is the
     spectral projector onto the stationary states.  So too |M x| >= min|d_k|
     |x| on a block whose d_k all exceed :func:`_zero_tolerance` in size: it
-    holds no kernel and gets a values-only SVD.  In every other block the
-    right singular vectors with singular values up to that threshold span
-    its part of the kernel, in the order of ``blocks``.
+    holds no kernel and gets a values-only SVD, or none when ``values`` is
+    False (then the singular values come back as None).  In every other
+    block the right singular vectors with singular values up to that
+    threshold span its part of the kernel, in the order of ``blocks``.
+    Blocks of one size share one batched SVD call per kind.
     """
     tol, d = _zero_tolerance(ops), M.diagonal()
-    columns, svals = [], []
-    for b in blocks:
-        M_b = M[b[:, None], b]
-        if np.abs(d[b]).min() > tol:
-            svals.append(np.linalg.svd(M_b, compute_uv=False))
+    found, svals = [], []
+    for idx, stack in _block_stacks(M, blocks):
+        decays = np.abs(d[idx]).min(axis=1) > tol
+        if values and decays.any():
+            svals.append(np.linalg.svd(stack[decays], compute_uv=False).ravel())
+        if decays.all():
             continue
-        _, s, Vt = np.linalg.svd(M_b)
-        svals.append(s)
-        for v in Vt[s <= tol]:
-            columns.append(np.zeros(M.shape[0]))
-            columns[-1][b] = v
-    return np.stack(columns, axis=1), np.sort(np.concatenate(svals))
+        idx = idx[~decays]
+        _, s, Vt = np.linalg.svd(stack[~decays])
+        svals.append(s.ravel())
+        found += [(idx[i, 0], j, idx[i], Vt[i, j]) for i, j in zip(*np.nonzero(s <= tol))]
+    Q = np.zeros((M.shape[0], len(found)))
+    for column, (*_, b, v) in enumerate(sorted(found, key=lambda f: f[:2])):
+        Q[b, column] = v
+    return Q, np.sort(np.concatenate(svals)) if values else None
 
 
 def stationary_states(ops: LatticeOperators) -> StationaryReport:

@@ -64,14 +64,51 @@ def hermitian_basis(n):
     return np.stack([vec(B) for B in basis], axis=1)
 
 
-def jump_eigenbasis_generator(ops):
-    """The dense L in P's eigenbasis, then in the Hermitian basis.
+def sector_rotation(ops):
+    """Orthogonal R taking ``hermitian_basis`` coordinates to the mirror's even and odd ones.
 
-    U^dagger W^dagger L W U with W = kron(conj(V), V) and U = ``hermitian_basis``.
+    Built from the mirror's action on the basis itself: with W_m the signed
+    reversal of ``ops.mirror``, each B_k maps to eps B_sigma(k); column k <
+    sigma(k) of R is (e_k + eps e_sigma(k))/sqrt2, column sigma(k) is
+    (e_k - eps e_sigma(k))/sqrt2, and a fixed coordinate keeps e_k.
+    Identity without a mirror.
     """
-    U = hermitian_basis(ops.n_sites)
-    W = np.kron(ops.V.conj(), ops.V)
-    return U.conj().T @ W.conj().T @ build_liouvillian(ops).L @ W @ U
+    n = ops.n_sites
+    if ops.mirror is None:
+        return np.eye(n * n)
+    W = np.zeros((n, n))
+    W[np.arange(n)[::-1], np.arange(n)] = ops.mirror.signs
+    U = hermitian_basis(n)
+    S = (U.conj().T @ np.kron(W, W) @ U).real      # W real: conj(W) = W
+    R = np.zeros((n * n, n * n))
+    for k in range(n * n):
+        j = int(np.argmax(np.abs(S[:, k])))
+        eps = S[j, k]
+        if j == k:
+            R[k, k] = 1.0
+        elif k < j:
+            R[[k, j], k] = np.array([1.0, eps]) / np.sqrt(2)
+            R[[k, j], j] = np.array([1.0, -eps]) / np.sqrt(2)
+    return R
+
+
+def generator_basis(ops):
+    """Columns vec(B_k) in the site basis of the basis the real generator M works in.
+
+    W U R with W = kron(conj(V), V) of the dense route's eigenbasis (the
+    mirror's when there is one), U = ``hermitian_basis`` and R = ``sector_rotation``.
+    """
+    V = ops.V if ops.mirror is None else ops.mirror.V
+    return np.kron(V.conj(), V) @ hermitian_basis(ops.n_sites) @ sector_rotation(ops)
+
+
+def jump_eigenbasis_generator(ops):
+    """The dense L in P's eigenbasis, then in the Hermitian basis (and the mirror sectors).
+
+    B^dagger L B with B = ``generator_basis``.
+    """
+    B = generator_basis(ops)
+    return B.conj().T @ build_liouvillian(ops).L @ B
 
 
 class ZeroStream:

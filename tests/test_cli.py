@@ -26,14 +26,21 @@ def write_config(tmp_path, obj, name="config.json"):
 
 
 def assert_taylor_record(generator, times):
-    """The Taylor route's manifest record: per-interval degree and substeps follow its bound."""
+    """The Taylor route's manifest record: per-interval degree and substeps follow its bound.
+
+    The a-posteriori last-term ratio of every interval shows a converged
+    series: its last term is far below its sum (0 for an empty interval).
+    """
     assert set(generator) == {"route", "arithmetic", "norm_bound", "taylor_degree", "substeps",
-                              "products"}
+                              "last_term_ratio", "products"}
     assert generator["route"] == "taylor" and generator["norm_bound"] > 0
     steps = [_taylor_steps(generator["norm_bound"] * t) for t in np.diff([0.0, *times])]
     assert generator["taylor_degree"] == [m for m, _ in steps]
     assert generator["substeps"] == [s for _, s in steps]
     assert sum(s for _, s in steps) <= generator["products"] <= sum(m * s for m, s in steps)
+    ratios = generator["last_term_ratio"]
+    assert len(ratios) == len(times)
+    assert all(0.0 < r <= 1e-10 if m else r == 0.0 for r, (m, _) in zip(ratios, steps))
 
 
 def spectra_config(tmp_path, **overrides):
@@ -153,6 +160,7 @@ def test_trajectories_side_check_runs_above_the_dense_propagation_cap(tmp_path):
     })
     generator = run_experiment(cfg)["diagnostics"]["generator"]
     assert generator.pop("structure") == "transpose_sector"
+    assert generator.pop("mirror") is True
     assert generator["arithmetic"] == "real"    # a site start in the transpose gauge
     assert_taylor_record(generator, [0.05])
     summary = json.loads((tmp_path / "traj" / "ensemble.json").read_text())
@@ -407,9 +415,12 @@ def test_each_generator_is_factored_once(tmp_path, monkeypatch):
         "experiment": "EntropyTrace", "model": model, "n_sites": 11,
         "times": [0.0, 1.0, 5.0], "output_dir": str(tmp_path / "ent"),
     })
-    # the propagator's eig, the SVD behind cond(V) and inv; the kernel's SVD
+    # the propagator's eig, the SVD behind cond(V) and inv; the kernel's SVD.  The centre
+    # site is mirror-symmetric and real in the transpose gauge: it reaches only the even
+    # sector of the symmetric block, 36 of the 121 coordinates
+    reached = 36 / 121
     assert count_dense_factorizations(monkeypatch, entropy) == \
-        {"eig": 1, "eigvals": 0, "svd": 2, "cond": 0, "inv": 1}
+        {"eig": reached, "eigvals": 0, "svd": 2 * reached, "cond": 0, "inv": reached}
     spectrum = validate_config({
         "experiment": "LiouvillianSpectrum", "model": model, "n_sites": 11,
         "output_dir": str(tmp_path / "lsp"),
@@ -423,8 +434,10 @@ def test_hatano_nelson_factors_its_dense_generator_once(tmp_path, monkeypatch):
         "experiment": "HatanoNelson", "model": {"type": "hatano_nelson", "J1": 1, "J2": 2},
         "n_sites": 9, "times": [0.5, 1.0], "output_dir": str(tmp_path / "hn"),
     })
+    # a site start reaches the symmetric block (45 of 81): eig there, eigvals of the rest
+    reached = 45 / 81
     assert count_dense_factorizations(monkeypatch, cfg) == \
-        {"eig": 1, "eigvals": 0, "svd": 1, "cond": 0, "inv": 1}
+        {"eig": reached, "eigvals": 1 - reached, "svd": reached, "cond": 0, "inv": reached}
 
 
 DENSE_ROUTE_CONFIGS = [
@@ -505,17 +518,23 @@ def test_jump_operator_is_diagonalized_once_per_experiment(tmp_path, monkeypatch
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("phi, entry", [
-    (0.0, {"structure": "commuting", "blocks": 28, "largest_block": 2}),
-    (PHI_HALF_PI, {"structure": "transpose_sector", "blocks": 2, "largest_block": 28}),
-    (0.7853981633974483, {"structure": "none", "blocks": 1, "largest_block": 49}),
+@pytest.mark.parametrize("phi, entry, factored", [
+    (0.0, {"structure": "commuting", "mirror": False, "blocks": 28, "largest_block": 2}, 28),
+    (PHI_HALF_PI, {"structure": "transpose_sector", "mirror": True, "blocks": 4,
+                   "largest_block": 16, "sector_sizes": [16, 12, 9, 12]}, 2),
+    (0.7853981633974483, {"structure": "none", "mirror": False, "blocks": 1,
+                          "largest_block": 49}, 1),
 ], ids=["commuting", "transpose_sector", "none"])
-def test_manifest_records_the_generator_structure(tmp_path, phi, entry):
+def test_manifest_records_the_generator_structure(tmp_path, phi, entry, factored):
     model = {"type": "cosine", "J": 1, "T": 0, "R": 1, "phi": phi}
     relax = validate_config({"experiment": "ObcRelax", "model": model, "n_sites": 7,
-                             "times": [0.5, 2.0], "output_dir": str(tmp_path / "relax")})
+                             "rho0_site": 2, "times": [0.5, 2.0],
+                             "output_dir": str(tmp_path / "relax")})
     generator = run_experiment(relax)["diagnostics"]["generator"]
     assert generator.pop("cond_V") >= 1.0
+    # a site start off the centre reaches both mirror sectors of the symmetric block only
+    assert generator.pop("factored_blocks") == factored
+    assert generator.pop("route") == "spectral"
     assert generator == entry
     spectrum = validate_config({"experiment": "LiouvillianSpectrum", "model": model,
                                 "n_sites": 7, "output_dir": str(tmp_path / "lsp")})
@@ -527,6 +546,7 @@ def test_manifest_records_the_generator_structure(tmp_path, phi, entry):
                               "output_dir": str(tmp_path / "taylor")})
     generator = run_experiment(taylor)["diagnostics"]["generator"]
     assert generator.pop("structure") == entry["structure"]
+    assert generator.pop("mirror") == entry["mirror"]
     assert_taylor_record(generator, [0.1, 0.35])
 
 
@@ -560,7 +580,7 @@ def largest_blocks(monkeypatch, cfg) -> dict:
     return sides
 
 
-@pytest.mark.parametrize("phi, largest", [(0.0, 2), (PHI_HALF_PI, 300)],
+@pytest.mark.parametrize("phi, largest", [(0.0, 2), (PHI_HALF_PI, 156)],
                          ids=["phi0", "phi_half_pi"])
 def test_superoperator_pass_factors_only_generator_blocks(tmp_path, monkeypatch, phi, largest):
     model = {"type": "cosine", "J": 1, "T": 0, "R": 1, "phi": phi}

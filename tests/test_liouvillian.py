@@ -260,14 +260,17 @@ def test_real_eigenvalues_cap_fails_before_allocating():
 
 
 def test_real_generator_assembly_allocates_little_beyond_its_output():
-    ops = build_hatano_nelson(1, 2, 40)
-    tracemalloc.start()
-    try:
-        M = _hermitian_basis_generator(ops)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.2 * M.nbytes
+    # the cosine chain at phi = pi/2 also rotates M to its mirror sectors after assembly
+    mirrored = build_obc(make_cosine_model(1, 0, 1, np.pi / 2), 40)
+    assert mirrored.mirror is not None
+    for ops in (build_hatano_nelson(1, 2, 40), mirrored):
+        tracemalloc.start()
+        try:
+            M = _hermitian_basis_generator(ops)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * M.nbytes
 
 
 def test_spectrum_order_is_stable_under_round_off_in_tied_real_parts():
@@ -283,10 +286,27 @@ def test_spectrum_order_is_stable_under_round_off_in_tied_real_parts():
     assert_multiset_close(rows[0], w, 1e-12)
 
 
-def expected_block_sizes(structure, n):
-    return {"none": [n * n],
-            "transpose_sector": sorted([n * (n + 1) // 2, n * (n - 1) // 2]),
-            "commuting": [1] * n + [2] * (n * (n - 1) // 2)}[structure]
+def expected_block_sizes(ops, structure):
+    """Block sizes of the real generator: the structure's blocks, each split in two by a mirror.
+
+    A mirror block of dimension d splits into (d + tr S)/2 and (d - tr S)/2,
+    tr S the sum of the signs of the coordinates the mirror fixes: |c><c| for
+    the centre c of odd N (+1), and S_aa', A_aa' for a' = N-1-a (+kappa and
+    -kappa, kappa = s_a s_a' the same for every a).
+    """
+    n = ops.n_sites
+    blocks = {"none": [(n * n, n % 2)],
+              "transpose_sector": [(n * (n + 1) // 2, n % 2), (n * (n - 1) // 2, 0)],
+              "commuting": [(1, 0)] * n + [(2, 0)] * (n * (n - 1) // 2)}[structure]
+    if ops.mirror is None:
+        return sorted(d for d, _ in blocks)
+    kappa = int(ops.mirror.signs[0] * ops.mirror.signs[-1])
+    if structure == "transpose_sector":
+        blocks = [(blocks[0][0], n % 2 + kappa * (n // 2)), (blocks[1][0], -kappa * (n // 2))]
+    return sorted(size for d, trace in blocks for size in ((d + trace) // 2, (d - trace) // 2))
+
+
+MIRROR_MODELS = {"cosine_phi_half_pi", "cosine_phi_half_pi_T05"}
 
 
 @pytest.mark.parametrize("name", SUITE_MODELS)
@@ -296,7 +316,8 @@ def test_blocked_factorizations_match_the_complex_generator(name):
     ops = build(n)
     L = build_liouvillian(ops).L
     blocks = _diagonal_blocks(_hermitian_basis_generator(ops))
-    assert sorted(b.size for b in blocks) == expected_block_sizes(structure, n)
+    assert (ops.mirror is not None) == (name in MIRROR_MODELS)
+    assert sorted(b.size for b in blocks) == expected_block_sizes(ops, structure)
     w = liouvillian_spectrum(LiouvillianMatrix(n, L))
     tol = 1e-10 * max(1.0, np.abs(w).max())
     prop = MasterPropagator(ops)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from conftest import (
     ZeroStream,
     assert_multiset_close,
-    hermitian_basis,
+    generator_basis,
     jump_eigenbasis_generator,
     site_basis_rk4,
 )
@@ -206,9 +206,8 @@ def test_hermitian_coordinates_are_the_documented_isometric_basis_change(ops, se
     N = ops.n_sites
     X = random_matrix(N, seed)
     x = _hermitian_coords(ops, X)
-    # oracle: U^dagger W^dagger vec(X), W = kron(conj(V), V), U = the documented basis
-    W = np.kron(ops.V.conj(), ops.V)
-    assert np.abs(x - hermitian_basis(N).conj().T @ W.conj().T @ vec(X)).max() <= 1e-13
+    # oracle: B^dagger vec(X), B = the documented basis (with the mirror's sector rotation)
+    assert np.abs(x - generator_basis(ops).conj().T @ vec(X)).max() <= 1e-13
     assert np.abs(_from_hermitian_coords(ops, x) - X).max() <= 1e-13
     y = random_matrix(N, seed + 1).ravel()
     assert np.abs(_hermitian_coords(ops, _from_hermitian_coords(ops, y)) - y).max() <= 1e-13
@@ -298,7 +297,8 @@ def test_real_rk4_of_sector_models_matches_site_basis_loop(ops, seed, t):
 @given(ops=lattices())
 def test_models_without_structure_keep_a_single_block(ops):
     M = _hermitian_basis_generator(ops)
-    assert ops.structure != "none" or len(_diagonal_blocks(M)) == 1
+    # a mirror alone splits the generator into its even and odd sectors
+    assert ops.structure != "none" or len(_diagonal_blocks(M)) == (1 if ops.mirror is None else 2)
 
 
 @PROFILE

@@ -2,9 +2,10 @@
 
 One config describes one experiment; running it writes CSV/JSON datasets plus
 a manifest recording the resolved configuration, its hash, the tool version,
-wall time, how the generator was factored, the numpy and scipy versions and
-the BLAS thread variables.  Numeric output files are byte-identical across
-reruns of the same config at a fixed BLAS pool size.
+wall time, how the generator was factored, the numpy and scipy versions, the
+BLAS library each of them links and the BLAS thread variables.  Numeric
+output files are byte-identical across reruns of the same config at a fixed
+BLAS pool size.
 
 Command line:
 
@@ -550,6 +551,18 @@ _RUNNERS = {
 }
 
 
+def _blas(package) -> dict | None:
+    """Name and version of the BLAS a numpy or scipy build links; None where its build config lacks it.
+
+    numpy and scipy wheels each bundle their own OpenBLAS, possibly of
+    different versions, so the same LAPACK call can differ in the last digits
+    between them.  Reading the build config imports nothing new.
+    """
+    config = getattr(getattr(package, "__config__", None), "CONFIG", None) or {}
+    blas = config.get("Build Dependencies", {}).get("blas")
+    return {"name": blas.get("name"), "version": blas.get("version")} if blas else None
+
+
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Execute one experiment; returns the manifest (also written to disk)."""
     outdir = Path(cfg.output_dir)
@@ -557,6 +570,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     start = time.perf_counter()
     diagnostics: dict = {"environment": {
         "numpy": np.__version__, "scipy": scipy.__version__,
+        "numpy_blas": _blas(np), "scipy_blas": _blas(scipy),
         **{var: os.environ.get(var) for var in BLAS_THREAD_VARS},
     }}
     try:

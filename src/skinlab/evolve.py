@@ -8,6 +8,12 @@ above a per-generator eigenbasis condition limit.  Lattices too large
 for the dense superoperator take the truncated Taylor series with scaling of
 exp(t L) rho, run in the jump operator's eigenbasis; fixed-step RK4 there is
 an independent cross-check.  All master routes end in the same state checks.
+
+scipy.linalg is imported only inside the expm fallback: importing it costs
+about 0.3 s of start-up (it pulls in numpy.f2py, numpy.testing and more), and
+most runs never take that fallback.  Where they do, expm runs on scipy's own
+OpenBLAS build, which the manifest's ``diagnostics.environment`` records as
+``scipy_blas`` next to numpy's ``numpy_blas``.
 """
 
 from __future__ import annotations
@@ -16,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericalFailure, ParameterError
 from .lattice_ops import SECTOR_TOL, LatticeOperators
@@ -216,8 +221,10 @@ class _SpectralExponential:
         for idx, w, V, V_inv in self._spectral:
             y = np.exp(w * t) * (V_inv @ x[idx][..., None])[..., 0]
             out[idx] = (V @ y[..., None])[..., 0]
+        if self._expm:
+            from scipy.linalg import expm
         for b, A_b in self._expm:
-            out[b] = scipy.linalg.expm(A_b * t) @ x[b]
+            out[b] = expm(A_b * t) @ x[b]
         return out
 
 

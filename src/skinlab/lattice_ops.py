@@ -4,6 +4,12 @@ Builds the dense Wannier-basis matrices H, P, P^2 and H_eff = H - (i/2) P^2
 for a band model truncated to N sites, plus the asymmetric-hopping chain with
 its long-range jump operator.  Dense storage throughout; N is a few hundred
 at most by design.
+
+scipy.linalg is imported only inside :func:`obc_spectrum`, so that runs which
+never call it skip its ~0.3 s import.  Its ``eig`` stays rather than
+numpy's: scipy links its own OpenBLAS build (see the manifest's
+``diagnostics.environment``), whose eigenvectors differ from numpy's in the
+last digits, and the Spectra outputs keep their bytes.
 """
 
 from __future__ import annotations
@@ -12,7 +18,6 @@ from dataclasses import InitVar, dataclass, field
 from enum import Enum
 
 import numpy as np
-import scipy.linalg
 
 from .band import BandModel, Coefficients, pbc_spectrum
 from .errors import NotPSDError, NumericalFailure, ParameterError
@@ -374,6 +379,8 @@ def obc_spectrum(ops: LatticeOperators) -> SpectrumReport:
         On eigensolver non-convergence, or when any eigenpair residual
         exceeds 1e-8 * ||H_eff||_2.
     """
+    import scipy.linalg
+
     try:
         w, V = scipy.linalg.eig(ops.H_eff)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here

@@ -1,9 +1,29 @@
+import os
+
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
 from skinlab import build_hatano_nelson, build_liouvillian, build_obc, make_cosine_model, vec
+from skinlab.cli import BLAS_THREAD_VARS
 from skinlab.lattice_ops import Construction
+
+
+def pytest_report_header(config):
+    """CPUs, load average and BLAS thread variables, with a warning when the CPUs are busy.
+
+    Two processes each running multithreaded BLAS on the same cores slow each
+    other several-fold, which shows up as slow tests and timings, never as a
+    failure.
+    """
+    nproc = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    load = os.getloadavg()
+    threads = ", ".join(f"{var}={os.environ.get(var)}" for var in BLAS_THREAD_VARS)
+    lines = [f"nproc {nproc}, load average {load[0]:.2f} {load[1]:.2f} {load[2]:.2f}; {threads}"]
+    if load[0] >= nproc:
+        lines.append(f"WARNING: 1-minute load {load[0]:.2f} >= nproc {nproc}: "
+                     "other processes compete for the CPUs, timings will be slow")
+    return lines
 
 
 def assert_multiset_close(a, b, tol):

@@ -3,13 +3,14 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy
 
 from skinlab import build_hatano_nelson, build_obc, make_cosine_model
-from skinlab.cli import load_config, main, run_experiment, validate_config
+from skinlab.cli import _blas, load_config, main, run_experiment, validate_config
 from skinlab.errors import ConfigError
 from skinlab.evolve import _taylor_steps
 from skinlab.serialize import matrix_from_json
@@ -17,6 +18,14 @@ from skinlab.serialize import matrix_from_json
 DENSE_LINALG = ("eig", "eigvals", "svd", "cond", "inv")
 
 PHI_HALF_PI = 1.5707963267948966
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def src_env(**extra) -> dict:
+    """The environment with this checkout's src first on PYTHONPATH, for a fresh interpreter."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, **extra, "PYTHONPATH": path}
 
 
 def write_config(tmp_path, obj, name="config.json"):
@@ -122,13 +131,64 @@ def test_manifest_records_the_environment_and_no_numeric_file_does(tmp_path, mon
         monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
         run_experiment(validate_config({**base, "output_dir": str(tmp_path / sub)}))
         manifests[sub] = json.loads((tmp_path / sub / "manifest.json").read_text())
-    assert manifests["b"]["diagnostics"]["environment"] == {
+    environment = manifests["b"]["diagnostics"]["environment"]
+    blas = {key: environment.pop(key) for key in ("numpy_blas", "scipy_blas")}
+    assert environment == {
         "numpy": np.__version__, "scipy": scipy.__version__,
         "OPENBLAS_NUM_THREADS": "7", "OMP_NUM_THREADS": "7", "MKL_NUM_THREADS": None,
     }
+    for key, package in (("numpy_blas", np), ("scipy_blas", scipy)):
+        expect = package.__config__.CONFIG["Build Dependencies"]["blas"]
+        assert blas[key] == {"name": expect["name"], "version": expect["version"]}
     assert manifests["a"]["diagnostics"]["environment"]["OPENBLAS_NUM_THREADS"] == "1"
     for name in manifests["a"]["outputs"]:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_blas_entry_is_null_where_a_build_config_lacks_it():
+    assert _blas(SimpleNamespace()) is None
+    assert _blas(SimpleNamespace(__config__=SimpleNamespace(CONFIG={"Build Dependencies": {}}))) is None
+    partial = SimpleNamespace(CONFIG={"Build Dependencies": {"blas": {"name": "openblas"}}})
+    assert _blas(SimpleNamespace(__config__=partial)) == {"name": "openblas", "version": None}
+
+
+# Runs configs one after another in a fresh interpreter and prints, after each,
+# whether scipy.linalg has been imported.
+LINALG_PROBE = """
+import json, sys
+import skinlab, skinlab.cli
+from skinlab.cli import load_config, run_experiment
+loaded = ["scipy.linalg" in sys.modules]
+for i, path in enumerate(sys.argv[2:]):
+    cfg = load_config(path)
+    cfg.output_dir = f"{sys.argv[1]}/{i}"
+    run_experiment(cfg)
+    loaded.append("scipy.linalg" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def scipy_linalg_loaded(tmp_path, configs) -> list:
+    """Whether scipy.linalg is loaded after importing skinlab.cli and after each config's run."""
+    out = subprocess.run([sys.executable, "-c", LINALG_PROBE, str(tmp_path), *map(str, configs)],
+                         env=src_env(), capture_output=True, text=True, timeout=300, check=True)
+    return json.loads(out.stdout)
+
+
+def test_scipy_linalg_loads_only_for_spectra_and_the_expm_fallback(tmp_path):
+    shipped = [ROOT / "configs" / f"{name}.json" for name in (
+        "trajectories_n11", "liouvillian_spectrum_n11", "entropy_trace_n11", "obc_relax_n11",
+        "bulk_relax")]
+    expm = write_config(tmp_path, {
+        "experiment": "EntropyTrace",
+        "model": {"type": "cosine", "J": 1, "T": 0, "R": 1, "phi": 0.7853981633974483},
+        "n_sites": 20, "times": [0.0, 1.0],
+    }, "expm.json")
+    assert scipy_linalg_loaded(tmp_path / "a", [*shipped, expm]) == [False] * 6 + [True]
+    manifest = json.loads((tmp_path / "a" / "5" / "manifest.json").read_text())
+    assert manifest["diagnostics"]["generator"]["route"] == "expm"
+    spectra = write_config(tmp_path, spectra_config(tmp_path, n_sites=8, n_k=16), "spectra.json")
+    assert scipy_linalg_loaded(tmp_path / "b", [spectra]) == [False, True]
 
 
 def test_trajectories_experiment_threads_do_not_change_bytes(tmp_path):
@@ -555,11 +615,8 @@ def test_commuting_stationary_file_is_canonical_under_blas_threads(tmp_path):
         "experiment": "LiouvillianSpectrum",
         "model": {"type": "cosine", "J": 1, "T": 0, "R": 1, "phi": 0.0}, "n_sites": 11,
     })
-    src = str(Path(__file__).resolve().parents[1] / "src")
     for threads in ("1", "2"):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
-               "MKL_NUM_THREADS": threads,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env = src_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
         subprocess.run([sys.executable, "-m", "skinlab.cli", "run", str(config),
                         "--out", str(tmp_path / threads)],
                        env=env, capture_output=True, timeout=300, check=True)

@@ -3,9 +3,12 @@
 One config describes one experiment; running it writes CSV/JSON datasets plus
 a manifest recording the resolved configuration, its hash, the tool version,
 wall time, how the generator was factored, the numpy and scipy versions, the
-BLAS library each of them links and the BLAS thread variables.  Numeric
-output files are byte-identical across reruns of the same config at a fixed
-BLAS pool size.
+BLAS library each of them links, the BLAS thread variables and what the run
+did with threads.  A run sets every OpenBLAS it finds to one thread and
+solves a generator's independent blocks side by side instead (see
+:mod:`skinlab._threads`), so numeric output files are byte-identical across
+reruns of the same config at any BLAS pool size; builds without the OpenBLAS
+thread control (MKL, Accelerate) promise that only at a fixed pool size.
 
 Command line:
 
@@ -30,6 +33,7 @@ import numpy as np
 import scipy
 
 from . import __version__
+from ._threads import pinned
 from .band import BandModel, make_cosine_model, pbc_spectrum
 from .bulk import bulk_wannier_density
 from .errors import ConfigError, SkinlabError
@@ -552,7 +556,7 @@ _RUNNERS = {
 
 
 def _blas(package) -> dict | None:
-    """Name and version of the BLAS a numpy or scipy build links; None where its build config lacks it.
+    """Name and version of the BLAS a numpy or scipy build links; None where its config lacks it.
 
     numpy and scipy wheels each bundle their own OpenBLAS, possibly of
     different versions, so the same LAPACK call can differ in the last digits
@@ -564,19 +568,26 @@ def _blas(package) -> dict | None:
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
-    """Execute one experiment; returns the manifest (also written to disk)."""
+    """Execute one experiment; returns the manifest (also written to disk).
+
+    The runner works inside :func:`skinlab._threads.pinned`: one BLAS thread
+    per LAPACK call, the pool size restored afterwards, also when it raises.
+    """
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    diagnostics: dict = {"environment": {
+    environment = {
         "numpy": np.__version__, "scipy": scipy.__version__,
         "numpy_blas": _blas(np), "scipy_blas": _blas(scipy),
         **{var: os.environ.get(var) for var in BLAS_THREAD_VARS},
-    }}
+    }
+    diagnostics: dict = {"environment": environment}
     try:
-        outputs = _RUNNERS[cfg.experiment](cfg, outdir, diagnostics)
+        with pinned() as pin:
+            outputs = _RUNNERS[cfg.experiment](cfg, outdir, diagnostics)
     except SkinlabError as exc:
         raise type(exc)(f"[{cfg.experiment}] {exc}") from exc
+    environment.update(pin.record())
     manifest = {
         "tool": "skinlab",
         "version": __version__,

@@ -2,7 +2,8 @@
 
 Propagation is exact-exponential: one helper diagonalizes the generator (L
 as a real matrix in P's eigenbasis, or -i H_eff for the no-jump wavefunction)
-once, block by block and only in the blocks the start reaches, and applies
+once, block by block (independent blocks side by side during a run, see
+:mod:`skinlab._threads`) and only in the blocks the start reaches, and applies
 exp(A t) spectrally for every time, falling back to scipy expm in a block
 above a per-generator eigenbasis condition limit.  Lattices too large
 for the dense superoperator take the truncated Taylor series with scaling of
@@ -13,7 +14,8 @@ scipy.linalg is imported only inside the expm fallback: importing it costs
 about 0.3 s of start-up (it pulls in numpy.f2py, numpy.testing and more), and
 most runs never take that fallback.  Where they do, expm runs on scipy's own
 OpenBLAS build, which the manifest's ``diagnostics.environment`` records as
-``scipy_blas`` next to numpy's ``numpy_blas``.
+``scipy_blas`` next to numpy's ``numpy_blas``, and which is pinned to one
+thread there, as numpy's is for the whole run.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._threads import blockwise, pin_loaded
 from .errors import NumericalFailure, ParameterError
 from .lattice_ops import SECTOR_TOL, LatticeOperators
 from .liouvillian import (
@@ -174,21 +177,38 @@ class _SpectralExponential:
         if not todo.any():
             return
         self._pending &= ~todo
-        real = np.isrealobj(self.A)
-        for idx, stack in _block_stacks(self.A, [b for b, t in zip(self.blocks, todo) if t]):
-            w, V = np.linalg.eig(stack)
-            R = _real_eigenbasis(w, V)[0] if real else V
-            s = np.linalg.svd(R, compute_uv=False)
+        stacks = _block_stacks(self.A, [b for b, t in zip(self.blocks, todo) if t])
+        for w, s, expm, spectral in blockwise(self._factor_stack, stacks):
             self._s_max = max(self._s_max, float(s[:, 0].max()))
             self._s_min = min(self._s_min, float(s[:, -1].min()))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                spectral = s[:, 0] / s[:, -1] <= self.cond_limit
             self._w.append(w.ravel())
-            self._expm += [(b, A_b) for b, A_b in zip(idx[~spectral], stack[~spectral])]
-            if spectral.any():
-                w, V = w[spectral], V[spectral]
-                V_inv = _inverse_from_real(*_real_eigenbasis(w, V)) if real else np.linalg.inv(V)
-                self._spectral.append((idx[spectral], w, V, V_inv))
+            self._expm += expm
+            if spectral is not None:
+                self._spectral.append(spectral)
+
+    def _factor_stack(self, item):
+        """One stack (idx, A_stack): eigenvalues, singular values of the eigenbasis, expm, the rest.
+
+        The singular values are those of R of :func:`_real_eigenbasis` for real
+        A.  Blocks above ``cond_limit`` come back as (b, A_b) for expm, the
+        others as (idx, w, V, V^-1), or None when there are none.
+        """
+        idx, stack = item
+        real = np.isrealobj(stack)
+        w_all, V = np.linalg.eig(stack)
+        R, pairs = _real_eigenbasis(w_all, V) if real else (V, None)
+        s = np.linalg.svd(R, compute_uv=False)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ok = s[:, 0] / s[:, -1] <= self.cond_limit
+        expm = list(zip(idx[~ok], stack[~ok]))
+        if not ok.any():
+            return w_all, s, expm, None
+        w = w_all
+        if not ok.all():
+            idx, w, V = idx[ok], w_all[ok], V[ok]
+            R, pairs = _real_eigenbasis(w, V) if real else (V, None)
+        V_inv = _inverse_from_real(R, pairs) if real else np.linalg.inv(R)
+        return w_all, s, expm, (idx, w, V, V_inv)
 
     @property
     def cond(self) -> float:
@@ -207,8 +227,8 @@ class _SpectralExponential:
     @property
     def eigenvalues(self) -> np.ndarray:
         """A's eigenvalues, unsorted: the factored blocks' from eig, the rest's from eigvals."""
-        rest = [b for b, pending in zip(self.blocks, self._pending) if pending]
-        return np.concatenate(self._w + ([_block_eigenvalues(self.A, rest)] if rest else []))
+        rest = _block_stacks(self.A, [b for b, todo in zip(self.blocks, self._pending) if todo])
+        return np.concatenate(self._w + ([_block_eigenvalues(rest)] if rest else []))
 
     def apply(self, x: np.ndarray, t: float) -> np.ndarray:
         """exp(A t) x; t = 0 returns x itself, free of V V^-1 round-off, as RK4 does."""
@@ -223,6 +243,7 @@ class _SpectralExponential:
             out[idx] = (V @ y[..., None])[..., 0]
         if self._expm:
             from scipy.linalg import expm
+            pin_loaded()
         for b, A_b in self._expm:
             out[b] = expm(A_b * t) @ x[b]
         return out
@@ -289,7 +310,7 @@ class MasterPropagator(_SpectralExponential):
         """
         x = _hermitian_coords(self.ops, _matrix(rho0))
         reached = [b for b, on in zip(self.blocks, self._reached(x)) if on]
-        Q = _stationary_kernel(self.ops, self.A, reached, values=False)[0]
+        Q = _stationary_kernel(self.ops, _block_stacks(self.A, reached), values=False)[0]
         parts = x.view(float).reshape(-1, 2)
         rho = _from_hermitian_coords(self.ops, (Q @ (Q.T @ parts)).view(complex).ravel())
         return 0.5 * (rho + rho.conj().T)

@@ -9,7 +9,8 @@ scipy.linalg is imported only inside :func:`obc_spectrum`, so that runs which
 never call it skip its ~0.3 s import.  Its ``eig`` stays rather than
 numpy's: scipy links its own OpenBLAS build (see the manifest's
 ``diagnostics.environment``), whose eigenvectors differ from numpy's in the
-last digits, and the Spectra outputs keep their bytes.
+last digits, and the Spectra outputs keep their bytes.  During a run that
+build is pinned to one thread once imported (:func:`skinlab._threads.pin_loaded`).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from enum import Enum
 
 import numpy as np
 
+from ._threads import pin_loaded
 from .band import BandModel, Coefficients, pbc_spectrum
 from .errors import NotPSDError, NumericalFailure, ParameterError
 
@@ -380,6 +382,7 @@ def obc_spectrum(ops: LatticeOperators) -> SpectrumReport:
         exceeds 1e-8 * ||H_eff||_2.
     """
     import scipy.linalg
+    pin_loaded()
 
     try:
         w, V = scipy.linalg.eig(ops.H_eff)

@@ -17,9 +17,11 @@ above is frozen package-wide.
 L preserves Hermiticity, so in an orthonormal basis of Hermitian matrices it
 is a real matrix M with the same spectrum, singular values and cond(V); every
 dense solve runs on M, assembled in P's eigenbasis from H_tilde and D, one
-diagonal block (connected component of its nonzero pattern) at a time.  A
-model with a mirror (:class:`skinlab.lattice_ops.Mirror`) has M rotated to
-the mirror's even and odd coordinates, so its blocks are the mirror sectors.
+diagonal block (connected component of its nonzero pattern) at a time, with
+independent blocks solved side by side during a run
+(:func:`skinlab._threads.blockwise`).  A model with a mirror
+(:class:`skinlab.lattice_ops.Mirror`) has M rotated to the mirror's even and
+odd coordinates, so its blocks are the mirror sectors.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._threads import blockwise
 from .errors import NumericalFailure, ParameterError
 from .lattice_ops import LatticeOperators
 
@@ -164,21 +167,28 @@ def _diagonal_blocks(M: np.ndarray) -> list[np.ndarray]:
     return sorted(blocks, key=lambda b: b[0])
 
 
-def _block_stacks(M: np.ndarray, blocks: list[np.ndarray]):
-    """Equal-size blocks batched: (idx, stack), idx (k, s), stack[i] = M[idx[i]][:, idx[i]]."""
+def _block_stacks(M: np.ndarray, blocks: list[np.ndarray]) -> list:
+    """Equal-size blocks batched, largest first: (idx, stack) pairs.
+
+    idx is (k, s) and stack[i] = M[idx[i]][:, idx[i]].
+    """
     if len(blocks) == 1 and blocks[0].size == M.shape[0]:
-        yield blocks[0][None], M[None]
-        return
-    for size in sorted({b.size for b in blocks}):
+        return [(blocks[0][None], M[None])]
+    stacks = []
+    for size in sorted({b.size for b in blocks}, reverse=True):
         idx = np.stack([b for b in blocks if b.size == size])
-        yield idx, M[idx[:, :, None], idx[:, None, :]]
+        stacks.append((idx, M[idx[:, :, None], idx[:, None, :]]))
+    return stacks
 
 
-def _block_eigenvalues(M: np.ndarray, blocks: list[np.ndarray]) -> np.ndarray:
-    """Eigenvalues of M, one ``eigvals`` per size group of blocks, in :func:`_spectrum_order`."""
+def _block_eigenvalues(stacks) -> np.ndarray:
+    """Eigenvalues of the (idx, stack) pairs of :func:`_block_stacks`, in :func:`_spectrum_order`.
+
+    One ``eigvals`` per stack, the stacks solved side by side (:func:`blockwise`).
+    """
     try:
-        w = np.concatenate([np.linalg.eigvals(stack).ravel()
-                            for _, stack in _block_stacks(M, blocks)])
+        w = np.concatenate([w.ravel() for w in
+                            blockwise(lambda item: np.linalg.eigvals(item[1]), stacks)])
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise NumericalFailure(f"eigensolver did not converge: {exc}") from exc
     return w[_spectrum_order(w)]
@@ -327,10 +337,16 @@ def liouvillian_eigenvalues(ops: LatticeOperators, cap: int = SPECTRUM_CAP) -> n
 
 
 def _blocked_eigenvalues(ops: LatticeOperators, cap: int = SPECTRUM_CAP):
-    """:func:`liouvillian_eigenvalues` and the generator's block sizes."""
+    """:func:`liouvillian_eigenvalues` and the generator's block sizes.
+
+    M is dropped once its blocks are cut out, so blocks solved side by side
+    need no more memory than M.
+    """
     M = _hermitian_basis_generator(ops, cap)
     blocks = _diagonal_blocks(M)
-    return _block_eigenvalues(M, blocks), [b.size for b in blocks]
+    stacks = _block_stacks(M, blocks)
+    del M
+    return _block_eigenvalues(stacks), [b.size for b in blocks]
 
 
 def _hermitian_coords(ops: LatticeOperators, X: np.ndarray) -> np.ndarray:
@@ -373,33 +389,46 @@ def _zero_tolerance(ops: LatticeOperators) -> float:
     return ZERO_TOL_SCALE * max(1.0, scale / ops.n_sites)
 
 
-def _stationary_kernel(ops: LatticeOperators, M: np.ndarray, blocks, values: bool = True):
+def _stationary_kernel(ops: LatticeOperators, stacks, values: bool = True):
     """Orthonormal real basis Q (columns) of ker M, and M's singular values, ascending.
 
-    M = A + diag(d), A antisymmetric, d = (0_N, D_ab, D_ab) <= 0, so
-    x^T M x = sum_k d_k x_k^2 for real x.  So a kernel vector vanishes where
-    d_k < 0, and there M x = A x = -M^T x: ker M = ker M^T, and Q Q^T is the
-    spectral projector onto the stationary states.  So too |M x| >= min|d_k|
-    |x| on a block whose d_k all exceed :func:`_zero_tolerance` in size: it
-    holds no kernel and gets a values-only SVD, or none when ``values`` is
-    False (then the singular values come back as None).  In every other
-    block the right singular vectors with singular values up to that
-    threshold span its part of the kernel, in the order of ``blocks``.
-    Blocks of one size share one batched SVD call per kind.
+    ``stacks`` are (idx, stack) pairs of :func:`_block_stacks` covering the
+    blocks of M to search.  M = A + diag(d), A antisymmetric,
+    d = (0_N, D_ab, D_ab) <= 0, so x^T M x = sum_k d_k x_k^2 for real x.  So
+    a kernel vector vanishes where d_k < 0, and there M x = A x = -M^T x:
+    ker M = ker M^T, and Q Q^T is the spectral projector onto the stationary
+    states.  So too |M x| >= min|d_k| |x| on a block whose d_k all exceed
+    :func:`_zero_tolerance` in size: it holds no kernel and gets a
+    values-only SVD, or none when ``values`` is False (then the singular
+    values come back as None).  In every other block the right singular
+    vectors with singular values up to that threshold span its part of the
+    kernel, in the order of the blocks' first index.  Blocks of one size
+    share one batched SVD call per kind, and the stacks are solved side by
+    side (:func:`blockwise`).
     """
-    tol, d = _zero_tolerance(ops), M.diagonal()
-    found, svals = [], []
-    for idx, stack in _block_stacks(M, blocks):
-        decays = np.abs(d[idx]).min(axis=1) > tol
+    tol = _zero_tolerance(ops)
+
+    def solve(item):
+        idx, stack = item
+        decays = np.abs(np.diagonal(stack, axis1=1, axis2=2)).min(axis=1) > tol
+        svals, found = [], []
+        # a mask that keeps the whole stack takes it uncopied, and the kernel vectors are
+        # copied out of Vt: blocks solved side by side each hold no more than they must
         if values and decays.any():
-            svals.append(np.linalg.svd(stack[decays], compute_uv=False).ravel())
-        if decays.all():
-            continue
-        idx = idx[~decays]
-        _, s, Vt = np.linalg.svd(stack[~decays])
-        svals.append(s.ravel())
-        found += [(idx[i, 0], j, idx[i], Vt[i, j]) for i, j in zip(*np.nonzero(s <= tol))]
-    Q = np.zeros((M.shape[0], len(found)))
+            svals.append(np.linalg.svd(stack if decays.all() else stack[decays],
+                                       compute_uv=False).ravel())
+        if not decays.all():
+            idx = idx[~decays]
+            _, s, Vt = np.linalg.svd(stack[~decays] if decays.any() else stack)
+            svals.append(s.ravel())
+            found = [(idx[i, 0], j, idx[i], Vt[i, j].copy()) for i, j in zip(*np.nonzero(s <= tol))]
+        return svals, found
+
+    found, svals = [], []
+    for block_svals, block_found in blockwise(solve, stacks):
+        svals += block_svals
+        found += block_found
+    Q = np.zeros((ops.n_sites**2, len(found)))
     for column, (*_, b, v) in enumerate(sorted(found, key=lambda f: f[:2])):
         Q[b, column] = v
     return Q, np.sort(np.concatenate(svals)) if values else None
@@ -415,7 +444,9 @@ def stationary_states(ops: LatticeOperators) -> StationaryReport:
     """
     M = _hermitian_basis_generator(ops)
     blocks = _diagonal_blocks(M)
-    Q, svals = _stationary_kernel(ops, M, blocks)
+    stacks = _block_stacks(M, blocks)
+    del M                   # the stacks hold all the rest needs
+    Q, svals = _stationary_kernel(ops, stacks)
     kernel = [_from_hermitian_coords(ops, q) for q in Q.T]
     multiplicity = len(kernel)
 
@@ -430,7 +461,7 @@ def stationary_states(ops: LatticeOperators) -> StationaryReport:
     basis = [m / tr if abs(tr) > 1e-8 else m for m, tr in zip(basis, traces)]
     vectors = np.stack([vec(m) for m in kernel], axis=1)
     return StationaryReport(multiplicity, basis, vectors, gap_ratio, ill_conditioned,
-                            _block_eigenvalues(M, blocks), [b.size for b in blocks])
+                            _block_eigenvalues(stacks), [b.size for b in blocks])
 
 
 def kernel_overlap(report: StationaryReport, rho: np.ndarray) -> float:

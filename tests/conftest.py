@@ -9,12 +9,15 @@ from skinlab.cli import BLAS_THREAD_VARS
 from skinlab.lattice_ops import Construction
 
 
-def pytest_report_header(config):
+HOST_LINES = pytest.StashKey[list]()
+
+
+def pytest_configure(config):
     """CPUs, load average and BLAS thread variables, with a warning when the CPUs are busy.
 
     Two processes each running multithreaded BLAS on the same cores slow each
     other several-fold, which shows up as slow tests and timings, never as a
-    failure.
+    failure.  Read once at start-up for the header and the terminal summary.
     """
     nproc = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     load = os.getloadavg()
@@ -23,7 +26,19 @@ def pytest_report_header(config):
     if load[0] >= nproc:
         lines.append(f"WARNING: 1-minute load {load[0]:.2f} >= nproc {nproc}: "
                      "other processes compete for the CPUs, timings will be slow")
-    return lines
+    config.stash[HOST_LINES] = lines
+
+
+def pytest_report_header(config):
+    return config.stash[HOST_LINES]
+
+
+def pytest_terminal_summary(terminalreporter, config):
+    """The high-load warning again where the header is not shown (``pytest -q``)."""
+    header_shown = terminalreporter.showheader and not terminalreporter.no_header
+    if not header_shown:
+        for line in config.stash[HOST_LINES][1:]:
+            terminalreporter.write_line(line, yellow=True, bold=True)
 
 
 def assert_multiset_close(a, b, tol):

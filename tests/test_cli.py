@@ -10,6 +10,7 @@ import pytest
 import scipy
 
 from skinlab import build_hatano_nelson, build_obc, make_cosine_model
+from skinlab._threads import EXTENSIONS, _controls, _cores
 from skinlab.cli import _blas, load_config, main, run_experiment, validate_config
 from skinlab.errors import ConfigError
 from skinlab.evolve import _taylor_steps
@@ -133,9 +134,17 @@ def test_manifest_records_the_environment_and_no_numeric_file_does(tmp_path, mon
         manifests[sub] = json.loads((tmp_path / sub / "manifest.json").read_text())
     environment = manifests["b"]["diagnostics"]["environment"]
     blas = {key: environment.pop(key) for key in ("numpy_blas", "scipy_blas")}
+    # the pool size numpy's OpenBLAS reports (the variables count only at start-up), and
+    # the OpenBLAS builds of the libraries loaded here, all pinned while the runner ran
+    controls = {name: _controls(sys.modules[module].__file__)
+                for name, module in EXTENSIONS.items() if module in sys.modules}
+    pool = controls["numpy"][0]() if controls["numpy"] else None
     assert environment == {
         "numpy": np.__version__, "scipy": scipy.__version__,
         "OPENBLAS_NUM_THREADS": "7", "OMP_NUM_THREADS": "7", "MKL_NUM_THREADS": None,
+        "blas_threads": pool,
+        "blas_pinned": [name for name, found in controls.items() if found],
+        "block_workers": _cores() - 1 if pool else 0,
     }
     for key, package in (("numpy_blas", np), ("scipy_blas", scipy)):
         expect = package.__config__.CONFIG["Build Dependencies"]["blas"]
@@ -189,6 +198,12 @@ def test_scipy_linalg_loads_only_for_spectra_and_the_expm_fallback(tmp_path):
     assert manifest["diagnostics"]["generator"]["route"] == "expm"
     spectra = write_config(tmp_path, spectra_config(tmp_path, n_sites=8, n_k=16), "spectra.json")
     assert scipy_linalg_loaded(tmp_path / "b", [spectra]) == [False, True]
+    # scipy's OpenBLAS is pinned where scipy.linalg is first imported, as numpy's is
+    if _controls(np.linalg._umath_linalg.__file__) is not None:
+        pinned = [json.loads((tmp_path / run / "0" / "manifest.json").read_text())
+                  ["diagnostics"]["environment"]["blas_pinned"] for run in ("a", "b")]
+        scipy_found = _controls(sys.modules[EXTENSIONS["scipy"]].__file__) is not None
+        assert pinned == [["numpy"], ["numpy"] + ["scipy"] * scipy_found]
 
 
 def test_trajectories_experiment_threads_do_not_change_bytes(tmp_path):

@@ -68,7 +68,7 @@ from .serialize import (
     write_csv,
     write_json,
 )
-from .trajectories import run_ensemble
+from .trajectories import _schedule, run_ensemble
 
 EXPERIMENTS = (
     "Spectra",
@@ -480,6 +480,11 @@ def _run_trajectories(cfg: ExperimentConfig, outdir: Path, diagnostics: dict) ->
     psi0[cfg.rho0_site - 1] = 1.0
     ens = run_ensemble(ops, psi0, cfg.t_final, cfg.dt, cfg.n_traj,
                        cfg.master_seed, cfg.n_threads)
+    drift = float(np.abs(ens.norms - 1.0).max())
+    chunks, workers = _schedule(cfg.n_traj, cfg.n_threads)
+    diagnostics["trajectories"] = {"steps": round(cfg.t_final / cfg.dt),
+                                   "tiles": sum(len(tiles) for tiles in chunks),
+                                   "workers": workers, "max_norm_drift": drift}
     sites = np.arange(1, cfg.n_sites + 1)
     cols = ["n", "m", "re", "im", "abs"]
     write_csv(outdir / "rho_estimate.csv", cols, density_rows(sites, ens.rho_estimate),
@@ -492,7 +497,7 @@ def _run_trajectories(cfg: ExperimentConfig, outdir: Path, diagnostics: dict) ->
         "dt": ens.dt,
         "t_final": ens.t_final,
         "standard_error": ens.standard_error,
-        "max_norm_drift": float(np.abs(ens.norms - 1.0).max()),
+        "max_norm_drift": drift,
         "rho_estimate": matrix_to_json(ens.rho_estimate),
     }
     rho0 = DensityMatrix.site(cfg.n_sites, cfg.rho0_site)

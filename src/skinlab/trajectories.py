@@ -14,13 +14,18 @@ The step is applied in the eigenbasis of P = V diag(p) V^dagger, where the
 jump factor is the elementwise phase exp(-i p dW) and the Hamiltonian
 half-steps of adjacent steps fuse into W = V^dagger exp(-i H dt) V.  P's
 eigenbasis comes with the lattice operators and H_tilde = V^dagger H V is
-diagonalized once per run, so one step of a whole batch of trajectories is a
-phase multiply and one matrix product.
+diagonalized once per run.  The phases of a block of steps (about
+``PHASE_BLOCK`` of them) are taken at once from the real angles -p dW as
+cos + i sin, so one step of a batch of trajectories is a phase multiply and
+one matrix product.
 
-Noise streams are counter-based (Philox): independent trajectories use the
-same master key jumped by the trajectory index, so any trajectory can be
-regenerated in isolation and ensembles reduce deterministically no matter
-how the work is scheduled.
+Noise streams are counter-based (Philox): trajectory j of master seed s is
+the stream of key s whose counter starts at j * 2**128, the master stream
+jumped j times, so any trajectory can be regenerated in isolation.  An
+ensemble is evolved in fixed tiles of ``TILE`` trajectories, spread over
+``n_threads`` threads (the caller included), and reduced chunk by chunk of
+``CHUNK`` trajectories in a fixed order, so its bytes do not depend on how
+the work is scheduled and its noise memory is a tile per thread.
 """
 
 from __future__ import annotations
@@ -36,7 +41,9 @@ from .errors import ParameterError
 from .lattice_ops import LatticeOperators
 
 MAX_DT = 0.01
-CHUNK = 512  # trajectories integrated per batch; fixed so reductions never reorder
+CHUNK = 512  # trajectories reduced per batch; fixed so reductions never reorder
+TILE = 64    # trajectories evolved per task; CHUNK is a multiple of it
+PHASE_BLOCK = 2**13  # jump phases taken per cos/sin call
 
 
 class NoiseStream:
@@ -45,11 +52,13 @@ class NoiseStream:
     def __init__(self, master_seed: int, trajectory_index: int = 0):
         if master_seed < 0:
             raise ParameterError(f"master_seed must be >= 0, got {master_seed}")
-        if trajectory_index < 0:
-            raise ParameterError(f"trajectory_index must be >= 0, got {trajectory_index}")
+        if not 0 <= trajectory_index < 2**128:   # j * 2**128 fills the counter's top two words
+            raise ParameterError(
+                f"trajectory_index must be in [0, 2**128), got {trajectory_index}")
         self.master_seed = int(master_seed)
         self.trajectory_index = int(trajectory_index)
-        bitgen = np.random.Philox(key=self.master_seed).jumped(self.trajectory_index)
+        # the master stream jumped j times: Philox(key).jumped(j) adds j * 2**128 to the counter
+        bitgen = np.random.Philox(key=self.master_seed, counter=self.trajectory_index << 128)
         self._gen = np.random.Generator(bitgen)
 
     def standard_normal(self, size=None):
@@ -89,6 +98,20 @@ def _split_factors(ops: LatticeOperators, dt: float):
     return ops.p, ops.V, W_half, W_half @ W_half
 
 
+def _jump_phases(p: np.ndarray, dW: np.ndarray, angle: np.ndarray, z: np.ndarray) -> None:
+    """z[s, a, j] = exp(-i p[a] dW[j, s]) for a (c, steps) block of increments.
+
+    Taken as cos + i sin of the real angles, into ``angle`` and ``z`` of
+    shape (steps, N, c).  These are the bits of the complex exp of
+    np.outer(-1j * p, dW[:, s]), whose real parts are +-0 and whose
+    imaginary parts are -(p dW), +0 rather than -0 where p dW is 0.
+    """
+    np.multiply(p[:, None], dW.T[:, None, :], out=angle)
+    np.subtract(0.0, angle, out=angle)
+    np.cos(angle, out=z.real)
+    np.sin(angle, out=z.imag)
+
+
 def _split_evolve(factors, psi0: np.ndarray, dW: np.ndarray, return_path: bool = False):
     """Strang-split evolution of c copies of psi0, one step per column of dW.
 
@@ -96,19 +119,28 @@ def _split_evolve(factors, psi0: np.ndarray, dW: np.ndarray, return_path: bool =
     Returns the final states as a (c, N) array, or with ``return_path`` the
     (n_steps + 1, c, N) path starting at psi0.  The state is carried in P's
     eigenbasis as an N x c array, so each step is one phase multiply and one
-    GEMM for the whole batch; W_half is applied only at the ends.
+    GEMM for the whole batch; W_half is applied only at the ends.  The phases
+    of a block of steps, about ``PHASE_BLOCK`` of them, come from one
+    :func:`_jump_phases`.
     """
     p, V, W_half, W = factors
     psi0 = np.asarray(psi0, dtype=complex)
     c, n_steps = dW.shape
     phi = np.repeat((W_half @ (V.conj().T @ psi0))[:, None], c, axis=1)
     path = [np.repeat(psi0[:, None], c, axis=1)] if return_path else None
-    for s in range(n_steps):
-        if s:
-            phi = W @ phi
-        phi *= np.exp(np.outer(-1j * p, dW[:, s]))
-        if return_path:
-            path.append(V @ (W_half @ phi))
+    block = min(n_steps, max(1, PHASE_BLOCK // (p.size * c)))
+    angle = np.empty((block, p.size, c))
+    phases = np.empty((block, p.size, c), dtype=complex)
+    for lo in range(0, n_steps, block):
+        steps = min(block, n_steps - lo)
+        z = phases[:steps]
+        _jump_phases(p, dW[:, lo:lo + steps], angle[:steps], z)
+        for s in range(steps):
+            if lo + s:
+                phi = W @ phi
+            phi *= z[s]
+            if return_path:
+                path.append(V @ (W_half @ phi))
     if return_path:
         return np.stack(path).transpose(0, 2, 1)
     return np.ascontiguousarray((V @ (W_half @ phi)).T)
@@ -156,12 +188,44 @@ def _pairwise_sum(stack: np.ndarray) -> np.ndarray:
     return stack[0]
 
 
-def _integrate_chunk(factors, psi0, dt, n_steps, master_seed, indices):
-    """Integrate one fixed chunk of trajectories; returns reduction pieces."""
+def _wiener_rows(master_seed: int, indices: range, n_steps: int, dt: float) -> np.ndarray:
+    """Row r: ``NoiseStream(master_seed, indices[r]).wiener_increments(n_steps, dt)``.
+
+    The first stream's Philox is rewound to each next stream's counter
+    instead of a generator being built per trajectory.
+    """
+    gen = NoiseStream(master_seed, indices[0])._gen
+    bitgen = gen.bit_generator
+    state = bitgen.state
+    counter = state["state"]["counter"]
     dW = np.empty((len(indices), n_steps))
-    for row, j in enumerate(indices):
-        dW[row] = NoiseStream(master_seed, j).wiener_increments(n_steps, dt)
-    psi = _split_evolve(factors, psi0, dW)
+    for row, j in zip(dW, indices):
+        counter[2:] = j % 2**64, j >> 64
+        bitgen.state = state
+        gen.standard_normal(out=row)
+    dW *= math.sqrt(dt)
+    return dW
+
+
+def _schedule(n_traj: int, n_threads: int):
+    """Tiles of each chunk, as index ranges, and the threads that evolve them.
+
+    Fixed by ``n_traj`` and ``n_threads`` alone: each chunk's tiles are dealt
+    round-robin to min(n_threads, tiles in a chunk) threads, the caller first.
+    """
+    chunks = [[range(t, min(t + TILE, hi)) for t in range(lo, hi, TILE)]
+              for lo, hi in ((lo, min(lo + CHUNK, n_traj)) for lo in range(0, n_traj, CHUNK))]
+    return chunks, max(1, min(n_threads, len(chunks[0])))
+
+
+def _evolve_tiles(factors, psi0, dt, n_steps, master_seed, tiles) -> list:
+    """Final states of each tile's trajectories, one ``_split_evolve`` per tile."""
+    return [_split_evolve(factors, psi0, _wiener_rows(master_seed, indices, n_steps, dt))
+            for indices in tiles]
+
+
+def _reduce_chunk(psi: np.ndarray) -> dict:
+    """Reduction pieces of one chunk's final states, (c, N)."""
     projectors = psi[:, :, None] * psi[:, None, :].conj()
     return {
         "proj_sum": _pairwise_sum(projectors),
@@ -183,21 +247,27 @@ def run_ensemble(
 ) -> TrajectoryEnsemble:
     """Seeded trajectory ensemble reduced to a density-matrix estimate.
 
-    The ensemble is split into fixed-size chunks whose composition does not
-    depend on ``n_threads``; chunk results are combined by a pairwise tree in
-    chunk order, so the output is bit-identical for any thread count.
+    The ensemble is split into fixed chunks of ``CHUNK`` trajectories, each
+    evolved as tiles of ``TILE`` on up to ``n_threads`` threads, the caller
+    among them; a chunk is reduced from its tiles' states in index order and
+    chunk results are combined by a pairwise tree in chunk order, so the
+    output is bit-identical for any thread count.  Chunks run one after
+    another, so at most one tile of noise per thread is held at a time.
     """
     if n_traj < 2:
         raise ParameterError(f"need n_traj >= 2, got {n_traj}")
     n_steps = _validate_run(t_final, dt)
-    chunks = [range(lo, min(lo + CHUNK, n_traj)) for lo in range(0, n_traj, CHUNK)]
+    chunks, workers = _schedule(n_traj, n_threads)
     factors = _split_factors(ops, dt)
-    work = [(factors, psi0, dt, n_steps, master_seed, idx) for idx in chunks]
-    if n_threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=n_threads) as pool:
-            parts = list(pool.map(lambda args: _integrate_chunk(*args), work))
-    else:
-        parts = [_integrate_chunk(*args) for args in work]
+    work = (factors, psi0, dt, n_steps, master_seed)
+    parts = []
+    with concurrent.futures.ThreadPoolExecutor(max(1, workers - 1), "skinlab-tile") as pool:
+        for tiles in chunks:
+            n = min(workers, len(tiles))
+            futures = [pool.submit(_evolve_tiles, *work, tiles[k::n]) for k in range(1, n)]
+            done = [_evolve_tiles(*work, tiles[0::n])] + [future.result() for future in futures]
+            psi = np.concatenate([done[i % n][i // n] for i in range(len(tiles))])
+            parts.append(_reduce_chunk(psi))
 
     proj_sum, psi_sum, abs2_sum = (_pairwise_sum(np.stack([p[key] for p in parts]))
                                    for key in ("proj_sum", "psi_sum", "abs2_sum"))

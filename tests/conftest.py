@@ -156,6 +156,29 @@ class ZeroStream:
         return np.zeros(n_steps)
 
 
+def split_evolve_oracle(factors, psi0, dW, return_path=False):
+    """Reference Strang-split kernel: each step's phases from one complex exp.
+
+    The same steps as ``skinlab.trajectories._split_evolve`` with the jump
+    factor exp(np.outer(-1j p, dW[:, s])) taken per step, on complex
+    arguments whose real part is +-0; arguments and returns as there.
+    """
+    p, V, W_half, W = factors
+    psi0 = np.asarray(psi0, dtype=complex)
+    c, n_steps = dW.shape
+    phi = np.repeat((W_half @ (V.conj().T @ psi0))[:, None], c, axis=1)
+    path = [np.repeat(psi0[:, None], c, axis=1)] if return_path else None
+    for s in range(n_steps):
+        if s:
+            phi = W @ phi
+        phi *= np.exp(np.outer(-1j * p, dW[:, s]))
+        if return_path:
+            path.append(V @ (W_half @ phi))
+    if return_path:
+        return np.stack(path).transpose(0, 2, 1)
+    return np.ascontiguousarray((V @ (W_half @ phi)).T)
+
+
 def site_basis_rk4(ops, rho0, t_final, dt):
     """Reference classical RK4 in the site basis: four master_rhs stages per step.
 

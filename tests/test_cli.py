@@ -226,6 +226,29 @@ def test_trajectories_experiment_threads_do_not_change_bytes(tmp_path):
     assert summary["max_norm_drift"] < 1e-9
 
 
+def test_trajectories_manifest_records_steps_tiles_workers_and_drift(tmp_path):
+    base = {
+        "experiment": "Trajectories",
+        "model": {"type": "cosine", "J": 1, "T": 0, "R": 1, "phi": PHI_HALF_PI},
+        "n_sites": 5, "t_final": 0.2, "dt": 0.005, "n_traj": 600, "master_seed": 3,
+    }
+    records = {}
+    for threads in (1, 3, 16):
+        outdir = tmp_path / f"t{threads}"
+        cfg = validate_config({**base, "output_dir": str(outdir), "n_threads": threads})
+        records[threads] = run_experiment(cfg)["diagnostics"]["trajectories"]
+        summary = json.loads((outdir / "ensemble.json").read_text())
+        assert records[threads]["max_norm_drift"] == summary["max_norm_drift"] < 1e-12
+        for name in ("rho_estimate.csv", "ensemble.json"):
+            assert (outdir / name).read_bytes() == (tmp_path / "t1" / name).read_bytes()
+    # 600 = one chunk of 8 tiles and one of 64 + 24: 10 tiles; a chunk's tiles bound the workers
+    assert {threads: record["workers"] for threads, record in records.items()} == \
+        {1: 1, 3: 3, 16: 8}
+    for record in records.values():
+        assert (record["steps"], record["tiles"]) == (40, 10)
+        assert set(record) == {"steps", "tiles", "workers", "max_norm_drift"}
+
+
 def test_trajectories_side_check_runs_above_the_dense_propagation_cap(tmp_path):
     cfg = validate_config({
         "experiment": "Trajectories",

@@ -1,13 +1,14 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import ZeroStream
+from conftest import ZeroStream, split_evolve_oracle
 from skinlab import (
     BandModel,
     NoiseStream,
@@ -25,6 +26,16 @@ from skinlab import (
     stroboscopic_loop,
     trajectory_step,
     DensityMatrix,
+)
+from skinlab import trajectories
+from skinlab.trajectories import (
+    CHUNK,
+    TILE,
+    _jump_phases,
+    _schedule,
+    _split_evolve,
+    _split_factors,
+    _wiener_rows,
 )
 
 
@@ -58,6 +69,111 @@ def test_noise_streams_are_reproducible_and_distinct():
     c = NoiseStream(123, 5).standard_normal(10)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def jumped_normals(seed, j, size):
+    return np.random.Generator(np.random.Philox(key=seed).jumped(j)).standard_normal(size)
+
+
+@pytest.mark.parametrize("seed", [0, 42, 2**63])
+@pytest.mark.parametrize("j", [0, 1, 255, 2**32, 2**64 - 1, 2**64, 2**64 + 255, 2**127 + 3])
+def test_noise_stream_is_the_master_stream_jumped_by_its_index(seed, j):
+    # indices from 2**64 on carry into the counter's top word, as jumped() does
+    got = NoiseStream(seed, j).standard_normal(700)
+    assert got.tobytes() == jumped_normals(seed, j, 700).tobytes()
+
+
+def test_noise_stream_rejects_indices_beyond_the_counter():
+    NoiseStream(1, 2**128 - 1)
+    for j in (2**128, -1):
+        with pytest.raises(ParameterError):
+            NoiseStream(1, j)
+
+
+@pytest.mark.parametrize("indices", [range(0, 70), range(2**64 - 3, 2**64 + 3)])
+def test_tile_noise_rows_are_the_trajectory_streams(indices):
+    rows = _wiener_rows(2**63, indices, 33, 0.005)
+    expect = np.array([NoiseStream(2**63, j).wiener_increments(33, 0.005) for j in indices])
+    assert rows.tobytes() == expect.tobytes()
+
+
+def noise(seed, c, n_steps, dt=0.005):
+    return np.sqrt(dt) * np.random.default_rng(seed).standard_normal((c, n_steps))
+
+
+def test_kernel_matches_the_complex_exp_oracle_bit_for_bit(skew11, center11, monkeypatch):
+    factors = _split_factors(skew11, 0.005)
+    dW = noise(1, 64, 50)
+    # blocks of 7 steps, which do not divide 50
+    monkeypatch.setattr(trajectories, "PHASE_BLOCK", 7 * 11 * 64 + 5)
+    got = _split_evolve(factors, center11, dW)
+    assert got.tobytes() == split_evolve_oracle(factors, center11, dW).tobytes()
+    path = _split_evolve(factors, center11, dW, return_path=True)
+    assert path.shape == (51, 64, 11)
+    assert path.tobytes() == split_evolve_oracle(factors, center11, dW, True).tobytes()
+
+
+def test_jump_phases_are_the_complex_exp_bits_also_at_exact_zeros():
+    p = np.array([0.0, 0.3, 1.7])
+    dW = noise(2, 5, 9)
+    dW[:, ::3] = 0.0
+    dW[1, 4] = -0.0
+    angle, z = np.empty((9, 3, 5)), np.empty((9, 3, 5), complex)
+    _jump_phases(p, dW, angle, z)
+    expect = np.stack([np.exp(np.outer(-1j * p, dW[:, s])) for s in range(9)])
+    assert z.tobytes() == expect.tobytes()
+
+
+def test_tiles_evolved_one_by_one_give_the_whole_chunk(skew11, center11):
+    factors = _split_factors(skew11, 0.005)
+    dW = noise(3, CHUNK, 40)
+    whole = split_evolve_oracle(factors, center11, dW)
+    cuts = [*range(0, CHUNK - TILE, TILE), CHUNK - 20]      # the last two tiles uneven
+    tiles = [_split_evolve(factors, center11, dW[lo:hi])
+             for lo, hi in zip(cuts, [*cuts[1:], CHUNK])]
+    assert np.concatenate(tiles).tobytes() == whole.tobytes()
+    assert _split_evolve(factors, center11, dW).tobytes() == whole.tobytes()
+
+
+def test_schedule_deals_fixed_tiles_of_each_chunk():
+    assert CHUNK % TILE == 0
+    chunks, workers = _schedule(600, 3)
+    assert [[(r.start, r.stop) for r in tiles] for tiles in chunks] == [
+        [(lo, lo + TILE) for lo in range(0, CHUNK, TILE)], [(512, 576), (576, 600)]]
+    assert workers == 3
+    assert _schedule(100, 8)[1] == 2
+    assert _schedule(2, 4) == ([[range(0, 2)]], 1)
+
+
+@pytest.mark.parametrize("n_traj", [200, 600])
+def test_ensemble_is_identical_at_one_two_and_three_threads(skew11, center11, n_traj):
+    runs = [run_ensemble(skew11, center11, 0.25, 0.005, n_traj, master_seed=9, n_threads=k)
+            for k in (1, 2, 3)]
+    for other in runs[1:]:
+        for name in ("rho_estimate", "psi_mean", "psi_mean_se", "norms"):
+            assert getattr(other, name).tobytes() == getattr(runs[0], name).tobytes()
+        assert other.standard_error == runs[0].standard_error
+
+
+@pytest.mark.parametrize("n_threads", [1, 2])
+def test_ensemble_noise_memory_is_a_tile_per_worker(n_threads):
+    ops = build_obc(make_cosine_model(1, 0, 1, np.pi / 2), 5)
+    psi0 = np.zeros(5, complex)
+    psi0[2] = 1.0
+    n_steps, n_traj = 2000, 512
+    workers = _schedule(n_traj, n_threads)[1]
+    run_ensemble(ops, psi0, 0.01, 0.005, 2, master_seed=4)    # one-time allocations first
+    tracemalloc.start()
+    try:
+        run_ensemble(ops, psi0, n_steps * 0.005, 0.005, n_traj, master_seed=4,
+                     n_threads=n_threads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tile_noise = TILE * n_steps * 8
+    assert workers == n_threads
+    assert peak <= 1.25 * workers * tile_noise + 2**19
+    assert peak < CHUNK * n_steps * 8 / 2
 
 
 def test_step_without_noise_is_hamiltonian_evolution(skew11, center11):

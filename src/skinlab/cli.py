@@ -329,11 +329,13 @@ def _master_states(
     """Master-equation states at the given times, the dense propagator and the generator record.
 
     Up to ``DENSE_PROPAGATION_MAX`` sites the dense propagator factors the
-    generator; above, the Taylor route runs (propagator None).
+    generator (and hands an ill-conditioned start to the Taylor route, see
+    :class:`MasterPropagator`); above, the Taylor route runs (propagator None).
     """
     if ops.n_sites <= DENSE_PROPAGATION_MAX:
         prop = MasterPropagator(ops, rho0)
-        return [prop.propagate(rho0, t) for t in times], prop, _generator_entry(ops, prop)
+        states, taylor = prop.states(rho0, times)
+        return states, prop, _generator_entry(ops, prop, taylor=taylor)
     states, taylor = _taylor_master_states(ops, rho0, times)
     return states, None, _generator_entry(ops, taylor=taylor)
 
@@ -346,15 +348,15 @@ def _generator_entry(ops: LatticeOperators, prop: MasterPropagator | None = None
     generator (with a mirror, the sectors; ``sector_sizes`` lists them).
     ``block_sizes`` come from ``prop`` when a dense propagator ran; then
     ``factored_blocks`` counts the blocks its start reached, ``cond_V`` is
-    their eigenbasis' condition number and ``route`` says whether they took
-    the spectral route, expm or both.  ``taylor`` is the record of
+    their eigenbasis' condition number and ``route`` says whether the states
+    took the spectral or the Taylor route.  ``taylor`` is the record of
     :func:`skinlab.evolve._taylor_master_states` (route, norm bound, degree,
     substeps and last-term ratio per interval, generator products).
     """
     entry = {"structure": ops.structure, "mirror": ops.mirror is not None, **(taylor or {})}
     if prop is not None:
         block_sizes = prop.block_sizes
-        entry.update(factored_blocks=prop.factored_blocks, cond_V=prop.cond, route=prop.method)
+        entry.update(factored_blocks=prop.factored_blocks, cond_V=prop.cond, route=prop.route)
     if block_sizes:
         entry.update(blocks=len(block_sizes), largest_block=max(block_sizes))
         if ops.mirror is not None:
@@ -461,7 +463,7 @@ def _run_entropy_trace(cfg: ExperimentConfig, outdir: Path, diagnostics: dict) -
     ops = _lattice(cfg.model, cfg.n_sites)
     rho0 = DensityMatrix.site(cfg.n_sites, cfg.rho0_site)
     trace = entropy_trace(ops, rho0, cfg.times)
-    diagnostics["generator"] = _generator_entry(ops, trace.propagator)
+    diagnostics["generator"] = _generator_entry(ops, trace.propagator, taylor=trace.taylor)
     cols = ["t", "entropy", "purity", "first_moment"]
     write_csv(outdir / "entropy.csv", cols, _timeseries_rows(cfg.times, trace.states),
               _headers(cfg, "entropy-trace", cols, s_infinity=trace.s_infinity))

@@ -1,21 +1,17 @@
 """Time propagation of density matrices and no-jump wavefunctions.
 
-Propagation is exact-exponential: one helper diagonalizes the generator (L
-as a real matrix in P's eigenbasis, or -i H_eff for the no-jump wavefunction)
-once, block by block (independent blocks side by side during a run, see
-:mod:`skinlab._threads`) and only in the blocks the start reaches, and applies
-exp(A t) spectrally for every time, falling back to scipy expm in a block
-above a per-generator eigenbasis condition limit.  Lattices too large
-for the dense superoperator take the truncated Taylor series with scaling of
-exp(t L) rho, run in the jump operator's eigenbasis; fixed-step RK4 there is
-an independent cross-check.  All master routes end in the same state checks.
-
-scipy.linalg is imported only inside the expm fallback: importing it costs
-about 0.3 s of start-up (it pulls in numpy.f2py, numpy.testing and more), and
-most runs never take that fallback.  Where they do, expm runs on scipy's own
-OpenBLAS build, which the manifest's ``diagnostics.environment`` records as
-``scipy_blas`` next to numpy's ``numpy_blas``, and which is pinned to one
-thread there, as numpy's is for the whole run.
+Master-equation propagation is exact-exponential.  Up to the dense cap,
+:class:`MasterPropagator` diagonalizes the real generator (L in P's
+eigenbasis) once, block by block (independent blocks side by side during a
+run, see :mod:`skinlab._threads`) and only in the blocks the start reaches,
+and applies exp(L t) spectrally for every time.  Lattices too large for the
+dense superoperator, and starts that reach a block whose eigenbasis is too
+ill-conditioned for the spectral route, take the truncated Taylor series
+with scaling of exp(t L) rho, run in the jump operator's eigenbasis;
+fixed-step RK4 there is an independent cross-check.  All master routes end
+in the same state checks.  The no-jump wavefunction exp(-i H_eff t) psi0
+runs on the same Taylor kernel, whose accuracy does not depend on how
+non-normal H_eff is.  Nothing here imports scipy.
 """
 
 from __future__ import annotations
@@ -25,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._threads import blockwise, pin_loaded
+from ._threads import blockwise
 from .errors import NumericalFailure, ParameterError
 from .lattice_ops import SECTOR_TOL, LatticeOperators
 from .liouvillian import (
@@ -45,7 +41,6 @@ TRACE_TOL = 1e-10
 POSITIVITY_TOL = 1e-8       # beyond this the propagation aborts, never clips
 DRIFT_ABORT = 1e-6          # hermiticity/trace drift that counts as failure
 EIG_COND_LIMIT_MASTER = 1e8
-EIG_COND_LIMIT_SEMI = 1e10
 
 # theta_m: the largest ||t A||_1 for which the degree-m Taylor polynomial, s = 1, is the
 # exact exponential of a matrix within relative backward error 2^-53 of t A.  Al-Mohy &
@@ -111,7 +106,6 @@ class SemiclassicalState:
     """Unnormalized no-jump wavefunction; its norm decays under H_eff."""
 
     psi: np.ndarray
-    method: str = "spectral"
 
 
 def _matrix(rho: DensityMatrix | np.ndarray) -> np.ndarray:
@@ -133,120 +127,6 @@ def _checked_state(rho: np.ndarray) -> DensityMatrix:
         return DensityMatrix(rho / np.trace(rho).real)
     except ParameterError as exc:
         raise NumericalFailure(f"propagation lost positivity: {exc}") from exc
-
-
-class _SpectralExponential:
-    """exp(A t) x for any t from one eigendecomposition A_b = V diag(w) V^-1 per diagonal block b.
-
-    ``blocks`` are index sets with A exactly zero between them (default: one
-    block).  Without ``start`` every block is factored at once; with it only
-    the blocks the start reaches, and any other block when :meth:`apply`
-    first meets a vector that reaches it.  A vector reaches a block where one
-    of its coordinates exceeds ``floor`` times its largest in size (by
-    default where it is nonzero); a block it does not reach stays exactly
-    zero.  A block's cond(V) is sigma_max / sigma_min of V,
-    for real A of the real R of :func:`_real_eigenbasis`, with
-    V^-1 = U^dagger R^-1; a block whose cond(V) exceeds ``cond_limit`` or is
-    not finite takes scaling-and-squaring (scipy expm) instead.  ``cond`` is
-    max sigma_max / min sigma_min over the factored blocks: the cond(V) of
-    their whole eigenbasis.
-    """
-
-    def __init__(self, A: np.ndarray, cond_limit: float, blocks=None, start=None,
-                 floor: float = 0.0):
-        self.A, self.cond_limit, self.floor = A, cond_limit, floor
-        self.blocks = [np.arange(A.shape[0])] if blocks is None else blocks
-        self.block_sizes = [b.size for b in self.blocks]
-        self._label = np.empty(A.shape[0], dtype=np.intp)
-        for k, b in enumerate(self.blocks):
-            self._label[b] = k
-        self._pending = np.ones(len(self.blocks), dtype=bool)
-        self._spectral, self._expm, self._w = [], [], []
-        self._s_max, self._s_min = 0.0, np.inf
-        self._factor(self._pending.copy() if start is None else self._reached(start))
-
-    def _reached(self, x: np.ndarray) -> np.ndarray:
-        """Mask of the blocks x reaches."""
-        size = np.abs(x)
-        on = np.flatnonzero(size > self.floor * size.max(initial=0.0))
-        return np.bincount(self._label[on], minlength=len(self.blocks)) > 0
-
-    def _factor(self, todo: np.ndarray) -> None:
-        """Factor the blocks in mask ``todo`` not factored yet."""
-        todo = todo & self._pending
-        if not todo.any():
-            return
-        self._pending &= ~todo
-        stacks = _block_stacks(self.A, [b for b, t in zip(self.blocks, todo) if t])
-        for w, s, expm, spectral in blockwise(self._factor_stack, stacks):
-            self._s_max = max(self._s_max, float(s[:, 0].max()))
-            self._s_min = min(self._s_min, float(s[:, -1].min()))
-            self._w.append(w.ravel())
-            self._expm += expm
-            if spectral is not None:
-                self._spectral.append(spectral)
-
-    def _factor_stack(self, item):
-        """One stack (idx, A_stack): eigenvalues, singular values of the eigenbasis, expm, the rest.
-
-        The singular values are those of R of :func:`_real_eigenbasis` for real
-        A.  Blocks above ``cond_limit`` come back as (b, A_b) for expm, the
-        others as (idx, w, V, V^-1), or None when there are none.
-        """
-        idx, stack = item
-        real = np.isrealobj(stack)
-        w_all, V = np.linalg.eig(stack)
-        R, pairs = _real_eigenbasis(w_all, V) if real else (V, None)
-        s = np.linalg.svd(R, compute_uv=False)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ok = s[:, 0] / s[:, -1] <= self.cond_limit
-        expm = list(zip(idx[~ok], stack[~ok]))
-        if not ok.any():
-            return w_all, s, expm, None
-        w = w_all
-        if not ok.all():
-            idx, w, V = idx[ok], w_all[ok], V[ok]
-            R, pairs = _real_eigenbasis(w, V) if real else (V, None)
-        V_inv = _inverse_from_real(R, pairs) if real else np.linalg.inv(R)
-        return w_all, s, expm, (idx, w, V, V_inv)
-
-    @property
-    def cond(self) -> float:
-        return self._s_max / self._s_min if self._s_min > 0 else np.inf
-
-    @property
-    def factored_blocks(self) -> int:
-        return int((~self._pending).sum())
-
-    @property
-    def method(self) -> str:
-        """"spectral", "expm", or "spectral+expm" when the factored blocks took both."""
-        return "+".join(name for name, used in (("spectral", self._spectral), ("expm", self._expm))
-                        if used) or "spectral"
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        """A's eigenvalues, unsorted: the factored blocks' from eig, the rest's from eigvals."""
-        rest = _block_stacks(self.A, [b for b, todo in zip(self.blocks, self._pending) if todo])
-        return np.concatenate(self._w + ([_block_eigenvalues(rest)] if rest else []))
-
-    def apply(self, x: np.ndarray, t: float) -> np.ndarray:
-        """exp(A t) x; t = 0 returns x itself, free of V V^-1 round-off, as RK4 does."""
-        if t < 0:
-            raise ParameterError(f"propagation time must be >= 0, got {t}")
-        if t == 0:
-            return np.array(x, dtype=complex)
-        self._factor(self._reached(x))
-        out = np.zeros(x.shape, dtype=complex)
-        for idx, w, V, V_inv in self._spectral:
-            y = np.exp(w * t) * (V_inv @ x[idx][..., None])[..., 0]
-            out[idx] = (V @ y[..., None])[..., 0]
-        if self._expm:
-            from scipy.linalg import expm
-            pin_loaded()
-        for b, A_b in self._expm:
-            out[b] = expm(A_b * t) @ x[b]
-        return out
 
 
 def _real_eigenbasis(w: np.ndarray, V: np.ndarray):
@@ -274,33 +154,125 @@ def _inverse_from_real(R: np.ndarray, pairs) -> np.ndarray:
     return V_inv
 
 
-class MasterPropagator(_SpectralExponential):
+class MasterPropagator:
     """exp(L t) from one eigendecomposition per diagonal block (sector) of the real generator M.
 
-    Given ``rho0``, factors only the blocks rho0 reaches (see
-    :class:`_SpectralExponential`).  With a mirror, whose sectors are exact
-    only to ``SECTOR_TOL``, a state reaches a sector where a coordinate
-    exceeds SECTOR_TOL times its largest: the round-off a mirror-symmetric
-    start leaves in the odd sectors stays out.  A block falls back to expm
-    above cond(V) = 1e8.  Raises ParameterError before allocating when N^2
-    exceeds ``SPECTRUM_CAP``.
+    Given ``rho0``, factors only the blocks rho0 reaches, and any other block
+    when :meth:`apply` first meets a vector that reaches it; a block a vector
+    does not reach stays exactly zero.  A vector reaches a block where a
+    coordinate is nonzero or, with a mirror, whose sectors are exact only to
+    ``SECTOR_TOL``, exceeds SECTOR_TOL times its largest in size, so the
+    round-off a mirror-symmetric start leaves in the odd sectors stays out.
+    A block's eigenbasis is V = R U with R real (:func:`_real_eigenbasis`)
+    and V^-1 = U^dagger R^-1; ``cond`` is max sigma_max / min sigma_min of R
+    over the factored blocks, the cond(V) of their whole eigenbasis.  Where
+    a factored block's own cond(V) exceeds ``EIG_COND_LIMIT_MASTER`` or is
+    not finite, ``route`` is "taylor" and states come from
+    :func:`_taylor_master_states` instead.  Raises ParameterError before
+    allocating when N^2 exceeds ``SPECTRUM_CAP``.
     """
 
     def __init__(self, ops: LatticeOperators, rho0: DensityMatrix | np.ndarray | None = None):
         self.ops = ops
-        M = _hermitian_basis_generator(ops)
-        start = None if rho0 is None else _hermitian_coords(ops, _matrix(rho0))
-        super().__init__(M, EIG_COND_LIMIT_MASTER, _diagonal_blocks(M), start,
-                         0.0 if ops.mirror is None else SECTOR_TOL)
+        self.M = _hermitian_basis_generator(ops)
+        self.blocks = _diagonal_blocks(self.M)
+        self.block_sizes = [b.size for b in self.blocks]
+        self.floor = 0.0 if ops.mirror is None else SECTOR_TOL
+        self._label = np.empty(self.M.shape[0], dtype=np.intp)
+        for k, b in enumerate(self.blocks):
+            self._label[b] = k
+        self._pending = np.ones(len(self.blocks), dtype=bool)
+        self._factors, self._w = [], []
+        self._s_max, self._s_min = 0.0, np.inf
+        self._factor(self._pending.copy() if rho0 is None
+                     else self._reached(_hermitian_coords(ops, _matrix(rho0))))
+
+    def _reached(self, x: np.ndarray) -> np.ndarray:
+        """Mask of the blocks x reaches."""
+        size = np.abs(x)
+        on = np.flatnonzero(size > self.floor * size.max(initial=0.0))
+        return np.bincount(self._label[on], minlength=len(self.blocks)) > 0
+
+    def _factor(self, todo: np.ndarray) -> None:
+        """Factor the blocks in mask ``todo`` not factored yet."""
+        todo = todo & self._pending
+        if not todo.any():
+            return
+        self._pending &= ~todo
+        stacks = _block_stacks(self.M, [b for b, t in zip(self.blocks, todo) if t])
+        for w, s, factors in blockwise(self._factor_stack, stacks):
+            self._s_max = max(self._s_max, float(s[:, 0].max()))
+            self._s_min = min(self._s_min, float(s[:, -1].min()))
+            self._w.append(w.ravel())
+            self._factors.append(factors)
+
+    @staticmethod
+    def _factor_stack(item):
+        """One stack (idx, M_stack): eigenvalues, singular values of R and (idx, w, V, V^-1).
+
+        The last is None, and no inverse is formed, where a block's cond(V)
+        exceeds ``EIG_COND_LIMIT_MASTER`` or is not finite.
+        """
+        idx, stack = item
+        w, V = np.linalg.eig(stack)
+        R, pairs = _real_eigenbasis(w, V)
+        s = np.linalg.svd(R, compute_uv=False)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            spectral = bool((s[:, 0] / s[:, -1] <= EIG_COND_LIMIT_MASTER).all())
+        return w, s, (idx, w, V, _inverse_from_real(R, pairs)) if spectral else None
+
+    @property
+    def cond(self) -> float:
+        return self._s_max / self._s_min if self._s_min > 0 else np.inf
+
+    @property
+    def factored_blocks(self) -> int:
+        return int((~self._pending).sum())
+
+    @property
+    def route(self) -> str:
+        """"taylor" once a factored block is too ill-conditioned for the spectral route."""
+        return "taylor" if any(f is None for f in self._factors) else "spectral"
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        """M's eigenvalues, unsorted: the factored blocks' from eig, the rest's from eigvals."""
+        rest = _block_stacks(self.M, [b for b, todo in zip(self.blocks, self._pending) if todo])
+        return np.concatenate(self._w + ([_block_eigenvalues(rest)] if rest else []))
+
+    def apply(self, x: np.ndarray, t: float) -> np.ndarray:
+        """exp(M t) x; t = 0 returns x itself, free of V V^-1 round-off, as RK4 does."""
+        if t < 0:
+            raise ParameterError(f"propagation time must be >= 0, got {t}")
+        if t == 0:
+            return np.array(x, dtype=complex)
+        self._factor(self._reached(x))
+        if self.route == "taylor":
+            raise NumericalFailure(f"no spectral route: eigenbasis condition number "
+                                   f"{self.cond:.3e}", residual=self.cond)
+        out = np.zeros(x.shape, dtype=complex)
+        for idx, w, V, V_inv in self._factors:
+            y = np.exp(w * t) * (V_inv @ x[idx][..., None])[..., 0]
+            out[idx] = (V @ y[..., None])[..., 0]
+        return out
 
     def evolve(self, rho0: np.ndarray, t: float) -> np.ndarray:
-        """Raw matrix-form solution at time t without state validation."""
+        """Raw matrix-form solution at time t on the spectral route, without state validation."""
         x = _hermitian_coords(self.ops, _matrix(rho0))
         return _from_hermitian_coords(self.ops, self.apply(x, t))
 
     def propagate(self, rho0: DensityMatrix | np.ndarray, t: float) -> DensityMatrix:
         """Propagated state with invariant checks; aborts on drift beyond tolerance."""
+        if self.route == "taylor":
+            return _taylor_master_states(self.ops, rho0, [t])[0][0]
         return _checked_state(self.evolve(rho0, t))
+
+    def states(self, rho0: DensityMatrix | np.ndarray, times) -> tuple[list[DensityMatrix],
+                                                                       dict | None]:
+        """Checked states at ascending times and the Taylor route's record (None if spectral)."""
+        if self.route == "taylor":
+            return _taylor_master_states(self.ops, rho0, times)
+        return [self.propagate(rho0, t) for t in times], None
 
     def stationary_projection(self, rho0: DensityMatrix | np.ndarray) -> np.ndarray:
         """Infinite-time limit Q Q^T rho0, Q the kernel basis of :func:`_stationary_kernel`.
@@ -310,7 +282,7 @@ class MasterPropagator(_SpectralExponential):
         """
         x = _hermitian_coords(self.ops, _matrix(rho0))
         reached = [b for b, on in zip(self.blocks, self._reached(x)) if on]
-        Q = _stationary_kernel(self.ops, _block_stacks(self.A, reached), values=False)[0]
+        Q = _stationary_kernel(self.ops, _block_stacks(self.M, reached), values=False)[0]
         parts = x.view(float).reshape(-1, 2)
         rho = _from_hermitian_coords(self.ops, (Q @ (Q.T @ parts)).view(complex).ravel())
         return 0.5 * (rho + rho.conj().T)
@@ -382,25 +354,54 @@ def _taylor_steps(norm_t: float) -> tuple[int, int]:
                key=lambda ms: ms[0] * ms[1])
 
 
+def _taylor_action(product, y: np.ndarray, tau: float, norm: float, mu: float | complex):
+    """exp(tau (A + mu)) y by the truncated Taylor series of Al-Mohy & Higham (2011), Alg. 3.2.
+
+    ``product`` applies the shifted generator A and ``norm`` bounds ||A||_1,
+    which fixes m and s (:func:`_taylor_steps`).  A substep's series stops
+    once two successive terms fall below 2^-53 of the sum, in max-norm, so
+    reruns repeat every operation.  Returns the result, m, s, the largest
+    ratio of a substep's last term to its sum and the product count; tau = 0
+    returns y itself and m = s = 0.
+    """
+    if tau == 0:
+        return y, 0, 0, 0.0, 0
+    m, s = _taylor_steps(norm * tau)
+    shift = mu * tau / s
+    scale = np.exp(shift) if isinstance(shift, complex) else math.exp(shift)
+    tail, products = 0.0, 0
+    for _ in range(s):
+        term = total = y
+        previous = np.abs(term).max()
+        for j in range(1, m + 1):
+            term = (tau / (s * j)) * product(term)
+            products += 1
+            total = total + term
+            current, size = np.abs(term).max(), np.abs(total).max()
+            if previous + current <= TAYLOR_TOL * size:
+                break
+            previous = current
+        tail = max(tail, float(current / size))
+        y = scale * total
+    return y, m, s, tail, products
+
+
 def _taylor_master_states(
     ops: LatticeOperators, rho0: DensityMatrix | np.ndarray, times
 ) -> tuple[list[DensityMatrix], dict]:
     """Checked master-equation states at ascending times from a truncated Taylor series of exp(t L).
 
-    Algorithm 3.2 of Al-Mohy & Higham (2011) in P's eigenbasis from ``ops``,
-    run from one output time to the next.  With h = diag(H_tilde) and A = -i
-    times H_tilde off its diagonal, one product of the shifted generator is
-    X + X^dagger + E * y with X = A y and E_ab = D_ab - mu - i (h_a - h_b),
-    mu = mean(D) (the trace of L over N^2); exp(mu t) scales it back.  Per
-    interval of length t the degree m and the substep count s come from the
-    a-priori bound ||L - mu||_1 <= 2 ||A||_1 + max |E|; a substep's series stops
-    early once two successive terms fall below 2^-53 of the sum, in max-norm,
-    so reruns repeat every operation; the a-posteriori record is, per
-    interval, the largest max-norm ratio of a substep's last term to its sum.
-    With A and E real (the transpose sector) the product is real: on the real
-    matrix alone when the rotated start is real to within its round-off
-    ("real"), on y's interleaved (Re, Im) columns otherwise ("interleaved");
-    any other model takes complex products ("complex").
+    :func:`_taylor_action` in P's eigenbasis from ``ops``, run from one output
+    time to the next.  With h = diag(H_tilde) and A = -i times H_tilde off
+    its diagonal, one product of the shifted generator is X + X^dagger + E * y
+    with X = A y and E_ab = D_ab - mu - i (h_a - h_b), mu = mean(D) (the trace
+    of L over N^2), under the a-priori bound ||L - mu||_1 <= 2 ||A||_1 + max |E|;
+    the a-posteriori record is, per interval, the largest max-norm ratio of a
+    substep's last term to its sum.  With A and E real (the transpose sector)
+    the product is real: on the real matrix alone when the rotated start is
+    real to within its round-off ("real"), on y's interleaved (Re, Im) columns
+    otherwise ("interleaved"); any other model takes complex products
+    ("complex").
 
     An interval of length 0 returns the checked state; a negative one raises
     ParameterError and a start whose Hermiticity deviation exceeds
@@ -429,54 +430,45 @@ def _taylor_master_states(
         X = (A @ y.view(float)).view(complex) if arithmetic == "interleaved" else A @ y
         return X + X.conj().T + E * y
 
-    states, degrees, substeps, tails, products, t_prev = [], [], [], [], 0, 0.0
+    states, steps, t_prev = [], [], 0.0
     for t in times:
         tau, t_prev = t - t_prev, t
-        tail = 0.0
+        y, *step = _taylor_action(generator, y, tau, norm, mu)
         if tau > 0:
-            m, s = _taylor_steps(norm * tau)
-            scale = math.exp(mu * tau / s)
-            for _ in range(s):
-                term = total = y
-                previous = np.abs(term).max()
-                for j in range(1, m + 1):
-                    term = (tau / (s * j)) * generator(term)
-                    products += 1
-                    total = total + term
-                    current, size = np.abs(term).max(), np.abs(total).max()
-                    if previous + current <= TAYLOR_TOL * size:
-                        break
-                    previous = current
-                tail = max(tail, float(current / size))
-                y = scale * total
             rho = V @ y @ V.conj().T
-        else:
-            m, s = 0, 0
-        degrees.append(m)
-        substeps.append(s)
-        tails.append(tail)
+        steps.append(step)
         states.append(_checked_state(rho))
+    degrees, substeps, tails, products = ([step[k] for step in steps] for k in range(4))
     return states, {"route": "taylor", "arithmetic": arithmetic, "norm_bound": norm,
                     "taylor_degree": degrees, "substeps": substeps, "last_term_ratio": tails,
-                    "products": products}
+                    "products": sum(products)}
 
 
-class SemiclassicalPropagator(_SpectralExponential):
-    """exp(-i H_eff t) applied spectrally, with expm fallback for defective H_eff."""
+class SemiclassicalPropagator:
+    """exp(-i H_eff t) psi0 by the truncated Taylor series, however non-normal H_eff is.
+
+    The series runs on A = -i H_eff - mu, mu = tr(-i H_eff) / N, with the
+    bound ||A||_1 (see :func:`_taylor_action`).
+    """
 
     def __init__(self, ops: LatticeOperators):
-        super().__init__(-1j * ops.H_eff, EIG_COND_LIMIT_SEMI)
+        A = -1j * ops.H_eff
+        self.mu = complex(np.trace(A)) / ops.n_sites
+        self.A = A - self.mu * np.eye(ops.n_sites)
+        self.norm = float(np.abs(self.A).sum(axis=0).max())
 
     def at(self, psi0: np.ndarray, t: float) -> np.ndarray:
-        return self.apply(np.asarray(psi0, dtype=complex), t)
+        if t < 0:
+            raise ParameterError(f"propagation time must be >= 0, got {t}")
+        psi = np.array(psi0, dtype=complex)
+        return _taylor_action(self.A.__matmul__, psi, t, self.norm, self.mu)[0]
 
 
 def propagate_semiclassical(
     ops: LatticeOperators, psi0: np.ndarray, t: float
 ) -> SemiclassicalState:
     """No-jump evolution psi(t) = exp(-i H_eff t) psi0; norm never grows."""
-    prop = SemiclassicalPropagator(ops)
-    return SemiclassicalState(prop.at(psi0, t), method=prop.method)
+    return SemiclassicalState(SemiclassicalPropagator(ops).at(psi0, t))
 
 
 def von_neumann_entropy(rho: DensityMatrix | np.ndarray) -> float:
@@ -497,8 +489,9 @@ def von_neumann_entropy(rho: DensityMatrix | np.ndarray) -> float:
 class EntropyTrace:
     """Entropy along a time grid plus the infinite-time (kernel-projected) value.
 
-    ``states`` holds the propagated state at each time and ``propagator`` the
-    factorization that produced them.
+    ``states`` holds the propagated state at each time, ``propagator`` the
+    factorization and ``taylor`` the Taylor route's record where that route
+    produced them (None on the spectral route).
     """
 
     times: np.ndarray
@@ -507,6 +500,7 @@ class EntropyTrace:
     rho_infinity: np.ndarray
     states: list[DensityMatrix]
     propagator: MasterPropagator
+    taylor: dict | None
 
 
 def entropy_trace(
@@ -515,16 +509,17 @@ def entropy_trace(
     """Von Neumann entropy at each time, with the stationary limit appended.
 
     The infinite-time state is the projection of rho0 onto the kernel of the
-    generator (not the last sampled time), on the spectral and expm routes alike.
+    generator (not the last sampled time), on the spectral and Taylor routes alike.
     """
     times = np.asarray(times, dtype=float)
     if times.size and np.any(np.diff(times) < 0):
         raise ParameterError("times must be sorted ascending")
     prop = MasterPropagator(ops, rho0)
-    states = [prop.propagate(rho0, t) for t in times]
+    states, taylor = prop.states(rho0, times)
     entropies = np.array([von_neumann_entropy(s) for s in states])
     rho_inf = prop.stationary_projection(rho0)
-    return EntropyTrace(times, entropies, von_neumann_entropy(rho_inf), rho_inf, states, prop)
+    return EntropyTrace(times, entropies, von_neumann_entropy(rho_inf), rho_inf, states, prop,
+                        taylor)
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,8 @@ def assert_taylor_record(generator, times):
     assert set(generator) == {"route", "arithmetic", "norm_bound", "taylor_degree", "substeps",
                               "last_term_ratio", "products"}
     assert generator["route"] == "taylor" and generator["norm_bound"] > 0
-    steps = [_taylor_steps(generator["norm_bound"] * t) for t in np.diff([0.0, *times])]
+    steps = [_taylor_steps(generator["norm_bound"] * t) if t > 0 else (0, 0)
+             for t in np.diff([0.0, *times])]
     assert generator["taylor_degree"] == [m for m, _ in steps]
     assert generator["substeps"] == [s for _, s in steps]
     assert sum(s for _, s in steps) <= generator["products"] <= sum(m * s for m, s in steps)
@@ -184,18 +185,18 @@ def scipy_linalg_loaded(tmp_path, configs) -> list:
     return json.loads(out.stdout)
 
 
-def test_scipy_linalg_loads_only_for_spectra_and_the_expm_fallback(tmp_path):
+def test_scipy_linalg_loads_only_for_spectra(tmp_path):
     shipped = [ROOT / "configs" / f"{name}.json" for name in (
         "trajectories_n11", "liouvillian_spectrum_n11", "entropy_trace_n11", "obc_relax_n11",
-        "bulk_relax")]
-    expm = write_config(tmp_path, {
+        "bulk_relax", "semiclassical_drift_n61")]
+    handoff = write_config(tmp_path, {
         "experiment": "EntropyTrace",
         "model": {"type": "cosine", "J": 1, "T": 0, "R": 1, "phi": 0.7853981633974483},
         "n_sites": 20, "times": [0.0, 1.0],
-    }, "expm.json")
-    assert scipy_linalg_loaded(tmp_path / "a", [*shipped, expm]) == [False] * 6 + [True]
-    manifest = json.loads((tmp_path / "a" / "5" / "manifest.json").read_text())
-    assert manifest["diagnostics"]["generator"]["route"] == "expm"
+    }, "handoff.json")
+    assert scipy_linalg_loaded(tmp_path / "a", [*shipped, handoff]) == [False] * 8
+    manifest = json.loads((tmp_path / "a" / "6" / "manifest.json").read_text())
+    assert manifest["diagnostics"]["generator"]["route"] == "taylor"
     spectra = write_config(tmp_path, spectra_config(tmp_path, n_sites=8, n_k=16), "spectra.json")
     assert scipy_linalg_loaded(tmp_path / "b", [spectra]) == [False, True]
     # scipy's OpenBLAS is pinned where scipy.linalg is first imported, as numpy's is
@@ -283,7 +284,7 @@ def test_entropy_trace_experiment(tmp_path):
     assert abs(float(last[1]) - np.log(11)) < 1e-3
 
 
-def test_entropy_trace_runs_on_the_expm_fallback_route(tmp_path):
+def test_entropy_trace_runs_on_the_taylor_handoff(tmp_path):
     config = write_config(tmp_path, {
         "experiment": "EntropyTrace",
         "model": {"type": "cosine", "J": 1, "T": 0, "R": 1, "phi": 0.7853981633974483},
@@ -294,6 +295,14 @@ def test_entropy_trace_runs_on_the_expm_fallback_route(tmp_path):
     assert main(["run", str(config)]) == 0
     summary = json.loads((tmp_path / "ent" / "summary.json").read_text())
     assert abs(summary["s_infinity"] - np.log(20)) <= 1e-8
+    manifest = json.loads((tmp_path / "ent" / "manifest.json").read_text())
+    generator = manifest["diagnostics"]["generator"]
+    assert generator.pop("cond_V") > 1e8      # the factorization ran; its cond(V) hands off
+    assert {key: generator.pop(key) for key in ("structure", "mirror", "factored_blocks",
+                                                "blocks", "largest_block")} == \
+        {"structure": "none", "mirror": False, "factored_blocks": 1, "blocks": 1,
+         "largest_block": 400}
+    assert_taylor_record(generator, [0.0, 1.0])
 
 
 def test_bulk_and_drift_and_liouvillian_experiments(tmp_path):

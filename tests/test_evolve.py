@@ -27,16 +27,16 @@ from skinlab import (
     vec,
     von_neumann_entropy,
 )
+from skinlab import evolve
 from skinlab.evolve import (
     EIG_COND_LIMIT_MASTER,
-    EIG_COND_LIMIT_SEMI,
     TAYLOR_THETA,
     _inverse_from_real,
     _real_eigenbasis,
-    _SpectralExponential,
     _taylor_master_states,
     _taylor_steps,
 )
+from skinlab.liouvillian import _hermitian_basis_generator
 
 
 @pytest.fixture(scope="module")
@@ -161,15 +161,19 @@ def test_entropy_trace_saturates_at_log_n(skew11):
 def test_pure_start_at_zero_time_has_exactly_zero_entropy():
     ops = build_obc(make_cosine_model(1, 0.5, 1, np.pi / 2), 24)
     trace = entropy_trace(ops, DensityMatrix.site(24, 12), [0.0])
-    assert trace.propagator.method == "spectral"
+    assert trace.propagator.route == "spectral" and trace.taylor is None
     assert trace.entropies[0] == 0.0
 
 
-def test_entropy_trace_projects_onto_the_kernel_in_expm_fallback_mode():
-    # the skin-effect chain itself: cond(V) 1.4e8 at N = 20 takes the expm route
+def test_entropy_trace_projects_onto_the_kernel_on_the_taylor_handoff():
+    # the skin-effect chain itself: cond(V) 1.4e8 at N = 20 hands the states to the Taylor route
     ops = build_obc(make_cosine_model(1, 0, 1, np.pi / 4), 20)
-    trace = entropy_trace(ops, DensityMatrix.site(20, 10), [0.0, 1.0])
-    assert trace.propagator.method == "expm"
+    rho0 = DensityMatrix.site(20, 10)
+    trace = entropy_trace(ops, rho0, [0.0, 1.0])
+    assert trace.propagator.route == "taylor" and trace.propagator.cond > EIG_COND_LIMIT_MASTER
+    assert trace.taylor["route"] == "taylor" and trace.taylor["taylor_degree"][0] == 0
+    for state, exact in zip(trace.states, expm_states(ops, rho0.rho, [0.0, 1.0])):
+        assert np.abs(state.rho - exact).max() <= 1e-12
     assert abs(trace.s_infinity - np.log(20)) <= 1e-8
     assert np.abs(trace.rho_infinity - np.eye(20) / 20).max() <= 1e-12
 
@@ -245,30 +249,41 @@ def test_relaxation_time_matches_the_complex_generator(ops):
     assert abs(relaxation_time(ops) / expect - 1.0) <= 1e-10
 
 
-@pytest.mark.parametrize("generator", ["L", "H_eff"])
-def test_expm_fallback_matches_spectral_route(generator):
-    ops = build_obc(make_cosine_model(1, 0, 1, np.pi / 2), 7)
-    if generator == "L":
-        A, limit = build_liouvillian(ops).L, EIG_COND_LIMIT_MASTER
-        x = vec(DensityMatrix.site(7, 4).rho)
-    else:
-        A, limit, x = -1j * ops.H_eff, EIG_COND_LIMIT_SEMI, np.eye(7)[3]
-    spectral = _SpectralExponential(A, limit)
-    fallback = _SpectralExponential(A, 0.0)
-    assert (spectral.method, fallback.method) == ("spectral", "expm")
-    for t in (0.0, 0.7, 3.0, 12.0):
-        assert np.abs(fallback.apply(x, t) - spectral.apply(x, t)).max() <= 1e-10
+def test_taylor_handoff_matches_spectral_route(skew11, monkeypatch):
+    ops, spectral = skew11
+    rho0 = DensityMatrix.site(11, 6)
+    monkeypatch.setattr(evolve, "EIG_COND_LIMIT_MASTER", 0.0)
+    handoff = MasterPropagator(ops, rho0)
+    assert (spectral.route, handoff.route) == ("spectral", "taylor")
+    assert 1.0 <= handoff.cond <= EIG_COND_LIMIT_MASTER    # factored; only the limit moved
+    times = [0.0, 0.7, 3.0, 12.0]
+    states, record = handoff.states(rho0, times)
+    assert record["route"] == "taylor"
+    for t, state, exact in zip(times, states, expm_states(ops, rho0.rho, times)):
+        assert np.abs(state.rho - exact).max() <= 1e-10
+        assert np.abs(state.rho - spectral.propagate(rho0, t).rho).max() <= 1e-10
+        assert np.abs(handoff.propagate(rho0, t).rho - state.rho).max() <= 1e-10
+    with pytest.raises(NumericalFailure, match="no spectral route"):
+        handoff.evolve(rho0.rho, 1.0)
 
 
-def test_semiclassical_route_follows_eigenbasis_condition():
-    assert SemiclassicalPropagator(build_hatano_nelson(1, 2, 61)).method == "spectral"
-    prop = SemiclassicalPropagator(build_hatano_nelson(1, 2, 70))
-    assert prop.method == "expm"
-    psi0 = np.zeros(70, complex)
-    psi0[34] = 1.0
+@pytest.mark.parametrize("n", [7, 61, 70])
+def test_no_jump_propagation_matches_expm_of_the_effective_hamiltonian(n):
+    # cond(V) of H_eff is 1.1e9 at N = 61: there an eigenbasis route is off by 1e-6
+    ops = build_hatano_nelson(1, 2, n) if n > 7 else \
+        build_obc(make_cosine_model(1, 0, 1, np.pi / 2), n)
+    psi0 = np.zeros(n, complex)
+    psi0[n // 2] = 1.0
+    prop = SemiclassicalPropagator(ops)
+    for t in (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0):
+        exact = scipy.linalg.expm(-1j * ops.H_eff * t) @ psi0
+        for psi in (prop.at(psi0, t), propagate_semiclassical(ops, psi0, t).psi):
+            assert np.linalg.norm(psi - exact) <= 1e-10 * np.linalg.norm(exact)
     norms = [np.linalg.norm(prop.at(psi0, t)) for t in (0.0, 0.5, 1.0, 2.0, 4.0)]
     assert norms[0] == 1.0
     assert np.all(np.diff(norms) <= 1e-12)
+    with pytest.raises(ParameterError):
+        prop.at(psi0, -1.0)
 
 
 def test_non_psd_start_fails_on_both_master_routes(skew11):
@@ -325,14 +340,16 @@ def test_real_eigenbasis_gives_the_complex_condition_number_and_inverse(symmetri
 
 
 def test_blocked_condition_number_is_that_of_the_whole_eigenbasis():
-    rng = np.random.default_rng(9)
-    A = scipy.linalg.block_diag(rng.normal(size=(5, 5)), rng.normal(size=(4, 4)))
-    blocks = [np.arange(5), np.arange(5, 9)]
-    blocked = _SpectralExponential(A, EIG_COND_LIMIT_MASTER, blocks)
-    assert blocked.block_sizes == [5, 4]
-    assert abs(blocked.cond / np.linalg.cond(np.linalg.eig(A)[1]) - 1.0) <= 1e-10
-    x = rng.normal(size=9)
-    assert np.abs(blocked.apply(x, 0.8) - scipy.linalg.expm(0.8 * A) @ x).max() <= 1e-12
+    ops = build_obc(make_cosine_model(1, 0, 1, np.pi / 2), 7)     # four mirror sectors
+    prop = MasterPropagator(ops)
+    M = _hermitian_basis_generator(ops)
+    assert prop.block_sizes == [16, 12, 9, 12] and prop.factored_blocks == 4
+    V = np.zeros(M.shape, dtype=complex)
+    for block in prop.blocks:
+        V[np.ix_(block, block)] = np.linalg.eig(M[np.ix_(block, block)])[1]
+    assert abs(prop.cond / np.linalg.cond(V) - 1.0) <= 1e-10
+    x = np.random.default_rng(9).normal(size=M.shape[0])
+    assert np.abs(prop.apply(x, 0.8) - scipy.linalg.expm(0.8 * M) @ x).max() <= 1e-12
 
 
 def expm_states(ops, rho0, times):

@@ -8,6 +8,7 @@ are derandomized, so every run draws the same examples.
 import dataclasses
 
 import numpy as np
+import pytest
 import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -36,7 +37,8 @@ from skinlab import (
     trajectory_step,
     vec,
 )
-from skinlab.evolve import EIG_COND_LIMIT_MASTER, _SpectralExponential, _taylor_master_states
+from skinlab import evolve
+from skinlab.evolve import _taylor_master_states
 from skinlab.liouvillian import (
     ZERO_TOL_SCALE,
     _diagonal_blocks,
@@ -250,7 +252,7 @@ def dense_kernel_projector(ops):
 
 @PROFILE
 @given(ops=lattices(), seed=seeds)
-@example(ops=build_obc(make_cosine_model(1, 0, 1, np.pi / 4), 20), seed=0)   # expm fallback
+@example(ops=build_obc(make_cosine_model(1, 0, 1, np.pi / 4), 20), seed=0)   # Taylor handoff
 def test_stationary_projection_matches_the_complex_dense_kernel_projector(ops, seed):
     prop = MasterPropagator(ops)
     X = random_matrix(ops.n_sites, seed)
@@ -261,15 +263,20 @@ def test_stationary_projection_matches_the_complex_dense_kernel_projector(ops, s
 
 @PROFILE
 @given(ops=lattices(), data=st.data())
-def test_expm_fallback_on_the_real_generator_matches_the_spectral_route(ops, data):
-    M = _hermitian_basis_generator(ops)
+def test_taylor_handoff_matches_the_spectral_route(ops, data):
     site = data.draw(st.integers(1, ops.n_sites))
-    x = _hermitian_coords(ops, DensityMatrix.site(ops.n_sites, site).rho)
-    spectral = _SpectralExponential(M, EIG_COND_LIMIT_MASTER)
-    fallback = _SpectralExponential(M, 0.0)
-    assert (spectral.method, fallback.method) == ("spectral", "expm")
-    for t in (0.0, 0.7, 3.0, 12.0):
-        assert np.abs(fallback.apply(x, t) - spectral.apply(x, t)).max() <= 1e-10
+    rho0 = DensityMatrix.site(ops.n_sites, site)
+    spectral = MasterPropagator(ops, rho0)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evolve, "EIG_COND_LIMIT_MASTER", 0.0)
+        handoff = MasterPropagator(ops, rho0)
+    assert (spectral.route, handoff.route) == ("spectral", "taylor")
+    L = build_liouvillian(ops).L
+    times = [0.0, 0.7, 3.0, 12.0]
+    for t, state in zip(times, handoff.states(rho0, times)[0]):
+        assert np.abs(state.rho - spectral.propagate(rho0, t).rho).max() <= 1e-10
+        exact = scipy.linalg.expm(L * t) @ vec(rho0.rho)
+        assert np.abs(vec(state.rho) - exact).max() <= 1e-10
 
 
 @PROFILE

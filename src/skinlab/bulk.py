@@ -156,7 +156,10 @@ def _fourier_congruence(model: BandModel, n_k: int, t: float, left_sites, right_
     G *= -0.5 * t
     np.exp(G, out=G)
     x_right = np.exp(-1j * (np.multiply.outer(k, right_sites) - (h * t)[:, None]))
-    x_left = np.exp(1j * (np.multiply.outer(left_sites, k) - h * t))
+    if left_sites is right_sites:   # exp of the negated real argument: the conjugate, bit for bit
+        x_left = x_right.conj().T
+    else:
+        x_left = np.exp(1j * (np.multiply.outer(left_sites, k) - h * t))
     return x_left @ (G @ x_right.view(float)).view(complex) / n_k**2
 
 

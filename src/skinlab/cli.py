@@ -533,8 +533,11 @@ def _run_semiclassical_drift(cfg: ExperimentConfig, outdir: Path, diagnostics: d
     master, _, diagnostics["generator"] = _master_states(ops, rho0, cfg.times)
     semi = SemiclassicalPropagator(ops)
     sites = np.arange(1, cfg.n_sites + 1)
-    semi_pops = [np.abs(semi.at(psi0, t)) ** 2 for t in cfg.times]
-    semi_pops = [pops / pops.sum() for pops in semi_pops]
+    semi_pops, psi, t_prev = [], psi0, 0.0
+    for t in cfg.times:   # the no-jump state carried from one output time to the next
+        psi, t_prev = semi.at(psi, t - t_prev), t
+        pops = np.abs(psi) ** 2
+        semi_pops.append(pops / pops.sum())
     master_obs = [observables(state) for state in master]
     cols = ["t", "master_first_moment", "semiclassical_first_moment"]
     write_csv(outdir / "drift.csv", cols,

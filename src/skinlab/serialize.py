@@ -3,6 +3,11 @@
 CSV cells print integers with ``%d`` and floats with ``%.17g``; JSON floats
 are Python's shortest round-trip repr.  Both layouts are deterministic, so
 identical inputs always produce byte-identical files.
+
+Hermitized density matrices, conjugate-pair spectra and real kernel matrices
+repeat their magnitudes, so a float column or array of finite values is
+formatted once per distinct magnitude (:func:`_float_texts`); where NaN or
+inf occurs, every value is formatted on its own.
 """
 
 from __future__ import annotations
@@ -18,9 +23,9 @@ JSON_SCALARS = {str, int, float, bool, type(None)}
 
 
 def matrix_to_json(M: np.ndarray) -> dict:
-    """Matrix as {"n": N, "re": [[...]], "im": [[...]]}."""
+    """Matrix as {"n": N, "re": [[...]], "im": [[...]]}, the parts as float arrays."""
     M = np.asarray(M, dtype=complex)
-    return {"n": M.shape[0], "re": M.real.tolist(), "im": M.imag.tolist()}
+    return {"n": M.shape[0], "re": M.real, "im": M.imag}
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
@@ -28,15 +33,32 @@ def matrix_from_json(obj: dict) -> np.ndarray:
 
 
 def write_json(path: str | Path, obj) -> Path:
-    """``json.dumps(obj, indent=1, sort_keys=True)`` and a newline, byte for byte."""
+    """``json.dumps(obj, indent=1, sort_keys=True)`` and a newline, byte for byte.
+
+    An ndarray in obj is written as its ``tolist()`` would be.
+    """
     path = Path(path)
     path.write_text(_json(obj, 0) + "\n")
     return path
 
 
 def _json(obj, depth: int) -> str:
-    """Indented JSON of obj nested ``depth`` levels deep; lists of scalars take the C encoder."""
+    """Indented JSON of obj nested ``depth`` levels deep.
+
+    Lists of scalars take the C encoder, a finite 1-D or 2-D float64 array
+    one :func:`_float_texts` and any other array its ``tolist()``.
+    """
     pad = "\n" + " " * (depth + 1)
+    if isinstance(obj, np.ndarray):
+        if (obj.dtype != np.float64 or obj.ndim not in (1, 2) or not obj.size
+                or not np.isfinite(obj).all()):
+            return _json(obj.tolist(), depth)
+        items = _float_texts(obj, lambda values: list(map(float.__repr__, values)))
+        if obj.ndim == 2:   # each row is a list one level deeper
+            row_pad, n = pad + " ", obj.shape[1]
+            items = ["[" + row_pad + ("," + row_pad).join(items[i:i + n]) + pad + "]"
+                     for i in range(0, obj.size, n)]
+        return "[" + pad + ("," + pad).join(items) + pad[:-1] + "]"
     if isinstance(obj, dict) and obj:
         body = ("," + pad).join(
             json.dumps(k if isinstance(k, str) else json.dumps(k)) + ": " + _json(v, depth + 1)
@@ -51,15 +73,39 @@ def _json(obj, depth: int) -> str:
     return json.dumps(obj)
 
 
+def _float_texts(values: np.ndarray, texts_of) -> list[str]:
+    """Texts of the finite floats of values in C order, formatting each distinct magnitude once.
+
+    ``texts_of`` maps a list of magnitudes to their texts; each value takes
+    its magnitude's text, with "-" in front where its sign bit is set.
+    """
+    flat = values.ravel()
+    magnitudes, inverse = np.unique(np.abs(flat), return_inverse=True)
+    texts = texts_of(magnitudes.tolist())
+    table = np.array(texts + ["-" + s for s in texts], dtype=object)
+    return table[inverse + len(texts) * np.signbit(flat)].tolist()
+
+
+def _printf(values: list[float]) -> list[str]:
+    """``FLOAT_FMT % x`` of each value from one ``%`` call, which formats in C."""
+    return ("".join([FLOAT_FMT + "\n"] * len(values)) % tuple(values)).split("\n")[:-1]
+
+
 def write_csv(path: str | Path, columns: list[str], data, header_lines=()) -> Path:
     """CSV with '#'-prefixed header lines and one row per entry of the equal-length columns.
 
-    Integer and bool columns print with ``%d``, the others with ``FLOAT_FMT``.
+    Integer and bool columns print with ``%d``, the others with ``FLOAT_FMT``;
+    a float column of finite values formats each distinct magnitude once.
     """
     path = Path(path)
     data = [np.asarray(c) for c in data]
-    row = ",".join("%d" if c.dtype.kind in "biu" else FLOAT_FMT for c in data) + "\n"
-    cells = tuple(itertools.chain.from_iterable(zip(*(c.tolist() for c in data))))
+    cell_fmt = ["%d" if c.dtype.kind in "biu"
+                else "%s" if c.dtype.kind == "f" and np.isfinite(c).all()
+                else FLOAT_FMT for c in data]
+    row = ",".join(cell_fmt) + "\n"
+    cells = tuple(itertools.chain.from_iterable(zip(*(
+        _float_texts(c, _printf) if f == "%s" else c.tolist()
+        for c, f in zip(data, cell_fmt)))))
     head = "".join(f"# {line}\n" for line in header_lines) + ",".join(columns) + "\n"
     path.write_text(head + (row * len(data[0])) % cells)
     return path
@@ -85,7 +131,7 @@ def frames_to_json(frames: list[tuple[float, np.ndarray, np.ndarray]]) -> dict:
             {
                 "time": float(t),
                 "sites": [int(s) for s in sites],
-                "abs": np.abs(rho).tolist(),
+                "abs": np.abs(rho),
             }
             for (t, sites, rho) in frames
         ]

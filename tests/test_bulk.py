@@ -14,7 +14,7 @@ from skinlab import (
     make_cosine_model,
 )
 from skinlab.band import momentum_grid
-from skinlab.bulk import _multiplier, wannier_element
+from skinlab.bulk import _fourier_congruence, _multiplier, wannier_element
 
 
 @pytest.fixture(scope="module")
@@ -215,3 +215,24 @@ def test_factored_congruence_matches_the_literal_fourier_sum(case):
     i, j = len(wd.sites) - 1, 0
     element = wannier_element(model, n_k, t, int(wd.sites[i]), int(wd.sites[j]))
     assert abs(element - wd.rho[i, j]) <= 1e-14 * np.abs(literal).max()
+
+
+def assert_shared_sites_match_a_copy(model, n_k, t, sites):
+    """One site list for both sides reuses the conjugate exponentials; the result is bit for bit."""
+    shared = _fourier_congruence(model, n_k, t, sites, sites)
+    apart = _fourier_congruence(model, n_k, t, sites, sites.copy())
+    assert np.array_equal(shared.view(np.int64), apart.view(np.int64))
+
+
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(bulk_cases())
+def test_shared_site_list_reuses_the_conjugate_exponentials_bit_for_bit(case):
+    model, n_k, window, t = case
+    assert_shared_sites_match_a_copy(model, n_k, t, np.arange(window[0], window[1] + 1))
+
+
+@pytest.mark.parametrize("phi", [0.0, np.pi / 4, np.pi / 2])
+def test_shipped_density_times_reuse_the_conjugate_exponentials_bit_for_bit(phi):
+    model = make_cosine_model(1, 0, 1, phi)
+    for t in (0.3, 1.0, 2.0, 4.0, 6.0, 17.0):
+        assert_shared_sites_match_a_copy(model, 512, t, np.arange(-40, 41))

@@ -345,6 +345,25 @@ def test_bulk_and_drift_and_liouvillian_experiments(tmp_path):
     assert stationary["zero_eigenvalue_multiplicity"] == 7
 
 
+def test_chained_no_jump_populations_match_expm_at_every_time(tmp_path):
+    """The drift runner carries the no-jump state between output times; each still matches expm."""
+    import scipy.linalg
+
+    n, site, times = 15, 8, [0.5, 1.0, 2.5, 4.0, 4.25]
+    cfg = validate_config({
+        "experiment": "SemiclassicalDrift",
+        "model": {"type": "cosine", "J": 1, "T": 0, "R": 1, "phi": PHI_HALF_PI},
+        "n_sites": n, "times": times, "rho0_site": site, "output_dir": str(tmp_path / "drift"),
+    })
+    run_experiment(cfg)
+    written = json.loads((tmp_path / "drift" / "populations.json").read_text())["semiclassical"]
+    H_eff = build_obc(make_cosine_model(1, 0, 1, PHI_HALF_PI), n).H_eff
+    assert len(written) == len(times)
+    for t, pops in zip(times, written):
+        exact = np.abs(scipy.linalg.expm(-1j * H_eff * t)[:, site - 1]) ** 2
+        assert np.abs(np.array(pops) - exact / exact.sum()).max() <= 1e-10
+
+
 def test_hatano_nelson_experiment(tmp_path):
     cfg = validate_config({
         "experiment": "HatanoNelson",

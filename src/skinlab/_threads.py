@@ -1,14 +1,14 @@
-"""One BLAS thread per LAPACK call during a run, and a generator's blocks solved side by side.
+"""One BLAS thread per LAPACK call during a run, and independent items solved side by side.
 
 numpy and scipy wheels each bundle an OpenBLAS whose thread pool splits a
 single LAPACK call.  For the blocks a generator falls into (a few hundred to
 two thousand coordinates) a second pool thread gains nothing and only
 spin-waits, and how a call is split moves its last digits, so output bytes
 would depend on the pool size.  Inside :func:`pinned` every OpenBLAS found
-runs one thread, and :func:`blockwise` solves independent stacks of blocks
-on the available cores at once instead.  Each stack is the same
-single-threaded LAPACK call whichever thread runs it, so no result depends
-on the number of workers.
+runs one thread, and :func:`blockwise` spreads independent items (a
+generator's block stacks, a chunk's trajectory tiles) over the available
+cores instead.  Each item is the same single-threaded computation whichever
+thread runs it, so no result depends on the number of cores.
 
 The pool size is read and set through the library's own
 ``openblas_{get,set}_num_threads`` (with a ``scipy_`` prefix in the wheels'
@@ -17,7 +17,7 @@ builds, and a ``64_`` suffix in numpy's 64-bit-integer one), looked up with
 dlsym searches a library's dependencies too.  The global setter is the one
 used: in the OpenBLAS numpy 2.4 bundles, ``openblas_set_num_threads_local``
 called in one thread also changed the count seen by the others.  Where no
-symbol is found (MKL, Accelerate) nothing is pinned and blocks are solved
+symbol is found (MKL, Accelerate) nothing is pinned and items are solved
 one after another.
 """
 
@@ -38,7 +38,6 @@ _SYMBOLS = [tuple(f"{prefix}openblas_{op}_num_threads{suffix}" for op in ("get",
 _lock = threading.Lock()
 _pin = None             # the active _Pin
 _users = 0              # pinned() blocks open: the last one out restores the pool sizes
-_pool = None            # (worker count, ThreadPoolExecutor): persistent block workers
 
 
 def _controls(path: str):
@@ -103,8 +102,8 @@ def pinned():
     numpy's OpenBLAS is pinned on entry and scipy's once ``scipy.linalg`` is
     loaded (on entry, or where :func:`pin_loaded` is called after its lazy
     import).  With numpy's pinned, :func:`blockwise` runs on cores - 1
-    persistent workers besides the caller.  Nested or concurrent blocks share
-    one pin, and the last to exit restores the pool sizes.
+    workers besides the caller.  Nested or concurrent blocks share one pin,
+    and the last to exit restores the pool sizes.
     """
     global _pin, _users
     with _lock:
@@ -133,38 +132,26 @@ def pin_loaded() -> None:
             _pin.add_loaded()
 
 
-def _workers(count: int):
-    """The persistent pool of ``count`` block workers (its module loads on first use)."""
-    global _pool
-    with _lock:
-        if _pool is None or _pool[0] != count:
-            if _pool is not None:
-                _pool[1].shutdown()
-            pool = concurrent.futures.ThreadPoolExecutor(count, thread_name_prefix="skinlab-block")
-            _pool = count, pool
-        return _pool[1]
+def blockwise(fn, items) -> list:
+    """``[fn(item) for item in items]``, the items solved side by side inside :func:`pinned`.
 
-
-def blockwise(fn, stacks) -> list:
-    """``[fn(s) for s in stacks]``, the stacks solved side by side inside :func:`pinned`.
-
-    The calling thread solves the first stack (callers pass the largest
-    first) while the persistent workers take the rest.  A fixed split keeps
-    each thread's malloc arena to the same blocks from run to run, so peak
-    memory does not drift with timing.  Outside the pin, without a thread
-    control, on one core or with one stack it is the plain loop.
+    The items are dealt round-robin over min(len(items), workers + 1)
+    threads; the caller runs share 0 (callers pass the largest item first)
+    and each share runs its items in order.  The fixed split keeps each
+    thread's malloc arena to the same items from run to run, so peak memory
+    does not drift with timing, and no worker still runs once the call
+    returns or raises.  Outside the pin, without a thread control, on one
+    core or with one item it is the plain loop.
     """
-    stacks, pin = list(stacks), _pin
-    workers = 0 if pin is None else pin.workers
-    if workers < 1 or len(stacks) < 2:
-        return [fn(s) for s in stacks]
-    pool = _workers(workers)
-    futures = [pool.submit(fn, s) for s in stacks[1:]]
-    try:
-        results = [fn(stacks[0])] + [future.result() for future in futures]
-    except BaseException:
-        for future in futures:
-            future.cancel()
-        concurrent.futures.wait(futures)   # no worker may still run LAPACK once the pin is lifted
-        raise
-    return results
+    items = list(items)
+    shares = min(len(items), 1 + (0 if _pin is None else _pin.workers))
+    if shares < 2:
+        return [fn(item) for item in items]
+
+    def share(k: int) -> list:
+        return [fn(item) for item in items[k::shares]]
+
+    with concurrent.futures.ThreadPoolExecutor(shares - 1, "skinlab-block") as pool:
+        futures = [pool.submit(share, k) for k in range(1, shares)]
+        done = [share(0)] + [future.result() for future in futures]
+    return [done[i % shares][i // shares] for i in range(len(items))]

@@ -74,6 +74,8 @@ class BandModel:
         p = {int(m): complex(c) for m, c in self.p_coeffs.items()}
         object.__setattr__(self, "h_coeffs", h)
         object.__setattr__(self, "p_coeffs", p)
+        if not np.isfinite([*h.values(), *p.values()]).all():
+            raise ParameterError("coefficients must be finite")
         for m, c in h.items():
             if abs(c.imag) > COEFF_TOL:
                 raise ParameterError(f"h_coeffs[{m}] = {c} is not real (time-reversal broken)")

@@ -148,9 +148,12 @@ def wannier_element(model: BandModel, n_k: int, t: float, n: int, m: int) -> com
 def _fourier_congruence(model: BandModel, n_k: int, t: float, left_sites, right_sites):
     """F_L E F_R^dagger / n_k^2 as X_L G X_R^dagger / n_k^2 (see the module docstring).
 
-    G multiplies the interleaved (Re, Im) columns of X_R^dagger in one real GEMM.
+    G multiplies the interleaved (Re, Im) columns of X_R^dagger in one real GEMM.  h is
+    taken from the middle of its range, a global phase that keeps |h| t, and with it the
+    rounding of h t against k n, as small as it can be.
     """
     k, h, p = _grid_dispersion(model, n_k)
+    h = h - 0.5 * (h.max() + h.min())
     G = np.subtract.outer(p, p)
     G *= G
     G *= -0.5 * t

@@ -5,14 +5,15 @@ a manifest recording the resolved configuration, its hash, the tool version,
 wall time, how the generator was factored, the numpy and scipy versions, the
 BLAS library each of them links, the BLAS thread variables and what the run
 did with threads.  A run sets every OpenBLAS it finds to one thread and
-solves a generator's independent blocks side by side instead (see
-:mod:`skinlab._threads`), so numeric output files are byte-identical across
-reruns of the same config at any BLAS pool size; builds without the OpenBLAS
-thread control (MKL, Accelerate) promise that only at a fixed pool size.
+solves a generator's independent blocks and a trajectory chunk's tiles side
+by side on the cores instead (see :mod:`skinlab._threads`), so numeric
+output files are byte-identical across reruns of the same config at any
+BLAS pool size and core count; builds without the OpenBLAS thread control
+(MKL, Accelerate) promise that only at a fixed pool size.
 
 Command line:
 
-    skinlab run <config.json> [--out DIR] [--seed S] [--threads K]
+    skinlab run <config.json> [--out DIR] [--seed S]
     skinlab validate <config.json>
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure.
@@ -23,6 +24,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -68,7 +70,7 @@ from .serialize import (
     write_csv,
     write_json,
 )
-from .trajectories import _schedule, run_ensemble
+from .trajectories import run_ensemble
 
 EXPERIMENTS = (
     "Spectra",
@@ -102,7 +104,6 @@ class ExperimentConfig:
     dt: float | None = None
     n_traj: int | None = None
     master_seed: int = 0
-    n_threads: int = 1
     include_spectrum: bool = True
 
     def resolved(self) -> dict:
@@ -112,7 +113,6 @@ class ExperimentConfig:
             "model": self.model,
             "output_dir": self.output_dir,
             "master_seed": self.master_seed,
-            "n_threads": self.n_threads,
         }
         for key in ("n_sites", "n_k", "rho0_site", "t_final", "dt", "n_traj"):
             value = getattr(self, key)
@@ -129,25 +129,36 @@ class ExperimentConfig:
     def config_hash(self) -> str:
         """Hash of the numerical identity of the experiment.
 
-        Excludes output_dir and n_threads: neither may change any number in
-        the datasets, so configs differing only there produce byte-identical
+        Excludes output_dir, which may not change any number in the
+        datasets, so configs differing only there produce byte-identical
         files.
         """
         resolved = self.resolved()
         resolved.pop("output_dir", None)
-        resolved.pop("n_threads", None)
         canonical = json.dumps(resolved, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+
+
+def _cast(name: str, value, kind):
+    """``value`` as ``kind``: strings and booleans as given, numbers finite and for int integral."""
+    if kind in (str, bool):
+        ok = isinstance(value, kind)
+    elif isinstance(value, bool) or not isinstance(value, (int, float)):
+        ok = False
+    elif isinstance(value, int):
+        ok = kind is int or abs(value) <= sys.float_info.max
+    else:
+        ok = math.isfinite(value) and (kind is float or value.is_integer())
+    if not ok:
+        finite = "a finite " if kind is float else ""
+        raise ConfigError(name, f"expected {finite}{kind.__name__}, got {value!r}")
+    return kind(value)
 
 
 def _require(raw: dict, name: str, kind, check=None, note=""):
     if name not in raw:
         raise ConfigError(name, "missing required field")
-    value = raw[name]
-    try:
-        value = kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(name, f"expected {kind.__name__}, got {value!r}") from None
+    value = _cast(name, raw[name], kind)
     if check is not None and not check(value):
         raise ConfigError(name, note or f"value {value!r} out of range")
     return value
@@ -167,7 +178,7 @@ def _times(raw: dict, required: bool = True) -> list[float]:
     times = raw["times"]
     if not isinstance(times, (list, tuple)) or not times:
         raise ConfigError("times", "must be a non-empty list of times")
-    times = [float(t) for t in times]
+    times = [_cast("times", t, float) for t in times]
     if any(t < 0 for t in times) or any(b <= a for a, b in zip(times, times[1:])):
         raise ConfigError("times", "must be non-negative and strictly increasing")
     return times
@@ -187,9 +198,9 @@ def _validate_model(obj, experiment: str) -> dict:
         if isinstance(phi, (list, tuple)):
             if experiment != "Spectra":
                 raise ConfigError("model.phi", "a list of phases is only valid for Spectra")
-            out["phi"] = [float(p) for p in phi]
+            out["phi"] = [_cast("model.phi", p, float) for p in phi]
         else:
-            out["phi"] = float(phi)
+            out["phi"] = _cast("model.phi", phi, float)
         return out
     if kind == "coeffs":
         for key in ("h", "p"):
@@ -238,7 +249,6 @@ def validate_config(raw: dict) -> ExperimentConfig:
         model=model,
         output_dir=str(raw.get("output_dir", "out")),
         master_seed=_optional(raw, "master_seed", int, 0, lambda s: s >= 0, "must be >= 0"),
-        n_threads=_optional(raw, "n_threads", int, 1, lambda x: x >= 1, "must be >= 1"),
     )
 
     needs_sites = experiment != "BulkRelax"
@@ -259,7 +269,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
         else:
             if not (isinstance(window, (list, tuple)) and len(window) == 2):
                 raise ConfigError("window", "must be a [lo, hi] pair")
-            lo, hi = int(window[0]), int(window[1])
+            lo, hi = (_cast("window", end, int) for end in window)
             if lo > hi or lo < -cfg.n_k // 2 or hi >= cfg.n_k // 2:
                 raise ConfigError("window", f"must lie inside [-{cfg.n_k // 2}, {cfg.n_k // 2})")
             cfg.window = (lo, hi)
@@ -287,7 +297,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
     if experiment == "HatanoNelson":
         if model["type"] != "hatano_nelson":
             raise ConfigError("model.type", "HatanoNelson requires a hatano_nelson model")
-        cfg.include_spectrum = bool(raw.get("include_spectrum", True))
+        cfg.include_spectrum = _optional(raw, "include_spectrum", bool, True)
         if cfg.include_spectrum and cfg.n_sites**2 > SPECTRUM_CAP:
             raise ConfigError("n_sites", f"spectrum output needs n_sites**2 <= {SPECTRUM_CAP}")
 
@@ -480,13 +490,9 @@ def _run_trajectories(cfg: ExperimentConfig, outdir: Path, diagnostics: dict) ->
     ops = _lattice(cfg.model, cfg.n_sites)
     psi0 = np.zeros(cfg.n_sites, dtype=complex)
     psi0[cfg.rho0_site - 1] = 1.0
-    ens = run_ensemble(ops, psi0, cfg.t_final, cfg.dt, cfg.n_traj,
-                       cfg.master_seed, cfg.n_threads)
+    ens = run_ensemble(ops, psi0, cfg.t_final, cfg.dt, cfg.n_traj, cfg.master_seed)
     drift = float(np.abs(ens.norms - 1.0).max())
-    chunks, workers = _schedule(cfg.n_traj, cfg.n_threads)
-    diagnostics["trajectories"] = {"steps": round(cfg.t_final / cfg.dt),
-                                   "tiles": sum(len(tiles) for tiles in chunks),
-                                   "workers": workers, "max_norm_drift": drift}
+    diagnostics["trajectories"] = {"steps": round(cfg.t_final / cfg.dt), "max_norm_drift": drift}
     sites = np.arange(1, cfg.n_sites + 1)
     cols = ["n", "m", "re", "im", "abs"]
     write_csv(outdir / "rho_estimate.csv", cols, density_rows(sites, ens.rho_estimate),
@@ -619,7 +625,6 @@ def main(argv=None) -> int:
     run_p.add_argument("config", help="path to the experiment JSON")
     run_p.add_argument("--out", help="override output_dir")
     run_p.add_argument("--seed", type=int, help="override master_seed")
-    run_p.add_argument("--threads", type=int, help="override n_threads")
     val_p = sub.add_parser("validate", help="validate a config without running it")
     val_p.add_argument("config", help="path to the experiment JSON")
     args = parser.parse_args(argv)
@@ -635,10 +640,6 @@ def main(argv=None) -> int:
             if args.seed < 0:
                 raise ConfigError("master_seed", "must be >= 0")
             cfg.master_seed = args.seed
-        if args.threads is not None:
-            if args.threads < 1:
-                raise ConfigError("n_threads", "must be >= 1")
-            cfg.n_threads = args.threads
         manifest = run_experiment(cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,19 +23,19 @@ Noise streams are counter-based (Philox): trajectory j of master seed s is
 the stream of key s whose counter starts at j * 2**128, the master stream
 jumped j times, so any trajectory can be regenerated in isolation.  An
 ensemble is evolved in fixed tiles of ``TILE`` trajectories, spread over
-``n_threads`` threads (the caller included), and reduced chunk by chunk of
-``CHUNK`` trajectories in a fixed order, so its bytes do not depend on how
-the work is scheduled and its noise memory is a tile per thread.
+the cores by :func:`skinlab._threads.blockwise`, and reduced chunk by chunk
+of ``CHUNK`` trajectories in a fixed order, so its bytes do not depend on
+how many cores run it and its noise memory is a tile per thread.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._threads import blockwise
 from .band import BandModel, momentum_grid
 from .errors import ParameterError
 from .lattice_ops import LatticeOperators
@@ -207,23 +207,6 @@ def _wiener_rows(master_seed: int, indices: range, n_steps: int, dt: float) -> n
     return dW
 
 
-def _schedule(n_traj: int, n_threads: int):
-    """Tiles of each chunk, as index ranges, and the threads that evolve them.
-
-    Fixed by ``n_traj`` and ``n_threads`` alone: each chunk's tiles are dealt
-    round-robin to min(n_threads, tiles in a chunk) threads, the caller first.
-    """
-    chunks = [[range(t, min(t + TILE, hi)) for t in range(lo, hi, TILE)]
-              for lo, hi in ((lo, min(lo + CHUNK, n_traj)) for lo in range(0, n_traj, CHUNK))]
-    return chunks, max(1, min(n_threads, len(chunks[0])))
-
-
-def _evolve_tiles(factors, psi0, dt, n_steps, master_seed, tiles) -> list:
-    """Final states of each tile's trajectories, one ``_split_evolve`` per tile."""
-    return [_split_evolve(factors, psi0, _wiener_rows(master_seed, indices, n_steps, dt))
-            for indices in tiles]
-
-
 def _reduce_chunk(psi: np.ndarray) -> dict:
     """Reduction pieces of one chunk's final states, (c, N)."""
     projectors = psi[:, :, None] * psi[:, None, :].conj()
@@ -243,31 +226,30 @@ def run_ensemble(
     dt: float,
     n_traj: int,
     master_seed: int,
-    n_threads: int = 1,
 ) -> TrajectoryEnsemble:
     """Seeded trajectory ensemble reduced to a density-matrix estimate.
 
     The ensemble is split into fixed chunks of ``CHUNK`` trajectories, each
-    evolved as tiles of ``TILE`` on up to ``n_threads`` threads, the caller
-    among them; a chunk is reduced from its tiles' states in index order and
-    chunk results are combined by a pairwise tree in chunk order, so the
-    output is bit-identical for any thread count.  Chunks run one after
-    another, so at most one tile of noise per thread is held at a time.
+    evolved as tiles of ``TILE`` through :func:`skinlab._threads.blockwise`
+    (side by side inside :func:`skinlab._threads.pinned`); a chunk is reduced
+    from its tiles' states in index order and chunk results are combined by
+    a pairwise tree in chunk order, so the output is bit-identical for any
+    core count.  Chunks run one after another, so at most one tile of noise
+    per thread is held at a time.
     """
     if n_traj < 2:
         raise ParameterError(f"need n_traj >= 2, got {n_traj}")
     n_steps = _validate_run(t_final, dt)
-    chunks, workers = _schedule(n_traj, n_threads)
     factors = _split_factors(ops, dt)
-    work = (factors, psi0, dt, n_steps, master_seed)
+
+    def evolve(tile: range) -> np.ndarray:
+        return _split_evolve(factors, psi0, _wiener_rows(master_seed, tile, n_steps, dt))
+
     parts = []
-    with concurrent.futures.ThreadPoolExecutor(max(1, workers - 1), "skinlab-tile") as pool:
-        for tiles in chunks:
-            n = min(workers, len(tiles))
-            futures = [pool.submit(_evolve_tiles, *work, tiles[k::n]) for k in range(1, n)]
-            done = [_evolve_tiles(*work, tiles[0::n])] + [future.result() for future in futures]
-            psi = np.concatenate([done[i % n][i // n] for i in range(len(tiles))])
-            parts.append(_reduce_chunk(psi))
+    for lo in range(0, n_traj, CHUNK):
+        hi = min(lo + CHUNK, n_traj)
+        tiles = [range(t, min(t + TILE, hi)) for t in range(lo, hi, TILE)]
+        parts.append(_reduce_chunk(np.concatenate(blockwise(evolve, tiles))))
 
     proj_sum, psi_sum, abs2_sum = (_pairwise_sum(np.stack([p[key] for p in parts]))
                                    for key in ("proj_sum", "psi_sum", "abs2_sum"))

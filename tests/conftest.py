@@ -1,10 +1,12 @@
 import os
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from skinlab import build_hatano_nelson, build_liouvillian, build_obc, make_cosine_model, vec
+from skinlab import _threads, build_hatano_nelson, build_liouvillian, build_obc, make_cosine_model, vec
 from skinlab.cli import BLAS_THREAD_VARS
 from skinlab.lattice_ops import Construction
 
@@ -39,6 +41,16 @@ def pytest_terminal_summary(terminalreporter, config):
     if not header_shown:
         for line in config.stash[HOST_LINES][1:]:
             terminalreporter.write_line(line, yellow=True, bold=True)
+
+
+@contextmanager
+def block_workers(workers: int):
+    """Inside :func:`skinlab._threads.pinned` as if on ``workers`` + 1 cores.
+
+    Without the OpenBLAS thread control the pin has no workers, whatever the cores.
+    """
+    with mock.patch.object(_threads, "_cores", lambda: workers + 1), _threads.pinned() as pin:
+        yield pin
 
 
 def assert_multiset_close(a, b, tol):

@@ -7,7 +7,7 @@ pass/fail line per criterion; each test also prints its own summary line).
 import numpy as np
 import pytest
 
-from conftest import assert_multiset_close, conjugation_symmetric
+from conftest import assert_multiset_close, block_workers, conjugation_symmetric
 from skinlab import (
     DensityMatrix,
     MasterPropagator,
@@ -274,8 +274,10 @@ def test_criterion_11_structural_properties(skew11, psi0_center11):
     assert np.all(w.real <= 1e-8)
     assert conjugation_symmetric(w, 1e-8)
 
-    runs = [run_ensemble(ops, psi0_center11, 1.0, 0.005, 600, master_seed=7, n_threads=k)
-            for k in (1, 2, 4)]
+    runs = []
+    for workers in (0, 1, 3):
+        with block_workers(workers):
+            runs.append(run_ensemble(ops, psi0_center11, 1.0, 0.005, 600, master_seed=7))
     for other in runs[1:]:
         assert np.array_equal(runs[0].rho_estimate, other.rho_estimate)
         assert np.array_equal(runs[0].psi_mean, other.psi_mean)

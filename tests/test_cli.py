@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy
 
+from conftest import block_workers
 from skinlab import build_hatano_nelson, build_obc, make_cosine_model
 from skinlab._threads import EXTENSIONS, _controls, _cores
 from skinlab.cli import _blas, load_config, main, run_experiment, validate_config
@@ -90,6 +91,7 @@ def test_validation_errors_name_the_field(tmp_path):
 
 def test_config_hash_ignores_output_plumbing(tmp_path):
     a = validate_config(spectra_config(tmp_path))
+    # unknown keys are ignored, n_threads of older configs among them
     b = validate_config(spectra_config(tmp_path, output_dir="elsewhere", n_threads=4))
     assert a.config_hash() == b.config_hash()
     c = validate_config(spectra_config(tmp_path, n_k=256))
@@ -207,7 +209,7 @@ def test_scipy_linalg_loads_only_for_spectra(tmp_path):
         assert pinned == [["numpy"], ["numpy"] + ["scipy"] * scipy_found]
 
 
-def test_trajectories_experiment_threads_do_not_change_bytes(tmp_path):
+def test_trajectories_experiment_workers_do_not_change_bytes(tmp_path):
     base = {
         "experiment": "Trajectories",
         "model": {"type": "cosine", "J": 1, "T": 0, "R": 1, "phi": PHI_HALF_PI},
@@ -217,9 +219,9 @@ def test_trajectories_experiment_threads_do_not_change_bytes(tmp_path):
         "n_traj": 300,
         "master_seed": 11,
     }
-    for sub, threads in (("t1", 1), ("t4", 4)):
-        cfg = validate_config({**base, "output_dir": str(tmp_path / sub), "n_threads": threads})
-        run_experiment(cfg)
+    for sub, workers in (("t1", 0), ("t4", 3)):
+        with block_workers(workers):
+            run_experiment(validate_config({**base, "output_dir": str(tmp_path / sub)}))
     assert (tmp_path / "t1" / "rho_estimate.csv").read_bytes() == \
         (tmp_path / "t4" / "rho_estimate.csv").read_bytes()
     summary = json.loads((tmp_path / "t1" / "ensemble.json").read_text())
@@ -227,27 +229,25 @@ def test_trajectories_experiment_threads_do_not_change_bytes(tmp_path):
     assert summary["max_norm_drift"] < 1e-9
 
 
-def test_trajectories_manifest_records_steps_tiles_workers_and_drift(tmp_path):
+def test_trajectories_manifest_records_steps_and_drift_and_the_workers_once(tmp_path):
     base = {
         "experiment": "Trajectories",
         "model": {"type": "cosine", "J": 1, "T": 0, "R": 1, "phi": PHI_HALF_PI},
         "n_sites": 5, "t_final": 0.2, "dt": 0.005, "n_traj": 600, "master_seed": 3,
     }
-    records = {}
-    for threads in (1, 3, 16):
-        outdir = tmp_path / f"t{threads}"
-        cfg = validate_config({**base, "output_dir": str(outdir), "n_threads": threads})
-        records[threads] = run_experiment(cfg)["diagnostics"]["trajectories"]
+    controlled = _controls(np.linalg._umath_linalg.__file__) is not None
+    for workers in (0, 1, 15):
+        outdir = tmp_path / f"w{workers}"
+        with block_workers(workers):
+            diagnostics = run_experiment(
+                validate_config({**base, "output_dir": str(outdir)}))["diagnostics"]
+        record = diagnostics["trajectories"]
         summary = json.loads((outdir / "ensemble.json").read_text())
-        assert records[threads]["max_norm_drift"] == summary["max_norm_drift"] < 1e-12
+        assert record == {"steps": 40, "max_norm_drift": summary["max_norm_drift"]}
+        assert record["max_norm_drift"] < 1e-12
+        assert diagnostics["environment"]["block_workers"] == (workers if controlled else 0)
         for name in ("rho_estimate.csv", "ensemble.json"):
-            assert (outdir / name).read_bytes() == (tmp_path / "t1" / name).read_bytes()
-    # 600 = one chunk of 8 tiles and one of 64 + 24: 10 tiles; a chunk's tiles bound the workers
-    assert {threads: record["workers"] for threads, record in records.items()} == \
-        {1: 1, 3: 3, 16: 8}
-    for record in records.values():
-        assert (record["steps"], record["tiles"]) == (40, 10)
-        assert set(record) == {"steps", "tiles", "workers", "max_norm_drift"}
+            assert (outdir / name).read_bytes() == (tmp_path / "w0" / name).read_bytes()
 
 
 def test_trajectories_side_check_runs_above_the_dense_propagation_cap(tmp_path):
@@ -439,8 +439,10 @@ def test_main_exit_codes(tmp_path, capsys):
 
 def test_main_run_with_overrides(tmp_path):
     path = write_config(tmp_path, spectra_config(tmp_path), "cfg.json")
-    assert main(["run", str(path), "--out", str(tmp_path / "other"), "--threads", "2"]) == 0
+    assert main(["run", str(path), "--out", str(tmp_path / "other"), "--seed", "2"]) == 0
     assert (tmp_path / "other" / "manifest.json").exists()
+    with pytest.raises(SystemExit):     # the core count sets the threads; there is no flag
+        main(["run", str(path), "--threads", "2"])
 
 
 def test_load_config_missing_file(tmp_path):
@@ -487,6 +489,45 @@ def test_dense_spectrum_cap(experiment, model):
     with pytest.raises(ConfigError) as err:
         validate_config({**raw, "n_sites": 65})
     assert err.value.field == "n_sites"
+
+
+OBC_RELAX = {"experiment": "ObcRelax", "model": {"type": "cosine", "J": 1, "T": 0, "R": 1},
+             "n_sites": 6, "times": [1.0]}
+BULK_RELAX = {"experiment": "BulkRelax", "model": {"type": "cosine", "J": 1, "T": 0, "R": 1},
+              "n_k": 16, "times": [0.5]}
+HATANO_NELSON = {"experiment": "HatanoNelson", "model": {"type": "hatano_nelson", "J1": 1, "J2": 2},
+                 "n_sites": 6, "times": [1.0]}
+
+
+@pytest.mark.parametrize("raw,field", [
+    ({**OBC_RELAX, "times": [1, "x"]}, "times"),
+    ({**BULK_RELAX, "window": ["a", 2]}, "window"),
+    ({**OBC_RELAX, "model": {**OBC_RELAX["model"], "phi": [0, "q"]}, "experiment": "Spectra"},
+     "model.phi"),
+    ({**OBC_RELAX, "times": [1, float("nan")]}, "times"),
+    ({**OBC_RELAX, "model": {**OBC_RELAX["model"], "phi": float("nan")}}, "model.phi"),
+    ({**OBC_RELAX, "n_sites": 5.7}, "n_sites"),
+    ({**OBC_RELAX, "rho0_site": 2.9}, "rho0_site"),
+    ({**HATANO_NELSON, "include_spectrum": "false"}, "include_spectrum"),
+    ({**OBC_RELAX, "times": [1, 10**400]}, "times"),
+    ({**BULK_RELAX, "model": {"type": "coeffs", "h": [[0, float("nan"), 0]], "p": [[0, 1, 0]]}},
+     "model"),
+], ids=["text_time", "text_window", "text_phi", "nan_time", "nan_phi", "fractional_n_sites",
+        "fractional_rho0_site", "text_include_spectrum", "time_beyond_float", "nan_coefficient"])
+def test_malformed_values_are_config_errors_and_exit_2(tmp_path, capsys, raw, field):
+    with pytest.raises(ConfigError) as err:
+        validate_config(raw)
+    assert err.value.field == field
+    path = write_config(tmp_path, {**raw, "output_dir": str(tmp_path / "out")})
+    assert main(["run", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_integral_floats_and_booleans_still_validate():
+    cfg = validate_config({**OBC_RELAX, "n_sites": 6.0, "rho0_site": 2.0})
+    assert (cfg.n_sites, cfg.rho0_site) == (6, 2) and isinstance(cfg.n_sites, int)
+    assert validate_config({**HATANO_NELSON, "include_spectrum": False}).include_spectrum is False
 
 
 def test_hatano_nelson_without_spectrum_skips_the_cap():

@@ -14,6 +14,7 @@ from skinlab.errors import NumericalFailure
 from skinlab.evolve import MasterPropagator
 from skinlab.liouvillian import liouvillian_eigenvalues
 
+from conftest import block_workers
 from test_cli import PHI_HALF_PI, src_env, write_config
 
 NUMPY_CONTROLS = _threads._controls(np.linalg._umath_linalg.__file__)
@@ -66,10 +67,9 @@ def solve_with_workers(monkeypatch, workers, solve):
     """solve() inside the pin with ``workers`` block workers; its result and the calling threads."""
     names = []
     with monkeypatch.context() as patch:
-        patch.setattr(_threads, "_cores", lambda: workers + 1)
         for name in ("eig", "eigvals", "svd", "inv"):
             patch.setattr(np.linalg, name, recording(getattr(np.linalg, name), names))
-        with _threads.pinned():
+        with block_workers(workers):
             result = solve()
     return result, names
 
@@ -105,6 +105,29 @@ def test_blockwise_gives_the_bits_of_the_serial_loop(monkeypatch, case):
         blocked, threads = solve_with_workers(monkeypatch, workers, solve)
         assert any(name.startswith("skinlab-block") for name in threads)
         assert_same_bits(blocked, serial)
+
+
+@pytest.mark.parametrize("workers", [0, 1, 3])
+def test_blockwise_deals_the_items_round_robin_and_returns_the_serial_bits_in_order(workers):
+    rng = np.random.default_rng(5)
+    caller = threading.current_thread().name
+    for count in range(1, 8):
+        items = [rng.standard_normal((12, 12)) for _ in range(count)]
+        ran = []     # (item, thread) in the order the items ran
+
+        def solve(i):
+            ran.append((i, threading.current_thread().name))
+            return np.linalg.eigvals(items[i])
+
+        with block_workers(workers) as pin:
+            blocked = _threads.blockwise(solve, range(count))
+        assert_same_bits(blocked, [np.linalg.eigvals(m) for m in items])
+        shares = min(count, pin.workers + 1)
+        assert shares == min(count, workers + 1) or NUMPY_CONTROLS is None
+        order = [i for i, _ in ran]
+        for k in range(shares):    # share k runs items k, k + shares, ... in order, share 0 here
+            assert [i for i in order if i % shares == k] == list(range(k, count, shares))
+            assert {name == caller for i, name in ran if i % shares == k} == {k == 0}
 
 
 def test_blockwise_runs_the_plain_loop_outside_the_pin():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import ZeroStream, split_evolve_oracle
+from conftest import ZeroStream, block_workers, split_evolve_oracle
 from skinlab import (
     BandModel,
     NoiseStream,
@@ -32,7 +32,6 @@ from skinlab.trajectories import (
     CHUNK,
     TILE,
     _jump_phases,
-    _schedule,
     _split_evolve,
     _split_factors,
     _wiener_rows,
@@ -135,44 +134,55 @@ def test_tiles_evolved_one_by_one_give_the_whole_chunk(skew11, center11):
     assert _split_evolve(factors, center11, dW).tobytes() == whole.tobytes()
 
 
-def test_schedule_deals_fixed_tiles_of_each_chunk():
+def ensemble_at(workers: int, *args, **kwargs):
+    """``run_ensemble(*args, **kwargs)`` with ``workers`` block workers besides the caller."""
+    with block_workers(workers):
+        return run_ensemble(*args, **kwargs)
+
+
+def test_ensemble_evolves_fixed_tiles_of_each_chunk(skew11, center11, monkeypatch):
     assert CHUNK % TILE == 0
-    chunks, workers = _schedule(600, 3)
-    assert [[(r.start, r.stop) for r in tiles] for tiles in chunks] == [
-        [(lo, lo + TILE) for lo in range(0, CHUNK, TILE)], [(512, 576), (576, 600)]]
-    assert workers == 3
-    assert _schedule(100, 8)[1] == 2
-    assert _schedule(2, 4) == ([[range(0, 2)]], 1)
+    chunks = []
+
+    def blockwise(fn, tiles):
+        chunks.append([(r.start, r.stop) for r in tiles])
+        return [fn(tile) for tile in tiles]
+
+    monkeypatch.setattr(trajectories, "blockwise", blockwise)
+    for n_traj in (600, 100, 2):
+        run_ensemble(skew11, center11, 0.01, 0.005, n_traj, master_seed=9)
+    assert chunks == [[(lo, lo + TILE) for lo in range(0, CHUNK, TILE)],
+                      [(512, 576), (576, 600)], [(0, 64), (64, 100)], [(0, 2)]]
 
 
 @pytest.mark.parametrize("n_traj", [200, 600])
-def test_ensemble_is_identical_at_one_two_and_three_threads(skew11, center11, n_traj):
-    runs = [run_ensemble(skew11, center11, 0.25, 0.005, n_traj, master_seed=9, n_threads=k)
-            for k in (1, 2, 3)]
+def test_ensemble_is_identical_at_0_1_and_3_workers(skew11, center11, n_traj):
+    runs = [ensemble_at(k, skew11, center11, 0.25, 0.005, n_traj, master_seed=9)
+            for k in (0, 1, 3)]
     for other in runs[1:]:
         for name in ("rho_estimate", "psi_mean", "psi_mean_se", "norms"):
             assert getattr(other, name).tobytes() == getattr(runs[0], name).tobytes()
         assert other.standard_error == runs[0].standard_error
 
 
-@pytest.mark.parametrize("n_threads", [1, 2])
-def test_ensemble_noise_memory_is_a_tile_per_worker(n_threads):
+@pytest.mark.parametrize("workers", [0, 1])
+def test_ensemble_noise_memory_is_a_tile_per_thread(workers):
     ops = build_obc(make_cosine_model(1, 0, 1, np.pi / 2), 5)
     psi0 = np.zeros(5, complex)
     psi0[2] = 1.0
     n_steps, n_traj = 2000, 512
-    workers = _schedule(n_traj, n_threads)[1]
     run_ensemble(ops, psi0, 0.01, 0.005, 2, master_seed=4)    # one-time allocations first
-    tracemalloc.start()
-    try:
-        run_ensemble(ops, psi0, n_steps * 0.005, 0.005, n_traj, master_seed=4,
-                     n_threads=n_threads)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    with block_workers(workers) as pin:
+        tracemalloc.start()
+        try:
+            run_ensemble(ops, psi0, n_steps * 0.005, 0.005, n_traj, master_seed=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
     tile_noise = TILE * n_steps * 8
-    assert workers == n_threads
-    assert peak <= 1.25 * workers * tile_noise + 2**19
+    threads = pin.workers + 1       # the caller and its workers; 8 tiles a chunk bound neither
+    assert pin.workers == (workers if pin.libraries.get("numpy") else 0)
+    assert peak <= 1.25 * threads * tile_noise + 2**19
     assert peak < CHUNK * n_steps * 8 / 2
 
 
@@ -250,11 +260,10 @@ def test_trajectory_path_output(skew11, center11):
     assert np.abs(np.linalg.norm(path, axis=1) - 1).max() < 1e-12
 
 
-def test_ensemble_reproducibility_across_thread_counts(skew11, center11):
-    base = run_ensemble(skew11, center11, 1.0, 0.005, 600, master_seed=7, n_threads=1)
-    for n_threads in (2, 4):
-        other = run_ensemble(skew11, center11, 1.0, 0.005, 600, master_seed=7,
-                             n_threads=n_threads)
+def test_ensemble_reproducibility_across_worker_counts(skew11, center11):
+    base = ensemble_at(0, skew11, center11, 1.0, 0.005, 600, master_seed=7)
+    for workers in (1, 3):
+        other = ensemble_at(workers, skew11, center11, 1.0, 0.005, 600, master_seed=7)
         assert np.array_equal(base.rho_estimate, other.rho_estimate)
         assert base.standard_error == other.standard_error
         assert np.array_equal(base.psi_mean, other.psi_mean)

@@ -32,6 +32,16 @@ _P_CHECK_POINTS = 1024   # sampling grid for the non-negativity check
 Coefficients = dict[int, complex]
 
 
+def _harmonic(m) -> int:
+    """A coefficient index as an int; ParameterError unless it is an integral number."""
+    try:
+        if int(m) == m:
+            return int(m)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ParameterError(f"harmonic index {m!r} is not an integer")
+
+
 def momentum_grid(n_k: int) -> np.ndarray:
     """Uniform Brillouin-zone grid k_j = -pi + 2*pi*j/n_k, j = 0..n_k-1."""
     if n_k < 2:
@@ -70,8 +80,8 @@ class BandModel:
     label: str = ""
 
     def __post_init__(self):
-        h = {int(m): complex(c) for m, c in self.h_coeffs.items()}
-        p = {int(m): complex(c) for m, c in self.p_coeffs.items()}
+        h = {_harmonic(m): complex(c) for m, c in self.h_coeffs.items()}
+        p = {_harmonic(m): complex(c) for m, c in self.p_coeffs.items()}
         object.__setattr__(self, "h_coeffs", h)
         object.__setattr__(self, "p_coeffs", p)
         if not np.isfinite([*h.values(), *p.values()]).all():
@@ -109,7 +119,12 @@ class BandModel:
 
     @classmethod
     def from_json(cls, obj: dict) -> "BandModel":
-        unpack = lambda rows: {int(m): complex(re, im) for m, re, im in rows}
+        """Inverse of :meth:`to_json`; ParameterError on a non-integral or repeated index."""
+        def unpack(rows):
+            coeffs = {_harmonic(m): complex(re, im) for m, re, im in rows}
+            if len(coeffs) < len(rows):
+                raise ParameterError(f"a harmonic index repeats in {[row[0] for row in rows]}")
+            return coeffs
         return cls(unpack(obj["h"]), unpack(obj["p"]), str(obj.get("label", "")))
 
 

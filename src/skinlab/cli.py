@@ -355,7 +355,8 @@ def _generator_entry(ops: LatticeOperators, prop: MasterPropagator | None = None
     """Manifest record of the generator: structure, mirror, blocks, cond(V) and the Taylor record.
 
     ``blocks`` and ``largest_block`` count the diagonal blocks of the real
-    generator (with a mirror, the sectors; ``sector_sizes`` lists them).
+    generator (with a mirror, the sectors; ``sector_sizes`` lists them), and
+    ``block_bytes`` is the memory of the block matrices assembled, 8 sum b^2.
     ``block_sizes`` come from ``prop`` when a dense propagator ran; then
     ``factored_blocks`` counts the blocks its start reached, ``cond_V`` is
     their eigenbasis' condition number and ``route`` says whether the states
@@ -368,7 +369,8 @@ def _generator_entry(ops: LatticeOperators, prop: MasterPropagator | None = None
         block_sizes = prop.block_sizes
         entry.update(factored_blocks=prop.factored_blocks, cond_V=prop.cond, route=prop.route)
     if block_sizes:
-        entry.update(blocks=len(block_sizes), largest_block=max(block_sizes))
+        entry.update(blocks=len(block_sizes), largest_block=max(block_sizes),
+                     block_bytes=8 * sum(b * b for b in block_sizes))
         if ops.mirror is not None:
             entry["sector_sizes"] = list(block_sizes)
     return entry

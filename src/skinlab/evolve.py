@@ -2,9 +2,11 @@
 
 Master-equation propagation is exact-exponential.  Up to the dense cap,
 :class:`MasterPropagator` diagonalizes the real generator (L in P's
-eigenbasis) once, block by block (independent blocks side by side during a
-run, see :mod:`skinlab._threads`) and only in the blocks the start reaches,
-and applies exp(L t) spectrally for every time.  Lattices too large for the
+eigenbasis) once, one diagonal block at a time (the blocks are assembled
+without the whole generator, see :mod:`skinlab.liouvillian`, and
+independent ones solved side by side during a run, see
+:mod:`skinlab._threads`) and only in the blocks the start reaches, and
+applies exp(L t) spectrally for every time.  Lattices too large for the
 dense superoperator, and starts that reach a block whose eigenbasis is too
 ill-conditioned for the spectral route, take the truncated Taylor series
 with scaling of exp(t L) rho, run in the jump operator's eigenbasis;
@@ -26,10 +28,8 @@ from .errors import NumericalFailure, ParameterError
 from .lattice_ops import SECTOR_TOL, LatticeOperators
 from .liouvillian import (
     _block_eigenvalues,
-    _block_stacks,
-    _diagonal_blocks,
     _from_hermitian_coords,
-    _hermitian_basis_generator,
+    _generator_blocks,
     _hermitian_coords,
     _stationary_kernel,
     _zero_tolerance,
@@ -157,12 +157,14 @@ def _inverse_from_real(R: np.ndarray, pairs) -> np.ndarray:
 class MasterPropagator:
     """exp(L t) from one eigendecomposition per diagonal block (sector) of the real generator M.
 
-    Given ``rho0``, factors only the blocks rho0 reaches, and any other block
-    when :meth:`apply` first meets a vector that reaches it; a block a vector
-    does not reach stays exactly zero.  A vector reaches a block where a
-    coordinate is nonzero or, with a mirror, whose sectors are exact only to
-    ``SECTOR_TOL``, exceeds SECTOR_TOL times its largest in size, so the
-    round-off a mirror-symmetric start leaves in the odd sectors stays out.
+    Holds the block matrices of :func:`skinlab.liouvillian._generator_blocks`,
+    not M.  Given ``rho0``, factors only the blocks rho0 reaches, and any
+    other block when :meth:`apply` first meets a vector that reaches it; a
+    block a vector does not reach stays exactly zero.  A vector reaches a
+    block where a coordinate is nonzero or, with a mirror, whose sectors are
+    exact only to ``SECTOR_TOL``, exceeds SECTOR_TOL times its largest in
+    size, so the round-off a mirror-symmetric start leaves in the odd
+    sectors stays out.
     A block's eigenbasis is V = R U with R real (:func:`_real_eigenbasis`)
     and V^-1 = U^dagger R^-1; ``cond`` is max sigma_max / min sigma_min of R
     over the factored blocks, the cond(V) of their whole eigenbasis.  Where
@@ -174,11 +176,10 @@ class MasterPropagator:
 
     def __init__(self, ops: LatticeOperators, rho0: DensityMatrix | np.ndarray | None = None):
         self.ops = ops
-        self.M = _hermitian_basis_generator(ops)
-        self.blocks = _diagonal_blocks(self.M)
+        self.blocks, self._stacks = _generator_blocks(ops)
         self.block_sizes = [b.size for b in self.blocks]
         self.floor = 0.0 if ops.mirror is None else SECTOR_TOL
-        self._label = np.empty(self.M.shape[0], dtype=np.intp)
+        self._label = np.empty(ops.n_sites**2, dtype=np.intp)
         for k, b in enumerate(self.blocks):
             self._label[b] = k
         self._pending = np.ones(len(self.blocks), dtype=bool)
@@ -193,14 +194,24 @@ class MasterPropagator:
         on = np.flatnonzero(size > self.floor * size.max(initial=0.0))
         return np.bincount(self._label[on], minlength=len(self.blocks)) > 0
 
+    def _stacks_of(self, mask: np.ndarray) -> list:
+        """(idx, stack) pairs of the blocks in ``mask``, batched as in the full stacks."""
+        picked = []
+        for idx, stack in self._stacks:
+            on = mask[self._label[idx[:, 0]]]
+            if on.all():
+                picked.append((idx, stack))
+            elif on.any():
+                picked.append((idx[on], stack[on]))
+        return picked
+
     def _factor(self, todo: np.ndarray) -> None:
         """Factor the blocks in mask ``todo`` not factored yet."""
         todo = todo & self._pending
         if not todo.any():
             return
         self._pending &= ~todo
-        stacks = _block_stacks(self.M, [b for b, t in zip(self.blocks, todo) if t])
-        for w, s, factors in blockwise(self._factor_stack, stacks):
+        for w, s, factors in blockwise(self._factor_stack, self._stacks_of(todo)):
             self._s_max = max(self._s_max, float(s[:, 0].max()))
             self._s_min = min(self._s_min, float(s[:, -1].min()))
             self._w.append(w.ravel())
@@ -237,7 +248,7 @@ class MasterPropagator:
     @property
     def eigenvalues(self) -> np.ndarray:
         """M's eigenvalues, unsorted: the factored blocks' from eig, the rest's from eigvals."""
-        rest = _block_stacks(self.M, [b for b, todo in zip(self.blocks, self._pending) if todo])
+        rest = self._stacks_of(self._pending)
         return np.concatenate(self._w + ([_block_eigenvalues(rest)] if rest else []))
 
     def apply(self, x: np.ndarray, t: float) -> np.ndarray:
@@ -281,8 +292,7 @@ class MasterPropagator:
         the coordinates' (Re, Im) columns by real products.
         """
         x = _hermitian_coords(self.ops, _matrix(rho0))
-        reached = [b for b, on in zip(self.blocks, self._reached(x)) if on]
-        Q = _stationary_kernel(self.ops, _block_stacks(self.M, reached), values=False)[0]
+        Q = _stationary_kernel(self.ops, self._stacks_of(self._reached(x)), values=False)[0]
         parts = x.view(float).reshape(-1, 2)
         rho = _from_hermitian_coords(self.ops, (Q @ (Q.T @ parts)).view(complex).ravel())
         return 0.5 * (rho + rho.conj().T)

@@ -15,13 +15,15 @@ Mixing vectorization conventions silently transposes the jump term; the one
 above is frozen package-wide.
 
 L preserves Hermiticity, so in an orthonormal basis of Hermitian matrices it
-is a real matrix M with the same spectrum, singular values and cond(V); every
-dense solve runs on M, assembled in P's eigenbasis from H_tilde and D, one
-diagonal block (connected component of its nonzero pattern) at a time, with
-independent blocks solved side by side during a run
-(:func:`skinlab._threads.blockwise`).  A model with a mirror
-(:class:`skinlab.lattice_ops.Mirror`) has M rotated to the mirror's even and
-odd coordinates, so its blocks are the mirror sectors.
+is a real matrix M with the same spectrum, singular values and cond(V).
+Every dense solve runs on M's diagonal blocks (the connected components of
+its nonzero pattern), one at a time, with independent blocks solved side by
+side during a run (:func:`skinlab._threads.blockwise`).  The blocks are
+assembled from H_tilde and D in P's eigenbasis by scattering M's O(N^3)
+entries straight into them (:func:`_generator_blocks`); M itself is never
+formed.  A model with a mirror (:class:`skinlab.lattice_ops.Mirror`) has
+its blocks rotated to the mirror's even and odd coordinates, so they split
+into the mirror sectors.
 """
 
 from __future__ import annotations
@@ -127,18 +129,15 @@ def liouvillian_spectrum(Lm: LiouvillianMatrix, eigenvectors: bool = False,
     return w[order], V[:, order]
 
 
-def _diagonal_blocks(M: np.ndarray) -> list[np.ndarray]:
-    """Index sets of M's diagonal blocks: the connected components of its nonzero pattern.
+def _components(linked: np.ndarray) -> list[np.ndarray]:
+    """Index sets of the connected components of a symmetric boolean pattern; ``linked`` is spent.
 
-    Each set is sorted and the sets come in order of their first index; every
-    entry of M between two sets is exactly zero.  One set means no structure.
-    A BFS finds the components.  When index 0 has at most one link, as every
+    Each set is sorted and the sets come in order of their first index.  A
+    BFS finds the components.  When index 0 has at most one link, as every
     index has in the commuting case, the components of one or two indices are
     first peeled off in one vectorized step.
     """
-    n = M.shape[0]
-    nonzero = M != 0
-    linked = nonzero | nonzero.T
+    n = linked.shape[0]
     blocks, unseen = [], np.ones(n, dtype=bool)
     if np.count_nonzero(linked[0, 1:]) <= 1:
         linked[np.diag_indices(n)] = False
@@ -167,22 +166,50 @@ def _diagonal_blocks(M: np.ndarray) -> list[np.ndarray]:
     return sorted(blocks, key=lambda b: b[0])
 
 
-def _block_stacks(M: np.ndarray, blocks: list[np.ndarray]) -> list:
-    """Equal-size blocks batched, largest first: (idx, stack) pairs.
+def _stacked(blocks: list[np.ndarray]):
+    """Zero (idx, stack) pairs for ``blocks``, in one buffer: equal sizes batched, largest first.
 
-    idx is (k, s) and stack[i] = M[idx[i]][:, idx[i]].
+    idx is (k, s): the blocks of size s in order of first index; every stack
+    is a view of the one flat buffer returned with them.
     """
-    if len(blocks) == 1 and blocks[0].size == M.shape[0]:
-        return [(blocks[0][None], M[None])]
-    stacks = []
-    for size in sorted({b.size for b in blocks}, reverse=True):
-        idx = np.stack([b for b in blocks if b.size == size])
-        stacks.append((idx, M[idx[:, :, None], idx[:, None, :]]))
+    sizes = sorted({b.size for b in blocks}, reverse=True)
+    idx = [np.stack([b for b in blocks if b.size == size]) for size in sizes]
+    flat = np.zeros(sum(i.shape[0] * i.shape[1]**2 for i in idx))
+    stacks, lo = [], 0
+    for i in idx:
+        k, s = i.shape
+        stacks.append((i, flat[lo:lo + k * s * s].reshape(k, s, s)))
+        lo += k * s * s
+    return stacks, flat
+
+
+def _filled(n: int, blocks: list[np.ndarray], entries) -> list:
+    """:func:`_stacked` pairs of ``blocks`` holding the (rows, cols, values) ``entries`` in them.
+
+    Each coordinate's block and the flat position of its row are tabulated,
+    so an entry lands in its stack in one scatter; entries between blocks,
+    or on a coordinate no block holds, are dropped.
+    """
+    stacks, flat = _stacked(blocks)
+    block = np.full(n, -1)
+    row, local = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
+    count = lo = 0
+    for idx, _ in stacks:
+        k, s = idx.shape
+        block[idx] = count + np.arange(k)[:, None]
+        row[idx] = lo + s * (s * np.arange(k)[:, None] + np.arange(s))
+        local[idx] = np.arange(s)
+        count, lo = count + k, lo + k * s * s
+    for r, c, v in entries:
+        of_r = block[r]
+        inside = (of_r == block[c]) & (of_r >= 0)
+        at = row[r] + local[c]
+        flat[at[inside]] = v[inside]
     return stacks
 
 
 def _block_eigenvalues(stacks) -> np.ndarray:
-    """Eigenvalues of the (idx, stack) pairs of :func:`_block_stacks`, in :func:`_spectrum_order`.
+    """Eigenvalues of :func:`_generator_blocks` (idx, stack) pairs, in :func:`_spectrum_order`.
 
     One ``eigvals`` per stack, the stacks solved side by side (:func:`blockwise`).
     """
@@ -263,22 +290,20 @@ def _to_sectors(x: np.ndarray, pairs, inverse: bool = False) -> np.ndarray:
     return x
 
 
-def _hermitian_basis_generator(ops: LatticeOperators, cap: int = SPECTRUM_CAP) -> np.ndarray:
-    """The generator as a real N^2 x N^2 matrix in an orthonormal Hermitian basis.
+def _generator_entries(ops: LatticeOperators):
+    """The entries of the real generator M, before any mirror rotation, as (rows, cols, values).
 
-    The basis lives in P's eigenbasis (the mirror's, see :func:`_frame`):
-    |a><a| (a = 0..N-1), then S_ab = (|a><b| + |b><a|)/sqrt2 and
-    A_ab = i(|a><b| - |b><a|)/sqrt2 over the pairs a < b in ``np.triu_indices``
-    order.  The matrix is the real antisymmetric one of -i[H_tilde, .] plus
-    the diagonal (0_N, D_ab, D_ab).
+    M is L as a real N^2 x N^2 matrix in an orthonormal Hermitian basis of
+    P's eigenbasis (the mirror's, see :func:`_frame`): |a><a| (a = 0..N-1),
+    then S_ab = (|a><b| + |b><a|)/sqrt2 and A_ab = i(|a><b| - |b><a|)/sqrt2
+    over the pairs a < b in ``np.triu_indices`` order.  It is the real
+    antisymmetric matrix of -i[H_tilde, .] plus the diagonal (0_N, D_ab, D_ab).
     With z = H_tilde[e, c], A_ed = -A_de and c, d, e distinct, its entries are
     <S_de, S_cd> = -<A_de, A_cd> = Im z, <S_de, A_cd> = <A_de, S_cd> = Re z,
     <S_ce, |c><c|> = sqrt2 Im z, <A_ce, |c><c|> = sqrt2 Re z and
-    <A_cd, S_cd> = H_tilde[d, d] - H_tilde[c, c]: O(N^3) entries, set by scatters.
-    With a mirror, rows and columns are then rotated by :func:`_to_sectors`.
-    Raises ParameterError before allocating if N^2 exceeds ``cap``.
+    <A_cd, S_cd> = H_tilde[d, d] - H_tilde[c, c]: O(N^3) of them, each
+    position given once, exact zeros included.  Every other entry of M is zero.
     """
-    _check_cap(ops.n_sites, cap)
     frame = _frame(ops)
     N, h = ops.n_sites, frame.H_tilde
     rows, cols = np.triu_indices(N, 1)
@@ -289,41 +314,110 @@ def _hermitian_basis_generator(ops: LatticeOperators, cap: int = SPECTRUM_CAP) -
     others = np.nonzero(~np.eye(N, dtype=bool))[1].reshape(N, N - 1)  # others[d]: e != d
     S_de = pair[sites[:, None], others]
     sign = np.sign(others - sites[:, None]).astype(float)       # A_de = sign * A_(min, max)
-    out = np.zeros((N * N, N * N))
-
-    e, c = others[:, :, None], others[:, None, :]
-    blk = np.empty((N, 2, N - 1, 2, N - 1))   # [d, (S_de, A_de), e, (S_cd, A_cd), c]
-    blk[:, 0, :, 0] = h.imag[e, c]
-    np.negative(blk[:, 0, :, 0], out=blk[:, 1, :, 1])
-    blk[:, 0, :, 1] = blk[:, 1, :, 0] = h.real[e, c]
-    blk[:, 1] *= sign[:, :, None, None]          # to the stored A_(min, max) rows
-    blk[:, :, :, 1] *= -sign[:, None, None, :]   # and columns, A_cd = -sign[d, c] * A_(min, max)
-    idx = np.stack([S_de, S_de + n_pairs], axis=1)
-    out[idx[..., None, None], idx[:, None, None]] = blk
-
+    # with c = others[d, shift[i, k]] != e = others[d, i]: every (d, e, c) once, the four
+    # kinds (S_de, S_cd), (A_de, A_cd), (A_de, S_cd), (S_de, A_cd) stacked; d in chunks of
+    # about _CHUNK / 4 entries, whose temporaries stay small beside the blocks they fill
+    shift = (np.arange(N - 1)[:, None] + np.arange(1, N - 1)) % (N - 1)
+    step = max(1, _CHUNK // 4 // max(1, 4 * (N - 1) * (N - 2)))
+    for lo in range(0, N, step):
+        d = slice(lo, lo + step)
+        e, c = others[d, :, None], others[d][:, shift]
+        S_rows, S_cols = S_de[d, :, None], S_de[d][:, shift]
+        sign_de, sign_dc = sign[d, :, None], sign[d][:, shift]
+        r, col = np.empty((2, 4) + c.shape, dtype=np.intp)
+        v = np.empty((4,) + c.shape)
+        r[0] = r[3] = S_rows
+        r[1] = r[2] = S_rows + n_pairs
+        col[0] = col[2] = S_cols
+        col[1] = col[3] = S_cols + n_pairs
+        im, re = h.imag[e, c], h.real[e, c]
+        v[0] = im
+        np.negative(im, out=v[1])
+        v[1] *= sign_de             # to the stored A_(min, max) rows
+        v[1] *= -sign_dc            # and columns, A_cd = -sign[d, c] * A_(min, max)
+        np.multiply(re, sign_de, out=v[2])
+        np.multiply(re, -sign_dc, out=v[3])
+        yield r, col, v
     g = np.sqrt(2.0) * h[others, sites[:, None]]
-    out[S_de, sites[:, None]], out[sites[:, None], S_de] = g.imag, -g.imag
-    out[S_de + n_pairs, sites[:, None]] = sign * g.real
-    out[sites[:, None], S_de + n_pairs] = -sign * g.real
-    # c == e above wrote into the pair-with-itself blocks; set them here
+    site = np.broadcast_to(sites[:, None], S_de.shape).ravel()
+    S_de, sign, A = S_de.ravel(), sign.ravel(), S + n_pairs
     energies = h.diagonal().real
-    out[S + n_pairs, S] = energies[cols] - energies[rows]
-    out[S, S + n_pairs] = energies[rows] - energies[cols]
-    out[S, S] = out[S + n_pairs, S + n_pairs] = frame.D[rows, cols]
+    yield (np.concatenate([S_de, site, S_de + n_pairs, site, A, S, S, A]),
+           np.concatenate([site, S_de, site, S_de + n_pairs, S, A, S, A]),
+           np.concatenate([g.imag.ravel(), -g.imag.ravel(), sign * g.real.ravel(),
+                           -sign * g.real.ravel(), energies[cols] - energies[rows],
+                           energies[rows] - energies[cols], frame.D[rows, cols],
+                           frame.D[rows, cols]]))
+
+
+def _generator_blocks(ops: LatticeOperators, cap: int = SPECTRUM_CAP):
+    """The diagonal blocks of the real generator M and their (idx, stack) pairs, without M.
+
+    The blocks are the connected components of M's nonzero pattern, each a
+    sorted index set, in order of their first index; every entry of M
+    between two of them is exactly zero.  The stacks batch equal-size blocks,
+    largest first (:func:`_stacked`), with stack[i] = M[idx[i]][:, idx[i]].
+    The pattern (N^4 booleans) comes from :func:`_generator_entries`, which
+    then fill the stacks directly.  With a mirror, the pattern also links the
+    coordinates :func:`_mirror_pairs` pairs, and each merged block it gives
+    in turn is filled, rotated to the sectors by :func:`_to_sectors` on its own
+    rows and columns (the same arithmetic per entry as on all of M, so the
+    zeros between sectors stay exact) and split into its components, which
+    are copied into the stacks at the end; without other structure the one
+    merged block is all of M.  Raises ParameterError before allocating if
+    N^2 exceeds ``cap``.
+    """
+    _check_cap(ops.n_sites, cap)
+    n = ops.n_sites**2
+    linked = np.zeros((n, n), dtype=bool)
+    pattern = linked.reshape(-1)
+    for r, c, v in _generator_entries(ops):
+        on = v != 0
+        r, c = r[on], c[on]
+        pattern[r * n + c] = pattern[c * n + r] = True
     if ops.mirror is not None:
-        pairs = _mirror_pairs(ops)
-        _to_sectors(out, pairs)
-        rows = max(1, _CHUNK // (N * N))
-        for lo in range(0, N * N, rows):    # columns, a cache-sized band of rows at a time
-            _to_sectors(out[lo:lo + rows].T, pairs)
-    return out
+        K, J, _ = pairs = _mirror_pairs(ops)
+        pattern[K * n + J] = pattern[J * n + K] = True      # merge what the mirror maps together
+    blocks = _components(linked)
+    del linked, pattern
+    if ops.mirror is None:
+        return blocks, _filled(n, blocks, _generator_entries(ops))
+    sectors = {}
+    for group in blocks:
+        for part, m in _rotated_sectors(n, group, pairs, _generator_entries(ops)):
+            sectors[part[0]] = part, m
+    blocks = [sectors[first][0] for first in sorted(sectors)]
+    stacks = _stacked(blocks)[0]
+    for idx, stack in stacks:
+        for i, b in enumerate(idx):
+            stack[i] = sectors.pop(b[0])[1]
+    return blocks, stacks
+
+
+def _rotated_sectors(n: int, group: np.ndarray, pairs, entries) -> list:
+    """(idx, matrix) of the sectors of block ``group`` of M, closed under :func:`_mirror_pairs`.
+
+    The group's block is filled from ``entries``, its rows and then its
+    columns rotated by :func:`_to_sectors` with the ``pairs`` inside it, and
+    the rotated block cut into its components.
+    """
+    m = _filled(n, [group], entries)[0][1][0]
+    K, J, eps = pairs
+    on = np.isin(K, group)
+    inside = (np.searchsorted(group, K[on]), np.searchsorted(group, J[on]), eps[on])
+    _to_sectors(m, inside)
+    band = max(1, _CHUNK // group.size)
+    for lo in range(0, group.size, band):       # columns, a cache-sized band of rows at a time
+        _to_sectors(m[lo:lo + band].T, inside)
+    nonzero = m != 0
+    return [(group[part], m[np.ix_(part, part)]) for part in _components(nonzero | nonzero.T)]
 
 
 def liouvillian_eigenvalues(ops: LatticeOperators, cap: int = SPECTRUM_CAP) -> np.ndarray:
     """Full generator spectrum from real eigensolves, sorted as :func:`liouvillian_spectrum`.
 
-    Works on :func:`_hermitian_basis_generator`, one ``eigvals`` per diagonal
-    block (:func:`_diagonal_blocks`), so the eigenvalues come in exact
+    One ``eigvals`` per diagonal block of the real generator
+    (:func:`_generator_blocks`), so the eigenvalues come in exact
     complex-conjugate pairs.
 
     Raises
@@ -337,20 +431,13 @@ def liouvillian_eigenvalues(ops: LatticeOperators, cap: int = SPECTRUM_CAP) -> n
 
 
 def _blocked_eigenvalues(ops: LatticeOperators, cap: int = SPECTRUM_CAP):
-    """:func:`liouvillian_eigenvalues` and the generator's block sizes.
-
-    M is dropped once its blocks are cut out, so blocks solved side by side
-    need no more memory than M.
-    """
-    M = _hermitian_basis_generator(ops, cap)
-    blocks = _diagonal_blocks(M)
-    stacks = _block_stacks(M, blocks)
-    del M
+    """:func:`liouvillian_eigenvalues` and the generator's block sizes."""
+    blocks, stacks = _generator_blocks(ops, cap)
     return _block_eigenvalues(stacks), [b.size for b in blocks]
 
 
 def _hermitian_coords(ops: LatticeOperators, X: np.ndarray) -> np.ndarray:
-    """Coordinates tr(B_k X) in the basis of :func:`_hermitian_basis_generator`.
+    """Coordinates tr(B_k X) in the basis of :func:`_generator_entries`.
 
     With Y = V^dagger X V they are diag Y, (Y_ab + Y_ba)/sqrt2 and
     i(Y_ba - Y_ab)/sqrt2, rotated to the mirror sectors when there is a
@@ -392,7 +479,7 @@ def _zero_tolerance(ops: LatticeOperators) -> float:
 def _stationary_kernel(ops: LatticeOperators, stacks, values: bool = True):
     """Orthonormal real basis Q (columns) of ker M, and M's singular values, ascending.
 
-    ``stacks`` are (idx, stack) pairs of :func:`_block_stacks` covering the
+    ``stacks`` are (idx, stack) pairs of :func:`_generator_blocks` covering the
     blocks of M to search.  M = A + diag(d), A antisymmetric,
     d = (0_N, D_ab, D_ab) <= 0, so x^T M x = sum_k d_k x_k^2 for real x.  So
     a kernel vector vanishes where d_k < 0, and there M x = A x = -M^T x:
@@ -442,10 +529,7 @@ def stationary_states(ops: LatticeOperators) -> StationaryReport:
     the blocks, so a kernel spread over many blocks has a canonical basis:
     for the commuting case the projectors |v_a><v_a| on P's eigenvectors.
     """
-    M = _hermitian_basis_generator(ops)
-    blocks = _diagonal_blocks(M)
-    stacks = _block_stacks(M, blocks)
-    del M                   # the stacks hold all the rest needs
+    blocks, stacks = _generator_blocks(ops)
     Q, svals = _stationary_kernel(ops, stacks)
     kernel = [_from_hermitian_coords(ops, q) for q in Q.T]
     multiplicity = len(kernel)

@@ -4,11 +4,29 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from skinlab import _threads, build_hatano_nelson, build_liouvillian, build_obc, make_cosine_model, vec
+from skinlab import (
+    BandModel,
+    _threads,
+    build_hatano_nelson,
+    build_liouvillian,
+    build_obc,
+    make_cosine_model,
+    vec,
+)
 from skinlab.cli import BLAS_THREAD_VARS
 from skinlab.lattice_ops import Construction
+from skinlab.liouvillian import (
+    _CHUNK,
+    SPECTRUM_CAP,
+    _check_cap,
+    _components,
+    _frame,
+    _mirror_pairs,
+    _to_sectors,
+)
 
 
 HOST_LINES = pytest.StashKey[list]()
@@ -147,6 +165,74 @@ def generator_basis(ops):
     """
     V = ops.V if ops.mirror is None else ops.mirror.V
     return np.kron(V.conj(), V) @ hermitian_basis(ops.n_sites) @ sector_rotation(ops)
+
+
+def hermitian_basis_generator(ops, cap=SPECTRUM_CAP):
+    """The real generator M as one dense N^2 x N^2 array: the oracle of its blocked assembly.
+
+    The basis and entries are those of ``skinlab.liouvillian._generator_entries``,
+    set here by whole-array scatters; the pair-with-itself blocks that the
+    (S, A) scatter at c == e writes into are set afterwards.  With a mirror,
+    rows and columns are then rotated by ``_to_sectors``.  Raises
+    ParameterError before allocating if N^2 exceeds ``cap``.
+    """
+    _check_cap(ops.n_sites, cap)
+    frame = _frame(ops)
+    N, h = ops.n_sites, frame.H_tilde
+    rows, cols = np.triu_indices(N, 1)
+    n_pairs, sites = rows.size, np.arange(N)
+    S = N + np.arange(n_pairs)                                  # index of S_ab; A_ab follows
+    pair = np.zeros((N, N), dtype=np.intp)
+    pair[rows, cols] = pair[cols, rows] = S
+    others = np.nonzero(~np.eye(N, dtype=bool))[1].reshape(N, N - 1)  # others[d]: e != d
+    S_de = pair[sites[:, None], others]
+    sign = np.sign(others - sites[:, None]).astype(float)       # A_de = sign * A_(min, max)
+    out = np.zeros((N * N, N * N))
+
+    e, c = others[:, :, None], others[:, None, :]
+    blk = np.empty((N, 2, N - 1, 2, N - 1))   # [d, (S_de, A_de), e, (S_cd, A_cd), c]
+    blk[:, 0, :, 0] = h.imag[e, c]
+    np.negative(blk[:, 0, :, 0], out=blk[:, 1, :, 1])
+    blk[:, 0, :, 1] = blk[:, 1, :, 0] = h.real[e, c]
+    blk[:, 1] *= sign[:, :, None, None]          # to the stored A_(min, max) rows
+    blk[:, :, :, 1] *= -sign[:, None, None, :]   # and columns, A_cd = -sign[d, c] * A_(min, max)
+    idx = np.stack([S_de, S_de + n_pairs], axis=1)
+    out[idx[..., None, None], idx[:, None, None]] = blk
+
+    g = np.sqrt(2.0) * h[others, sites[:, None]]
+    out[S_de, sites[:, None]], out[sites[:, None], S_de] = g.imag, -g.imag
+    out[S_de + n_pairs, sites[:, None]] = sign * g.real
+    out[sites[:, None], S_de + n_pairs] = -sign * g.real
+    # c == e above wrote into the pair-with-itself blocks; set them here
+    energies = h.diagonal().real
+    out[S + n_pairs, S] = energies[cols] - energies[rows]
+    out[S, S + n_pairs] = energies[rows] - energies[cols]
+    out[S, S] = out[S + n_pairs, S + n_pairs] = frame.D[rows, cols]
+    if ops.mirror is not None:
+        pairs = _mirror_pairs(ops)
+        _to_sectors(out, pairs)
+        rows = max(1, _CHUNK // (N * N))
+        for lo in range(0, N * N, rows):    # columns, a cache-sized band of rows at a time
+            _to_sectors(out[lo:lo + rows].T, pairs)
+    return out
+
+
+def diagonal_blocks(M):
+    """Index sets of M's diagonal blocks: the connected components of its nonzero pattern."""
+    nonzero = M != 0
+    return _components(nonzero | nonzero.T)
+
+
+def mirror_lattices(draw, n):
+    """Random band model with the mirror: real even h, purely imaginary p_m for m != 0."""
+    sign = st.sampled_from([-1.0, 1.0])
+    h = {0: draw(st.floats(-0.5, 0.5)), 1: draw(st.floats(0.1, 0.5)) * draw(sign)}
+    h[-1], h[2] = h[1], draw(st.floats(-0.5, 0.5))
+    h[-2] = h[2]
+    p = {1: 1j * draw(st.floats(0.1, 0.5)) * draw(sign), 2: 1j * draw(st.floats(-0.5, 0.5))}
+    p[-1], p[-2] = -p[1], -p[2]
+    p[0] = 2.0 * (abs(p[1]) + abs(p[2])) + draw(st.floats(0.0, 0.5))
+    return build_obc(BandModel(h, p), n)
 
 
 def jump_eigenbasis_generator(ops):

@@ -113,6 +113,24 @@ def test_model_invariant_violations_raise():
         BandModel({}, {0: 1.0, 1: 0.9, -1: 0.9})  # P(k) dips negative
 
 
+@pytest.mark.parametrize("h", [
+    [[1.5, 1.0, 0.0], [-1.5, 1.0, 0.0]],                    # int() would read m = +-1
+    [[1, 1.0, 0.0], [-1, 1.0, 0.0], [1.0, 2.0, 0.0]],       # the last row would overwrite m = 1
+    [["1", 1.0, 0.0], [-1, 1.0, 0.0]],
+], ids=["non_integral", "repeated", "text"])
+def test_coefficient_tables_reject_non_integral_and_repeated_indices(h):
+    with pytest.raises(ParameterError):
+        BandModel.from_json({"h": h, "p": [[0, 1.0, 0.0]]})
+
+
+def test_integral_float_indices_are_the_integers():
+    m = BandModel.from_json({"h": [[1.0, 1.0, 0.0], [-1.0, 1.0, 0.0]], "p": [[0.0, 1.0, 0.0]]})
+    assert m.to_json() == BandModel({1: 1.0, -1: 1.0}, {0: 1.0}).to_json()
+    assert all(type(k) is int for k in (*m.h_coeffs, *m.p_coeffs))
+    with pytest.raises(ParameterError):
+        BandModel({0.5: 1.0, -0.5: 1.0}, {0: 1.0})
+
+
 def test_json_round_trip():
     m = make_cosine_model(1.5, -0.25, 0.8, 0.7)
     obj = m.to_json()

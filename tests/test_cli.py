@@ -299,9 +299,9 @@ def test_entropy_trace_runs_on_the_taylor_handoff(tmp_path):
     generator = manifest["diagnostics"]["generator"]
     assert generator.pop("cond_V") > 1e8      # the factorization ran; its cond(V) hands off
     assert {key: generator.pop(key) for key in ("structure", "mirror", "factored_blocks",
-                                                "blocks", "largest_block")} == \
+                                                "blocks", "largest_block", "block_bytes")} == \
         {"structure": "none", "mirror": False, "factored_blocks": 1, "blocks": 1,
-         "largest_block": 400}
+         "largest_block": 400, "block_bytes": 8 * 400**2}
     assert_taylor_record(generator, [0.0, 1.0])
 
 
@@ -469,6 +469,16 @@ def test_coefficient_table_model(tmp_path):
     assert all(abs(v + 0.5) < 1e-12 for v in ims)
 
 
+def test_coefficient_table_hash_is_that_of_its_integer_indices():
+    def cfg(h):
+        return validate_config({"experiment": "Spectra", "n_sites": 10, "n_k": 64,
+                                "model": {"type": "coeffs", "h": h, "p": [[0, 1.0, 0.0]]}})
+    hashes = {cfg(h).config_hash() for h in ([[1, 1.0, 0.0], [-1, 1.0, 0.0]],
+                                              [[1.0, 1.0, 0.0], [-1.0, 1.0, 0.0]],
+                                              [[-1, 1.0, 0.0], [1, 1.0, 0.0]])}
+    assert hashes == {"4f9cd40085d6b7e9"}
+
+
 def test_bad_coefficient_tables_fail_validation():
     with pytest.raises(ConfigError) as err:
         validate_config({
@@ -512,8 +522,13 @@ HATANO_NELSON = {"experiment": "HatanoNelson", "model": {"type": "hatano_nelson"
     ({**OBC_RELAX, "times": [1, 10**400]}, "times"),
     ({**BULK_RELAX, "model": {"type": "coeffs", "h": [[0, float("nan"), 0]], "p": [[0, 1, 0]]}},
      "model"),
+    ({**BULK_RELAX, "model": {"type": "coeffs", "h": [[1.5, 1, 0], [-1.5, 1, 0]],
+                              "p": [[0, 1, 0]]}}, "model"),
+    ({**BULK_RELAX, "model": {"type": "coeffs", "h": [[1, 1, 0], [-1, 1, 0], [1, 2, 0]],
+                              "p": [[0, 1, 0]]}}, "model"),
 ], ids=["text_time", "text_window", "text_phi", "nan_time", "nan_phi", "fractional_n_sites",
-        "fractional_rho0_site", "text_include_spectrum", "time_beyond_float", "nan_coefficient"])
+        "fractional_rho0_site", "text_include_spectrum", "time_beyond_float", "nan_coefficient",
+        "fractional_harmonic", "repeated_harmonic"])
 def test_malformed_values_are_config_errors_and_exit_2(tmp_path, capsys, raw, field):
     with pytest.raises(ConfigError) as err:
         validate_config(raw)
@@ -686,11 +701,13 @@ def test_jump_operator_is_diagonalized_once_per_experiment(tmp_path, monkeypatch
 
 
 @pytest.mark.parametrize("phi, entry, factored", [
-    (0.0, {"structure": "commuting", "mirror": False, "blocks": 28, "largest_block": 2}, 28),
+    # block_bytes: 8 bytes times 7 + 21 * 2^2, 16^2 + 12^2 + 9^2 + 12^2 and 49^2
+    (0.0, {"structure": "commuting", "mirror": False, "blocks": 28, "largest_block": 2,
+           "block_bytes": 728}, 28),
     (PHI_HALF_PI, {"structure": "transpose_sector", "mirror": True, "blocks": 4,
-                   "largest_block": 16, "sector_sizes": [16, 12, 9, 12]}, 2),
+                   "largest_block": 16, "sector_sizes": [16, 12, 9, 12], "block_bytes": 5000}, 2),
     (0.7853981633974483, {"structure": "none", "mirror": False, "blocks": 1,
-                          "largest_block": 49}, 1),
+                          "largest_block": 49, "block_bytes": 19208}, 1),
 ], ids=["commuting", "transpose_sector", "none"])
 def test_manifest_records_the_generator_structure(tmp_path, phi, entry, factored):
     model = {"type": "cosine", "J": 1, "T": 0, "R": 1, "phi": phi}

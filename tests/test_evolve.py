@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import SUITE_MODELS, site_basis_rk4
+from conftest import SUITE_MODELS, hermitian_basis_generator, site_basis_rk4
 from skinlab import (
     BandModel,
     DensityMatrix,
@@ -36,7 +36,6 @@ from skinlab.evolve import (
     _taylor_master_states,
     _taylor_steps,
 )
-from skinlab.liouvillian import _hermitian_basis_generator
 
 
 @pytest.fixture(scope="module")
@@ -342,7 +341,7 @@ def test_real_eigenbasis_gives_the_complex_condition_number_and_inverse(symmetri
 def test_blocked_condition_number_is_that_of_the_whole_eigenbasis():
     ops = build_obc(make_cosine_model(1, 0, 1, np.pi / 2), 7)     # four mirror sectors
     prop = MasterPropagator(ops)
-    M = _hermitian_basis_generator(ops)
+    M = hermitian_basis_generator(ops)
     assert prop.block_sizes == [16, 12, 9, 12] and prop.factored_blocks == 4
     V = np.zeros(M.shape, dtype=complex)
     for block in prop.blocks:

@@ -8,12 +8,15 @@ from conftest import (
     SUITE_MODELS,
     assert_multiset_close,
     conjugation_symmetric,
+    diagonal_blocks,
     hermitian_basis,
+    hermitian_basis_generator,
     jump_eigenbasis_generator,
     master_rhs,
 )
 from skinlab import (
     BandModel,
+    DensityMatrix,
     LatticeOperators,
     MasterPropagator,
     ParameterError,
@@ -36,8 +39,7 @@ from skinlab.liouvillian import (
     SORT_TIE_TOL,
     ZERO_TOL_SCALE,
     LiouvillianMatrix,
-    _diagonal_blocks,
-    _hermitian_basis_generator,
+    _generator_blocks,
     _spectrum_order,
     _zero_tolerance,
 )
@@ -208,7 +210,7 @@ def test_real_generator_is_the_hermitian_basis_change(n):
     U = hermitian_basis(n)
     assert np.abs(U.conj().T @ U - np.eye(n * n)).max() < 1e-14
     for ops in real_generator_models(n):
-        M = _hermitian_basis_generator(ops)
+        M = hermitian_basis_generator(ops)
         assert M.dtype == np.float64
         assert np.abs(M - jump_eigenbasis_generator(ops)).max() <= 1e-12
 
@@ -240,7 +242,7 @@ def dephased_levels():
     build_hatano_nelson(10, 30, 7),
 ])
 def test_zero_tolerance_is_the_rule_on_the_real_generator(ops):
-    scale = np.abs(_hermitian_basis_generator(ops)).max() / ops.n_sites
+    scale = np.abs(hermitian_basis_generator(ops)).max() / ops.n_sites
     assert scale > 1.0          # so the threshold depends on the entry that is read off
     assert _zero_tolerance(ops) == ZERO_TOL_SCALE * scale
 
@@ -259,18 +261,53 @@ def test_real_eigenvalues_cap_fails_before_allocating():
     assert peak < 2**20
 
 
+def traced_peak(call):
+    """The call's result and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_real_generator_assembly_allocates_little_beyond_its_output():
-    # the cosine chain at phi = pi/2 also rotates M to its mirror sectors after assembly
+    # the cosine chain at phi = pi/2 also rotates its blocks to the mirror sectors
     mirrored = build_obc(make_cosine_model(1, 0, 1, np.pi / 2), 40)
     assert mirrored.mirror is not None
     for ops in (build_hatano_nelson(1, 2, 40), mirrored):
-        tracemalloc.start()
-        try:
-            M = _hermitian_basis_generator(ops)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.2 * M.nbytes
+        (_, stacks), peak = traced_peak(lambda: _generator_blocks(ops))
+        held = sum(stack.nbytes for _, stack in stacks)
+        # the pattern is N^4 booleans; the dense generator alone would be N^4 floats
+        assert peak <= 2.5 * held + ops.n_sites**4
+        assert peak < 8 * ops.n_sites**4
+
+
+@pytest.mark.parametrize("build,multiple", [
+    (lambda: build_hatano_nelson(1, 2, 40), 2),
+    (lambda: build_obc(make_cosine_model(1, 0, 1, np.pi / 2), 24), 2),
+    (lambda: build_hatano_nelson(1, 2, 40), 8),
+    (lambda: build_obc(make_cosine_model(1, 0, 1, np.pi / 2), 24), 8),
+], ids=["eigenvalues-hatano_nelson_n40", "eigenvalues-mirror_n24",
+        "propagator-hatano_nelson_n40", "propagator-mirror_n24"])
+def test_dense_solves_allocate_a_small_multiple_of_the_blocks(build, multiple):
+    """Peak traced memory <= multiple * sum(block^2) * 8 bytes + N^4 bytes + 1 MiB.
+
+    A start of full rank reaches every block, so the propagator holds V and
+    V^-1 (complex, 4x the blocks) besides the blocks themselves, and while a
+    block is factored, its real eigenbasis R, R^-1 and their complex parts.
+    """
+    ops = build()
+    n = ops.n_sites
+    blocks = 8 * sum(b.size**2 for b in _generator_blocks(ops)[0])
+    X = np.random.default_rng(4).normal(size=(n, n, 2)) @ np.array([1.0, 1j])
+    rho0 = DensityMatrix(X @ X.conj().T / np.trace(X @ X.conj().T).real)
+    call = (lambda: liouvillian_eigenvalues(ops)) if multiple == 2 else \
+        (lambda: MasterPropagator(ops, rho0))
+    result, peak = traced_peak(call)
+    if multiple == 8:
+        assert result.factored_blocks == len(result.blocks)
+    assert peak <= multiple * blocks + n**4 + 2**20
 
 
 def test_spectrum_order_is_stable_under_round_off_in_tied_real_parts():
@@ -315,7 +352,7 @@ def test_blocked_factorizations_match_the_complex_generator(name):
     n = 7
     ops = build(n)
     L = build_liouvillian(ops).L
-    blocks = _diagonal_blocks(_hermitian_basis_generator(ops))
+    blocks = diagonal_blocks(hermitian_basis_generator(ops))
     assert (ops.mirror is not None) == (name in MIRROR_MODELS)
     assert sorted(b.size for b in blocks) == expected_block_sizes(ops, structure)
     w = liouvillian_spectrum(LiouvillianMatrix(n, L))

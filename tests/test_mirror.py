@@ -13,7 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
-from conftest import SUITE_MODELS, assert_multiset_close, cosine, generator_basis
+from conftest import (
+    SUITE_MODELS,
+    assert_multiset_close,
+    cosine,
+    diagonal_blocks,
+    generator_basis,
+    hermitian_basis_generator,
+    mirror_lattices,
+)
 from skinlab import (
     BandModel,
     DensityMatrix,
@@ -25,7 +33,6 @@ from skinlab import (
     vec,
 )
 from skinlab.lattice_ops import Construction, LatticeOperators, _find_mirror
-from skinlab.liouvillian import _diagonal_blocks, _hermitian_basis_generator
 
 MIRROR_MODELS = {"cosine_phi_half_pi", "cosine_phi_half_pi_T05"}
 PROFILE = settings(max_examples=8, derandomize=True, deadline=None, database=None)
@@ -42,18 +49,6 @@ def site_mirror_operator(ops):
 def superoperator(W):
     """S vec(rho) = vec(W rho W^dagger) for column-stacked vec."""
     return np.kron(W.conj(), W)
-
-
-def mirror_lattices(draw, n):
-    """Random band model with the mirror: real even h, purely imaginary p_m for m != 0."""
-    sign = st.sampled_from([-1.0, 1.0])
-    h = {0: draw(st.floats(-0.5, 0.5)), 1: draw(st.floats(0.1, 0.5)) * draw(sign)}
-    h[-1], h[2] = h[1], draw(st.floats(-0.5, 0.5))
-    h[-2] = h[2]
-    p = {1: 1j * draw(st.floats(0.1, 0.5)) * draw(sign), 2: 1j * draw(st.floats(-0.5, 0.5))}
-    p[-1], p[-2] = -p[1], -p[2]
-    p[0] = 2.0 * (abs(p[1]) + abs(p[2])) + draw(st.floats(0.0, 0.5))
-    return build_obc(BandModel(h, p), n)
 
 
 @pytest.mark.parametrize("n", [7, 8])
@@ -88,9 +83,9 @@ def test_sector_spectra_match_the_complex_generator(name, n):
     assert np.abs(S - np.diag(np.diag(S))).max() <= 1e-13
     sign = np.rint(np.diag(S))
     assert np.abs(np.diag(S) - sign).max() <= 1e-13
-    M = _hermitian_basis_generator(ops)
+    M = hermitian_basis_generator(ops)
     by_sector = {1.0: [], -1.0: []}
-    for b in _diagonal_blocks(M):
+    for b in diagonal_blocks(M):
         assert np.all(sign[b] == sign[b[0]])
         by_sector[sign[b[0]]].append(np.linalg.eigvals(M[np.ix_(b, b)]))
     for s, parts in by_sector.items():
@@ -154,7 +149,7 @@ def test_random_models_with_the_mirror_split_into_sectors(data, n):
     W = site_mirror_operator(ops)
     S, L = superoperator(W), build_liouvillian(ops).L
     assert np.abs(L @ S - S @ L).max() <= 1e-13
-    blocks = _diagonal_blocks(_hermitian_basis_generator(ops))
+    blocks = diagonal_blocks(hermitian_basis_generator(ops))
     assert len(blocks) >= 2
     prop = MasterPropagator(ops)
     assert_multiset_close(prop.eigenvalues, liouvillian_spectrum(build_liouvillian(ops)), 1e-10)
@@ -168,7 +163,7 @@ def test_random_models_with_the_mirror_split_into_sectors(data, n):
 def test_diagonal_blocks_are_the_connected_components(n, density, seed):
     rng = np.random.default_rng(seed)
     M = np.where(rng.random((n, n)) < density, rng.normal(size=(n, n)), 0.0)
-    blocks = _diagonal_blocks(M)
+    blocks = diagonal_blocks(M)
     count, label = connected_components(M != 0, directed=True, connection="weak")
     assert len(blocks) == count
     assert sorted(np.concatenate(blocks).tolist()) == list(range(n))

@@ -16,16 +16,21 @@ from hypothesis import strategies as st
 from conftest import (
     ZeroStream,
     assert_multiset_close,
+    diagonal_blocks,
     generator_basis,
+    hermitian_basis_generator,
     jump_eigenbasis_generator,
+    mirror_lattices,
     site_basis_rk4,
 )
 from skinlab import (
     BandModel,
     DensityMatrix,
+    LatticeOperators,
     MasterPropagator,
     NoiseStream,
     SemiclassicalPropagator,
+    build_hatano_nelson,
     build_liouvillian,
     build_obc,
     liouvillian_eigenvalues,
@@ -39,11 +44,11 @@ from skinlab import (
 )
 from skinlab import evolve
 from skinlab.evolve import _taylor_master_states
+from skinlab.lattice_ops import Construction
 from skinlab.liouvillian import (
     ZERO_TOL_SCALE,
-    _diagonal_blocks,
+    _generator_blocks,
     _from_hermitian_coords,
-    _hermitian_basis_generator,
     _hermitian_coords,
 )
 from skinlab.trajectories import _split_factors
@@ -175,7 +180,7 @@ def test_split_step_without_hamiltonian_is_the_jump_exponential(ops, seed, dt, d
 @given(ops=lattices())
 def test_real_generator_is_antisymmetric_plus_the_dephasing_diagonal(ops):
     N = ops.n_sites
-    M = _hermitian_basis_generator(ops)
+    M = hermitian_basis_generator(ops)
     assert np.abs(M - jump_eigenbasis_generator(ops)).max() <= 1e-12
     off = M - np.diag(np.diag(M))
     assert np.abs(off + off.T).max() <= 1e-13
@@ -282,9 +287,9 @@ def test_taylor_handoff_matches_the_spectral_route(ops, data):
 @PROFILE
 @given(ops=st.one_of(lattices(), sector_lattices()))
 def test_generator_is_exactly_zero_between_its_blocks(ops):
-    M = _hermitian_basis_generator(ops)
+    M = hermitian_basis_generator(ops)
     label = np.empty(M.shape[0], dtype=int)
-    for k, block in enumerate(_diagonal_blocks(M)):
+    for k, block in enumerate(diagonal_blocks(M)):
         label[block] = k
     assert not M[label[:, None] != label[None, :]].any()
 
@@ -300,12 +305,60 @@ def test_real_rk4_of_sector_models_matches_site_basis_loop(ops, seed, t):
     assert np.abs(fast - site_basis_rk4(ops, rho0.rho, t, 1e-3)).max() <= 1e-12
 
 
+@st.composite
+def mirror_models(draw):
+    """Random models with the mirror, 3 <= N <= 8: odd N adds the centre coordinate."""
+    return mirror_lattices(draw, draw(st.integers(3, 8)))
+
+
+def cosine_lattice(n, phi, J=1.0, T=0.0):
+    return build_obc(make_cosine_model(J, T, 1.0, phi), n)
+
+
+def mirrored_halves(n):
+    """P = diag(0..n-1), H hopping inside each half of P's spectrum: the mirror swaps blocks."""
+    H = np.zeros((n, n), dtype=complex)
+    for a in range(n // 2 - 1):
+        H[a, a + 1] = H[a + 1, a] = H[n - 1 - a, n - 2 - a] = H[n - 2 - a, n - 1 - a] = 0.4
+    P = np.diag(np.arange(n, dtype=complex))
+    ops = LatticeOperators(n, H, P, P @ P, H - 0.5j * P @ P, Construction.TRUNCATE_P)
+    assert ops.mirror is not None
+    return ops
+
+
+@settings(max_examples=24, derandomize=True, deadline=None, database=None)
+@given(ops=st.one_of(lattices(), sector_lattices(), mirror_models()))
+@example(ops=cosine_lattice(5, 0.0))                        # commuting
+@example(ops=build_hatano_nelson(1.0, 2.0, 6))              # transpose_sector
+@example(ops=cosine_lattice(5, np.pi / 4))                  # none
+@example(ops=cosine_lattice(6, np.pi / 2, T=0.5))           # mirror, even N
+@example(ops=cosine_lattice(7, np.pi / 2, T=0.5))           # mirror, odd N: the centre coordinate
+@example(ops=cosine_lattice(6, np.pi / 2))                  # mirror and transpose_sector
+@example(ops=cosine_lattice(7, np.pi / 2))
+@example(ops=cosine_lattice(6, np.pi / 4, J=1e-6))          # hopping of 1e-6
+@example(ops=cosine_lattice(7, np.pi / 2, J=1e-6))
+@example(ops=mirrored_halves(4))                            # blocks the mirror maps to each other
+@example(ops=mirrored_halves(6))
+def test_blocked_assembly_is_the_dense_generator_bit_for_bit(ops):
+    M = hermitian_basis_generator(ops)
+    dense = diagonal_blocks(M)
+    blocks, stacks = _generator_blocks(ops)
+    assert [b.tolist() for b in blocks] == [b.tolist() for b in dense]
+    # equal sizes batched, largest first, each stack's blocks in order of first index
+    sizes = sorted({b.size for b in dense}, reverse=True)
+    assert [idx.shape[1] for idx, _ in stacks] == sizes
+    for (idx, stack), size in zip(stacks, sizes):
+        assert idx.tolist() == [b.tolist() for b in dense if b.size == size]
+        assert stack.dtype == np.float64 and stack.shape == (idx.shape[0], size, size)
+        assert stack.tobytes() == M[idx[:, :, None], idx[:, None, :]].tobytes()
+
+
 @PROFILE
 @given(ops=lattices())
 def test_models_without_structure_keep_a_single_block(ops):
-    M = _hermitian_basis_generator(ops)
+    M = hermitian_basis_generator(ops)
     # a mirror alone splits the generator into its even and odd sectors
-    assert ops.structure != "none" or len(_diagonal_blocks(M)) == (1 if ops.mirror is None else 2)
+    assert ops.structure != "none" or len(diagonal_blocks(M)) == (1 if ops.mirror is None else 2)
 
 
 @PROFILE

@@ -1,43 +1,42 @@
 """One BLAS thread per LAPACK call during a run, and independent items solved side by side.
 
-numpy and scipy wheels each bundle an OpenBLAS whose thread pool splits a
-single LAPACK call.  For the blocks a generator falls into (a few hundred to
-two thousand coordinates) a second pool thread gains nothing and only
-spin-waits, and how a call is split moves its last digits, so output bytes
-would depend on the pool size.  Inside :func:`pinned` every OpenBLAS found
-runs one thread, and :func:`blockwise` spreads independent items (a
+numpy's wheels bundle an OpenBLAS whose thread pool splits a single LAPACK
+call.  For the blocks a generator falls into (a few hundred to two thousand
+coordinates) a second pool thread gains nothing and only spin-waits, and how
+a call is split moves its last digits, so output bytes would depend on the
+pool size.  skinlab calls no LAPACK but numpy's.  Inside :func:`pinned` its
+OpenBLAS runs one thread, and :func:`blockwise` spreads independent items (a
 generator's block stacks, a chunk's trajectory tiles) over the available
 cores instead.  Each item is the same single-threaded computation whichever
 thread runs it, so no result depends on the number of cores.
 
 The pool size is read and set through the library's own
 ``openblas_{get,set}_num_threads`` (with a ``scipy_`` prefix in the wheels'
-builds, and a ``64_`` suffix in numpy's 64-bit-integer one), looked up with
-``ctypes`` on the numpy or scipy extension module that links the library:
-dlsym searches a library's dependencies too.  The global setter is the one
-used: in the OpenBLAS numpy 2.4 bundles, ``openblas_set_num_threads_local``
-called in one thread also changed the count seen by the others.  Where no
-symbol is found (MKL, Accelerate) nothing is pinned and items are solved
-one after another.
+builds, numpy's among them, and a ``64_`` suffix in numpy's 64-bit-integer
+one), looked up with ``ctypes`` on the numpy extension module that links the
+library: dlsym searches a library's dependencies too.  The global setter is
+the one used: in the OpenBLAS numpy 2.4 bundles,
+``openblas_set_num_threads_local`` called in one thread also changed the
+count seen by the others.  Where no symbol is found (MKL, Accelerate)
+nothing is pinned and items are solved one after another.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import os
-import sys
 import threading
 from contextlib import contextmanager
 
-# library -> the extension module whose dependencies include its OpenBLAS
-EXTENSIONS = {"numpy": "numpy.linalg._umath_linalg", "scipy": "scipy.linalg._flapack"}
+import numpy.linalg._umath_linalg as _numpy_lapack   # its dependencies include numpy's OpenBLAS
+
 _SYMBOLS = [tuple(f"{prefix}openblas_{op}_num_threads{suffix}" for op in ("get", "set"))
             for prefix in ("scipy_", "") for suffix in ("64_", "")]
 
-# Process-wide, as the OpenBLAS pool sizes they stand for are; _lock guards them.
+# Process-wide, as the OpenBLAS pool size they stand for is; _lock guards them.
 _lock = threading.Lock()
 _pin = None             # the active _Pin
-_users = 0              # pinned() blocks open: the last one out restores the pool sizes
+_users = 0              # pinned() blocks open: the last one out restores the pool size
 
 
 def _controls(path: str):
@@ -59,35 +58,30 @@ def _controls(path: str):
 
 
 class _Pin:
-    """The libraries a :func:`pinned` block set to one thread, with the pool sizes to restore."""
+    """numpy's OpenBLAS set to one thread, its pool size on entry, and the block workers.
+
+    ``previous`` is None, nothing is pinned and there are no workers where
+    the library has no thread control.
+    """
 
     def __init__(self):
-        self.libraries: dict = {}       # name -> (set, pool size on entry), None where not found
+        controls = _controls(_numpy_lapack.__file__)
+        self.set = self.previous = None
         self.workers = 0
-
-    def add_loaded(self) -> None:
-        """Pin each library of ``EXTENSIONS`` that is loaded and not looked up yet."""
-        for name, module in EXTENSIONS.items():
-            if name in self.libraries or module not in sys.modules:
-                continue
-            controls = _controls(sys.modules[module].__file__)
-            self.libraries[name] = None
-            if controls is not None:
-                get, set_ = controls
-                self.libraries[name] = set_, get()
-                set_(1)
+        if controls is not None:
+            get, self.set = controls
+            self.previous = get()
+            self.set(1)
+            self.workers = _cores() - 1
 
     def restore(self) -> None:
-        for pinned in self.libraries.values():
-            if pinned is not None:
-                set_, previous = pinned
-                set_(previous)
+        if self.set is not None:
+            self.set(self.previous)
 
     def record(self) -> dict:
-        """Manifest entries: numpy's pool size on entry, the libraries pinned, the block workers."""
-        numpy = self.libraries.get("numpy")
-        return {"blas_threads": numpy[1] if numpy else None,
-                "blas_pinned": [name for name, pinned in self.libraries.items() if pinned],
+        """Manifest entries: the pool size on entry, the libraries pinned, the block workers."""
+        return {"blas_threads": self.previous,
+                "blas_pinned": ["numpy"] if self.set is not None else [],
                 "block_workers": self.workers}
 
 
@@ -97,22 +91,16 @@ def _cores() -> int:
 
 @contextmanager
 def pinned():
-    """Every loaded OpenBLAS at one thread inside, restored on exit; yields the :class:`_Pin`.
+    """numpy's OpenBLAS at one thread inside, restored on exit; yields the :class:`_Pin`.
 
-    numpy's OpenBLAS is pinned on entry and scipy's once ``scipy.linalg`` is
-    loaded (on entry, or where :func:`pin_loaded` is called after its lazy
-    import).  With numpy's pinned, :func:`blockwise` runs on cores - 1
-    workers besides the caller.  Nested or concurrent blocks share one pin,
-    and the last to exit restores the pool sizes.
+    With it pinned, :func:`blockwise` runs on cores - 1 workers besides the
+    caller.  Nested or concurrent blocks share one pin, and the last to exit
+    restores the pool size.
     """
     global _pin, _users
     with _lock:
         if _pin is None:
-            pin = _Pin()
-            pin.add_loaded()
-            if pin.libraries.get("numpy"):
-                pin.workers = _cores() - 1
-            _pin = pin
+            _pin = _Pin()
         _users += 1
         pin = _pin
     try:
@@ -123,13 +111,6 @@ def pinned():
             if _users == 0:
                 _pin = None
                 pin.restore()
-
-
-def pin_loaded() -> None:
-    """Inside :func:`pinned`, pin the OpenBLAS of libraries loaded since it began; else nothing."""
-    with _lock:
-        if _pin is not None:
-            _pin.add_loaded()
 
 
 def blockwise(fn, items) -> list:

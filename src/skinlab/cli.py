@@ -2,14 +2,15 @@
 
 One config describes one experiment; running it writes CSV/JSON datasets plus
 a manifest recording the resolved configuration, its hash, the tool version,
-wall time, how the generator was factored, the numpy and scipy versions, the
-BLAS library each of them links, the BLAS thread variables and what the run
-did with threads.  A run sets every OpenBLAS it finds to one thread and
-solves a generator's independent blocks and a trajectory chunk's tiles side
-by side on the cores instead (see :mod:`skinlab._threads`), so numeric
-output files are byte-identical across reruns of the same config at any
-BLAS pool size and core count; builds without the OpenBLAS thread control
-(MKL, Accelerate) promise that only at a fixed pool size.
+wall time, how the generator was factored, the numpy version and the BLAS
+library it links, the BLAS thread variables and what the run did with
+threads.  Every LAPACK call is numpy's; no run imports scipy.  A run sets
+numpy's OpenBLAS to one thread and solves a generator's independent blocks
+and a trajectory chunk's tiles side by side on the cores instead (see
+:mod:`skinlab._threads`), so numeric output files are byte-identical
+across reruns of the same config at any BLAS pool size and core count;
+builds without the OpenBLAS thread control (MKL, Accelerate) promise that
+only at a fixed pool size.
 
 Command line:
 
@@ -32,7 +33,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from ._threads import pinned
@@ -376,10 +376,9 @@ def _generator_entry(ops: LatticeOperators, prop: MasterPropagator | None = None
     return entry
 
 
-def _timeseries_rows(times, states) -> list:
+def _timeseries_rows(times, states, entropies) -> list:
     obs = [observables(state) for state in states]
-    return [times, [von_neumann_entropy(s) for s in states], [o.purity for o in obs],
-            [o.first_moment for o in obs]]
+    return [times, entropies, [o.purity for o in obs], [o.first_moment for o in obs]]
 
 
 def _run_spectra(cfg: ExperimentConfig, outdir: Path, diagnostics: dict) -> list[str]:
@@ -438,8 +437,8 @@ def _write_relaxation(cfg: ExperimentConfig, outdir: Path, ops: LatticeOperators
     rho0 = DensityMatrix.site(cfg.n_sites, cfg.rho0_site)
     states, prop, entry = _master_states(ops, rho0, cfg.times)
     cols = ["t", "entropy", "purity", "first_moment"]
-    write_csv(outdir / "timeseries.csv", cols, _timeseries_rows(cfg.times, states),
-              _headers(cfg, "relaxation-timeseries", cols))
+    rows = _timeseries_rows(cfg.times, states, [von_neumann_entropy(s) for s in states])
+    write_csv(outdir / "timeseries.csv", cols, rows, _headers(cfg, "relaxation-timeseries", cols))
     sites = np.arange(1, cfg.n_sites + 1)
     frames = [(t, sites, s.rho) for t, s in zip(cfg.times, states)]
     write_json(outdir / "frames.json", {"config": cfg.config_hash(), **frames_to_json(frames)})
@@ -477,7 +476,8 @@ def _run_entropy_trace(cfg: ExperimentConfig, outdir: Path, diagnostics: dict) -
     trace = entropy_trace(ops, rho0, cfg.times)
     diagnostics["generator"] = _generator_entry(ops, trace.propagator, taylor=trace.taylor)
     cols = ["t", "entropy", "purity", "first_moment"]
-    write_csv(outdir / "entropy.csv", cols, _timeseries_rows(cfg.times, trace.states),
+    rows = _timeseries_rows(cfg.times, trace.states, trace.entropies)
+    write_csv(outdir / "entropy.csv", cols, rows,
               _headers(cfg, "entropy-trace", cols, s_infinity=trace.s_infinity))
     write_json(outdir / "summary.json", {
         "config": cfg.config_hash(),
@@ -574,11 +574,9 @@ _RUNNERS = {
 
 
 def _blas(package) -> dict | None:
-    """Name and version of the BLAS a numpy or scipy build links; None where its config lacks it.
+    """Name and version of the BLAS a numpy build links; None where its config lacks it.
 
-    numpy and scipy wheels each bundle their own OpenBLAS, possibly of
-    different versions, so the same LAPACK call can differ in the last digits
-    between them.  Reading the build config imports nothing new.
+    Reading the build config imports nothing new.
     """
     config = getattr(getattr(package, "__config__", None), "CONFIG", None) or {}
     blas = config.get("Build Dependencies", {}).get("blas")
@@ -595,8 +593,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     outdir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     environment = {
-        "numpy": np.__version__, "scipy": scipy.__version__,
-        "numpy_blas": _blas(np), "scipy_blas": _blas(scipy),
+        "numpy": np.__version__, "numpy_blas": _blas(np),
         **{var: os.environ.get(var) for var in BLAS_THREAD_VARS},
     }
     diagnostics: dict = {"environment": environment}

@@ -13,7 +13,7 @@ with scaling of exp(t L) rho, run in the jump operator's eigenbasis;
 fixed-step RK4 there is an independent cross-check.  All master routes end
 in the same state checks.  The no-jump wavefunction exp(-i H_eff t) psi0
 runs on the same Taylor kernel, whose accuracy does not depend on how
-non-normal H_eff is.  Nothing here imports scipy.
+non-normal H_eff is.
 """
 
 from __future__ import annotations

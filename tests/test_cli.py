@@ -7,11 +7,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy
 
 from conftest import block_workers
 from skinlab import build_hatano_nelson, build_obc, make_cosine_model
-from skinlab._threads import EXTENSIONS, _controls, _cores
+from skinlab._threads import _controls, _cores
 from skinlab.cli import _blas, load_config, main, run_experiment, validate_config
 from skinlab.errors import ConfigError
 from skinlab.evolve import _taylor_steps
@@ -136,22 +135,20 @@ def test_manifest_records_the_environment_and_no_numeric_file_does(tmp_path, mon
         run_experiment(validate_config({**base, "output_dir": str(tmp_path / sub)}))
         manifests[sub] = json.loads((tmp_path / sub / "manifest.json").read_text())
     environment = manifests["b"]["diagnostics"]["environment"]
-    blas = {key: environment.pop(key) for key in ("numpy_blas", "scipy_blas")}
-    # the pool size numpy's OpenBLAS reports (the variables count only at start-up), and
-    # the OpenBLAS builds of the libraries loaded here, all pinned while the runner ran
-    controls = {name: _controls(sys.modules[module].__file__)
-                for name, module in EXTENSIONS.items() if module in sys.modules}
-    pool = controls["numpy"][0]() if controls["numpy"] else None
+    blas = environment.pop("numpy_blas")
+    # the pool size numpy's OpenBLAS reports (the variables count only at start-up); that
+    # OpenBLAS is the one skinlab calls, pinned while the runner ran
+    controls = _controls(np.linalg._umath_linalg.__file__)
+    pool = controls[0]() if controls else None
     assert environment == {
-        "numpy": np.__version__, "scipy": scipy.__version__,
+        "numpy": np.__version__,
         "OPENBLAS_NUM_THREADS": "7", "OMP_NUM_THREADS": "7", "MKL_NUM_THREADS": None,
         "blas_threads": pool,
-        "blas_pinned": [name for name, found in controls.items() if found],
+        "blas_pinned": ["numpy"] if controls else [],
         "block_workers": _cores() - 1 if pool else 0,
     }
-    for key, package in (("numpy_blas", np), ("scipy_blas", scipy)):
-        expect = package.__config__.CONFIG["Build Dependencies"]["blas"]
-        assert blas[key] == {"name": expect["name"], "version": expect["version"]}
+    expect = np.__config__.CONFIG["Build Dependencies"]["blas"]
+    assert blas == {"name": expect["name"], "version": expect["version"]}
     assert manifests["a"]["diagnostics"]["environment"]["OPENBLAS_NUM_THREADS"] == "1"
     for name in manifests["a"]["outputs"]:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
@@ -164,49 +161,40 @@ def test_blas_entry_is_null_where_a_build_config_lacks_it():
     assert _blas(SimpleNamespace(__config__=partial)) == {"name": "openblas", "version": None}
 
 
-# Runs configs one after another in a fresh interpreter and prints, after each,
-# whether scipy.linalg has been imported.
-LINALG_PROBE = """
+# Runs configs one after another in a fresh interpreter and prints, after importing
+# skinlab.cli and after each run, whether scipy has been imported.
+SCIPY_PROBE = """
 import json, sys
-import skinlab, skinlab.cli
+import skinlab.cli
 from skinlab.cli import load_config, run_experiment
-loaded = ["scipy.linalg" in sys.modules]
+loaded = ["scipy" in sys.modules]
 for i, path in enumerate(sys.argv[2:]):
     cfg = load_config(path)
     cfg.output_dir = f"{sys.argv[1]}/{i}"
     run_experiment(cfg)
-    loaded.append("scipy.linalg" in sys.modules)
+    loaded.append("scipy" in sys.modules)
 print(json.dumps(loaded))
 """
 
 
-def scipy_linalg_loaded(tmp_path, configs) -> list:
-    """Whether scipy.linalg is loaded after importing skinlab.cli and after each config's run."""
-    out = subprocess.run([sys.executable, "-c", LINALG_PROBE, str(tmp_path), *map(str, configs)],
-                         env=src_env(), capture_output=True, text=True, timeout=300, check=True)
-    return json.loads(out.stdout)
-
-
-def test_scipy_linalg_loads_only_for_spectra(tmp_path):
-    shipped = [ROOT / "configs" / f"{name}.json" for name in (
-        "trajectories_n11", "liouvillian_spectrum_n11", "entropy_trace_n11", "obc_relax_n11",
-        "bulk_relax", "semiclassical_drift_n61")]
+def test_no_run_imports_scipy(tmp_path):
+    shipped = sorted((ROOT / "configs").glob("*.json"))
     handoff = write_config(tmp_path, {
         "experiment": "EntropyTrace",
         "model": {"type": "cosine", "J": 1, "T": 0, "R": 1, "phi": 0.7853981633974483},
         "n_sites": 20, "times": [0.0, 1.0],
     }, "handoff.json")
-    assert scipy_linalg_loaded(tmp_path / "a", [*shipped, handoff]) == [False] * 8
-    manifest = json.loads((tmp_path / "a" / "6" / "manifest.json").read_text())
-    assert manifest["diagnostics"]["generator"]["route"] == "taylor"
     spectra = write_config(tmp_path, spectra_config(tmp_path, n_sites=8, n_k=16), "spectra.json")
-    assert scipy_linalg_loaded(tmp_path / "b", [spectra]) == [False, True]
-    # scipy's OpenBLAS is pinned where scipy.linalg is first imported, as numpy's is
-    if _controls(np.linalg._umath_linalg.__file__) is not None:
-        pinned = [json.loads((tmp_path / run / "0" / "manifest.json").read_text())
-                  ["diagnostics"]["environment"]["blas_pinned"] for run in ("a", "b")]
-        scipy_found = _controls(sys.modules[EXTENSIONS["scipy"]].__file__) is not None
-        assert pinned == [["numpy"], ["numpy"] + ["scipy"] * scipy_found]
+    configs = [*shipped, handoff, spectra]
+    out = subprocess.run([sys.executable, "-c", SCIPY_PROBE, str(tmp_path / "runs"),
+                          *map(str, configs)],
+                         env=src_env(), capture_output=True, text=True, timeout=600, check=True)
+    assert json.loads(out.stdout) == [False] * (len(configs) + 1)
+    experiments = {json.loads(path.read_text())["experiment"] for path in shipped}
+    assert experiments == {"Spectra", "BulkRelax", "ObcRelax", "LiouvillianSpectrum",
+                           "EntropyTrace", "Trajectories", "HatanoNelson", "SemiclassicalDrift"}
+    manifest = json.loads((tmp_path / "runs" / str(len(shipped)) / "manifest.json").read_text())
+    assert manifest["diagnostics"]["generator"]["route"] == "taylor"
 
 
 def test_trajectories_experiment_workers_do_not_change_bytes(tmp_path):

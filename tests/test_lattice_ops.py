@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from conftest import SUITE_MODELS
+from conftest import SUITE_MODELS, assert_multiset_close
 from skinlab import (
     BandModel,
     Construction,
@@ -132,6 +133,15 @@ def test_obc_spectrum_open_chain():
     w = obc_spectrum(ops).eigenvalues
     expect = np.sort(2 * np.cos(np.pi * np.arange(1, 10) / 10))
     assert np.abs(np.sort(w.real) - expect).max() < 1e-10
+
+
+@pytest.mark.parametrize("phi", [0.0, np.pi / 4, np.pi / 2])
+def test_obc_spectrum_matches_scipy_eigvals(phi):
+    # at N = 11 every eigenvalue's condition number is at most 50 (at N = 50, phi = pi/2 it
+    # is about 2.5e10), so two correct LAPACK builds agree far inside the tolerance
+    ops = build_obc(make_cosine_model(1, 0, 1, phi), 11)
+    tol = 1e-10 * np.linalg.norm(ops.H_eff, 2)
+    assert_multiset_close(obc_spectrum(ops).eigenvalues, scipy.linalg.eigvals(ops.H_eff), tol)
 
 
 def test_obc_eigenvalues_inside_pbc_loop():

@@ -181,7 +181,7 @@ def test_ensemble_noise_memory_is_a_tile_per_thread(workers):
             tracemalloc.stop()
     tile_noise = TILE * n_steps * 8
     threads = pin.workers + 1       # the caller and its workers; 8 tiles a chunk bound neither
-    assert pin.workers == (workers if pin.libraries.get("numpy") else 0)
+    assert pin.workers == (workers if pin.set is not None else 0)
     assert peak <= 1.25 * threads * tile_noise + 2**19
     assert peak < CHUNK * n_steps * 8 / 2
 

@@ -4,7 +4,9 @@ numpy's wheels bundle an OpenBLAS whose thread pool splits a single LAPACK
 call.  For the blocks a generator falls into (a few hundred to two thousand
 coordinates) a second pool thread gains nothing and only spin-waits, and how
 a call is split moves its last digits, so output bytes would depend on the
-pool size.  skinlab calls no LAPACK but numpy's.  Inside :func:`pinned` its
+pool size.  skinlab calls no LAPACK but numpy's OpenBLAS: through
+``np.linalg``, and its ``dgeev`` directly (:func:`dgeev`) for the
+eigenvalue-only block solves.  Inside :func:`pinned` its
 OpenBLAS runs one thread, and :func:`blockwise` spreads independent items (a
 generator's block stacks, a chunk's trajectory tiles) over the available
 cores instead.  Each item is the same single-threaded computation whichever
@@ -18,12 +20,14 @@ library: dlsym searches a library's dependencies too.  The global setter is
 the one used: in the OpenBLAS numpy 2.4 bundles,
 ``openblas_set_num_threads_local`` called in one thread also changed the
 count seen by the others.  Where no symbol is found (MKL, Accelerate)
-nothing is pinned and items are solved one after another.
+nothing is pinned and items are solved one after another.  The library is
+opened once per process, at the first pin or solve, never at import.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import os
 import threading
 from contextlib import contextmanager
@@ -39,12 +43,21 @@ _pin = None             # the active _Pin
 _users = 0              # pinned() blocks open: the last one out restores the pool size
 
 
+@functools.cache
+def _library(path: str):
+    """The shared library at ``path`` through ``ctypes``, opened once, or None."""
+    import ctypes
+    try:
+        return ctypes.CDLL(path)
+    except OSError:
+        return None
+
+
 def _controls(path: str):
     """The (get, set) pool-size functions of the OpenBLAS the library at ``path`` links, or None."""
     import ctypes
-    try:
-        lib = ctypes.CDLL(path)
-    except OSError:
+    lib = _library(path)
+    if lib is None:
         return None
     for get_name, set_name in _SYMBOLS:
         try:
@@ -54,6 +67,26 @@ def _controls(path: str):
         get.restype, get.argtypes = ctypes.c_int, []
         set_.restype, set_.argtypes = None, [ctypes.c_int]
         return get, set_
+    return None
+
+
+@functools.cache
+def dgeev():
+    """numpy's LAPACK ``dgeev`` and the ctypes type of its Fortran integers, or None.
+
+    The wheels' OpenBLAS names it ``scipy_dgeev_64_`` (64-bit integers); a
+    build without it (MKL, Accelerate) gives None.  Looked up at the first call.
+    """
+    import ctypes
+    lib = _library(_numpy_lapack.__file__)
+    if lib is None:
+        return None
+    for prefix in ("scipy_", ""):
+        for suffix, integer in (("64_", ctypes.c_int64), ("", ctypes.c_int)):
+            fn = getattr(lib, f"{prefix}dgeev_{suffix}", None)
+            if fn is not None:
+                fn.restype, fn.argtypes = None, [ctypes.c_char_p] * 2 + [ctypes.c_void_p] * 12
+                return fn, integer
     return None
 
 
@@ -79,9 +112,11 @@ class _Pin:
             self.set(self.previous)
 
     def record(self) -> dict:
-        """Manifest entries: the pool size on entry, the libraries pinned, the block workers."""
+        """Manifest entries: the pool size on entry, the libraries pinned, whether
+        eigenvalue-only solves run in place (:func:`dgeev` found), the block workers."""
         return {"blas_threads": self.previous,
                 "blas_pinned": ["numpy"] if self.set is not None else [],
+                "lapack_in_place": dgeev() is not None,
                 "block_workers": self.workers}
 
 

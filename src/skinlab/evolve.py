@@ -247,8 +247,12 @@ class MasterPropagator:
 
     @property
     def eigenvalues(self) -> np.ndarray:
-        """M's eigenvalues, unsorted: the factored blocks' from eig, the rest's from eigvals."""
-        rest = self._stacks_of(self._pending)
+        """M's eigenvalues, unsorted: the factored blocks' from eig, the rest's from eigvals.
+
+        The rest are solved on copies of their stacks, which a later
+        :meth:`apply` may still factor.
+        """
+        rest = [(idx, stack.copy(order="K")) for idx, stack in self._stacks_of(self._pending)]
         return np.concatenate(self._w + ([_block_eigenvalues(rest)] if rest else []))
 
     def apply(self, x: np.ndarray, t: float) -> np.ndarray:

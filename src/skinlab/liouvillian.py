@@ -23,7 +23,8 @@ assembled from H_tilde and D in P's eigenbasis by scattering M's O(N^3)
 entries straight into them (:func:`_generator_blocks`); M itself is never
 formed.  A model with a mirror (:class:`skinlab.lattice_ops.Mirror`) has
 its blocks rotated to the mirror's even and odd coordinates, so they split
-into the mirror sectors.
+into the mirror sectors.  Each block is stored column-major, so the
+eigenvalue-only solves hand it to LAPACK as it lies (:func:`_eigvals_in_place`).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _threads
 from ._threads import blockwise
 from .errors import NumericalFailure, ParameterError
 from .lattice_ops import LatticeOperators
@@ -170,7 +172,8 @@ def _stacked(blocks: list[np.ndarray]):
     """Zero (idx, stack) pairs for ``blocks``, in one buffer: equal sizes batched, largest first.
 
     idx is (k, s): the blocks of size s in order of first index; every stack
-    is a view of the one flat buffer returned with them.
+    is a view of the one flat buffer returned with them, each matrix laid
+    out column-major (F-contiguous), as LAPACK reads it.
     """
     sizes = sorted({b.size for b in blocks}, reverse=True)
     idx = [np.stack([b for b in blocks if b.size == size]) for size in sizes]
@@ -178,7 +181,7 @@ def _stacked(blocks: list[np.ndarray]):
     stacks, lo = [], 0
     for i in idx:
         k, s = i.shape
-        stacks.append((i, flat[lo:lo + k * s * s].reshape(k, s, s)))
+        stacks.append((i, flat[lo:lo + k * s * s].reshape(k, s, s).transpose(0, 2, 1)))
         lo += k * s * s
     return stacks, flat
 
@@ -186,24 +189,24 @@ def _stacked(blocks: list[np.ndarray]):
 def _filled(n: int, blocks: list[np.ndarray], entries) -> list:
     """:func:`_stacked` pairs of ``blocks`` holding the (rows, cols, values) ``entries`` in them.
 
-    Each coordinate's block and the flat position of its row are tabulated,
-    so an entry lands in its stack in one scatter; entries between blocks,
-    or on a coordinate no block holds, are dropped.
+    Each coordinate's block and the flat position of its column are
+    tabulated, so an entry lands in its stack in one scatter; entries between
+    blocks, or on a coordinate no block holds, are dropped.
     """
     stacks, flat = _stacked(blocks)
     block = np.full(n, -1)
-    row, local = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
+    column, local = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
     count = lo = 0
     for idx, _ in stacks:
         k, s = idx.shape
         block[idx] = count + np.arange(k)[:, None]
-        row[idx] = lo + s * (s * np.arange(k)[:, None] + np.arange(s))
+        column[idx] = lo + s * (s * np.arange(k)[:, None] + np.arange(s))
         local[idx] = np.arange(s)
         count, lo = count + k, lo + k * s * s
     for r, c, v in entries:
         of_r = block[r]
         inside = (of_r == block[c]) & (of_r >= 0)
-        at = row[r] + local[c]
+        at = column[c] + local[r]
         flat[at[inside]] = v[inside]
     return stacks
 
@@ -211,14 +214,64 @@ def _filled(n: int, blocks: list[np.ndarray], entries) -> list:
 def _block_eigenvalues(stacks) -> np.ndarray:
     """Eigenvalues of :func:`_generator_blocks` (idx, stack) pairs, in :func:`_spectrum_order`.
 
-    One ``eigvals`` per stack, the stacks solved side by side (:func:`blockwise`).
+    One solve per stack, the stacks solved side by side (:func:`blockwise`):
+    :func:`_eigvals_in_place`, which overwrites the blocks, or
+    ``np.linalg.eigvals`` where numpy's LAPACK has no ``dgeev`` to call.
     """
+    solve = np.linalg.eigvals if _threads.dgeev() is None else _eigvals_in_place
     try:
-        w = np.concatenate([w.ravel() for w in
-                            blockwise(lambda item: np.linalg.eigvals(item[1]), stacks)])
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
+        w = np.concatenate([w.ravel() for w in blockwise(lambda item: solve(item[1]), stacks)])
+    except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigensolver did not converge: {exc}") from exc
     return w[_spectrum_order(w)]
+
+
+def _eigvals_in_place(stack: np.ndarray) -> np.ndarray:
+    """``np.linalg.eigvals(stack)`` of a real (k, s, s) stack, bit for bit, without its copies.
+
+    Calls numpy's own ``dgeev`` (:func:`skinlab._threads.dgeev`) on each
+    F-contiguous matrix where it lies, overwriting it; a stack of other
+    matrices is copied once first, as numpy copies every one.  As in numpy the stack's
+    entries must be finite, the workspace is the size a query returns, and
+    the result is real when every imaginary part is zero.  Raises
+    NumericalFailure on a non-finite entry or non-convergence.
+    """
+    import ctypes
+
+    geev, integer = _threads.dgeev()
+    if stack.dtype != np.float64 or stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise ValueError(f"dgeev takes a stack of real square matrices, got {stack.dtype} "
+                         f"{stack.shape}")
+    if not (np.isfinite(stack.min()) and np.isfinite(stack.max())):   # both propagate NaN
+        raise NumericalFailure("eigensolver input holds infs or NaNs")
+    k, s = stack.shape[:2]
+    wr, wi = np.empty((2, k, s))
+    n, lwork, info = integer(s), integer(-1), integer(0)
+    size, lwork_at, info_at = ctypes.byref(n), ctypes.byref(lwork), ctypes.byref(info)
+    wr_at, wi_at, row = wr.ctypes.data, wi.ctypes.data, 8 * s
+
+    def solve(a: int, i: int, work: int) -> None:
+        """dgeev of the matrix at address a into row i of wr and wi."""
+        # lda = ldvl = ldvr = n; vl and vr are not referenced with jobvl = jobvr = "N"
+        geev(b"N", b"N", size, a, size, wr_at + i * row, wi_at + i * row, None, size, None,
+             size, work, lwork_at, info_at)
+        if info.value:
+            raise NumericalFailure(f"eigensolver did not converge (dgeev info {info.value})")
+
+    query = np.empty(1)
+    solve(stack.ctypes.data, 0, query.ctypes.data)      # lwork = -1: reads no matrix
+    work = np.empty(int(query[0]))
+    lwork.value, work_at = work.size, work.ctypes.data
+    if not (stack[0].flags.f_contiguous and stack.flags.writeable):   # the matrices share strides
+        stack = np.ascontiguousarray(stack.transpose(0, 2, 1)).transpose(0, 2, 1)
+    at, step = stack.ctypes.data, stack.strides[0]
+    for i in range(k):
+        solve(at + i * step, i, work_at)
+    if not wi.any():
+        return wr
+    w = np.empty((k, s), dtype=complex)
+    w.real, w.imag = wr, wi
+    return w
 
 
 def _check_cap(n_sites: int, cap: int) -> None:
@@ -401,14 +454,14 @@ def _rotated_sectors(n: int, group: np.ndarray, pairs, entries) -> list:
     columns rotated by :func:`_to_sectors` with the ``pairs`` inside it, and
     the rotated block cut into its components.
     """
-    m = _filled(n, [group], entries)[0][1][0]
+    m = _filled(n, [group], entries)[0][1][0]   # column-major
     K, J, eps = pairs
     on = np.isin(K, group)
     inside = (np.searchsorted(group, K[on]), np.searchsorted(group, J[on]), eps[on])
-    _to_sectors(m, inside)
     band = max(1, _CHUNK // group.size)
-    for lo in range(0, group.size, band):       # columns, a cache-sized band of rows at a time
-        _to_sectors(m[lo:lo + band].T, inside)
+    for lo in range(0, group.size, band):       # rows, a cache-sized band of columns at a time
+        _to_sectors(m[:, lo:lo + band], inside)
+    _to_sectors(m.T, inside)
     nonzero = m != 0
     return [(group[part], m[np.ix_(part, part)]) for part in _components(nonzero | nonzero.T)]
 
@@ -416,9 +469,9 @@ def _rotated_sectors(n: int, group: np.ndarray, pairs, entries) -> list:
 def liouvillian_eigenvalues(ops: LatticeOperators, cap: int = SPECTRUM_CAP) -> np.ndarray:
     """Full generator spectrum from real eigensolves, sorted as :func:`liouvillian_spectrum`.
 
-    One ``eigvals`` per diagonal block of the real generator
-    (:func:`_generator_blocks`), so the eigenvalues come in exact
-    complex-conjugate pairs.
+    One real eigenvalue-only solve per diagonal block of the real generator
+    (:func:`_generator_blocks`, :func:`_block_eigenvalues`), so the
+    eigenvalues come in exact complex-conjugate pairs.
 
     Raises
     ------
@@ -525,9 +578,10 @@ def stationary_states(ops: LatticeOperators) -> StationaryReport:
     """Count and construct the non-decaying states of the real generator M, block by block.
 
     The kernel and the gap ratio come from the SVDs of :func:`_stationary_kernel`,
-    the spectrum from one ``eigvals`` per block.  The kernel basis follows
-    the blocks, so a kernel spread over many blocks has a canonical basis:
-    for the commuting case the projectors |v_a><v_a| on P's eigenvectors.
+    the spectrum from one eigenvalue-only solve per block
+    (:func:`_block_eigenvalues`).  The kernel basis follows the blocks, so a
+    kernel spread over many blocks has a canonical basis: for the commuting
+    case the projectors |v_a><v_a| on P's eigenvectors.
     """
     blocks, stacks = _generator_blocks(ops)
     Q, svals = _stationary_kernel(ops, stacks)

@@ -8,9 +8,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import skinlab.liouvillian
 from conftest import block_workers
 from skinlab import build_hatano_nelson, build_obc, make_cosine_model
-from skinlab._threads import _controls, _cores
+from skinlab._threads import _controls, _cores, dgeev
 from skinlab.cli import _blas, load_config, main, run_experiment, validate_config
 from skinlab.errors import ConfigError
 from skinlab.evolve import _taylor_steps
@@ -145,6 +146,7 @@ def test_manifest_records_the_environment_and_no_numeric_file_does(tmp_path, mon
         "OPENBLAS_NUM_THREADS": "7", "OMP_NUM_THREADS": "7", "MKL_NUM_THREADS": None,
         "blas_threads": pool,
         "blas_pinned": ["numpy"] if controls else [],
+        "lapack_in_place": dgeev() is not None,
         "block_workers": _cores() - 1 if pool else 0,
     }
     expect = np.__config__.CONFIG["Build Dependencies"]["blas"]
@@ -548,8 +550,9 @@ def dense_linalg_calls(monkeypatch, cfg) -> list[tuple[str, np.dtype, int, int]]
     """Name, input dtype, stack count and side of each np.linalg factorization of square matrices.
 
     Generator blocks reach numpy stacked by size, so a call on a (k, s, s)
-    array factors k blocks of side s.  Unstacked N x N calls (the lattice
-    operators' own checks) are left out.
+    array factors k blocks of side s.  The in-place eigenvalue solve
+    (``_eigvals_in_place``) counts as ``eigvals``.  Unstacked N x N calls
+    (the lattice operators' own checks) are left out.
     """
     calls = []
 
@@ -563,6 +566,8 @@ def dense_linalg_calls(monkeypatch, cfg) -> list[tuple[str, np.dtype, int, int]]
 
     for name in DENSE_LINALG:
         monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    monkeypatch.setattr(skinlab.liouvillian, "_eigvals_in_place",
+                        counting("eigvals", skinlab.liouvillian._eigvals_in_place))
     run_experiment(cfg)
     return calls
 
@@ -629,8 +634,6 @@ DENSE_ROUTE_CONFIGS = [
 
 @pytest.mark.parametrize("raw", DENSE_ROUTE_CONFIGS, ids=lambda raw: raw["experiment"])
 def test_no_runner_builds_the_complex_generator(tmp_path, monkeypatch, raw):
-    import skinlab.liouvillian
-
     built = []
     original = skinlab.liouvillian.build_liouvillian
 

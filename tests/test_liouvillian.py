@@ -1,3 +1,5 @@
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -14,11 +16,13 @@ from conftest import (
     jump_eigenbasis_generator,
     master_rhs,
 )
+from test_cli import src_env
 from skinlab import (
     BandModel,
     DensityMatrix,
     LatticeOperators,
     MasterPropagator,
+    NumericalFailure,
     ParameterError,
     analytic_commuting_spectrum,
     bidiagonal_stationary_state,
@@ -34,11 +38,14 @@ from skinlab import (
     unvec,
     vec,
 )
+from skinlab import _threads
 from skinlab.lattice_ops import Construction
 from skinlab.liouvillian import (
     SORT_TIE_TOL,
     ZERO_TOL_SCALE,
     LiouvillianMatrix,
+    _block_eigenvalues,
+    _eigvals_in_place,
     _generator_blocks,
     _spectrum_order,
     _zero_tolerance,
@@ -308,6 +315,100 @@ def test_dense_solves_allocate_a_small_multiple_of_the_blocks(build, multiple):
     if multiple == 8:
         assert result.factored_blocks == len(result.blocks)
     assert peak <= multiple * blocks + n**4 + 2**20
+
+
+needs_dgeev = pytest.mark.skipif(_threads.dgeev() is None,
+                                 reason="numpy's LAPACK has no dgeev symbol to call")
+
+IN_PLACE_CASES = {
+    "hatano_nelson_n12": lambda: build_hatano_nelson(1, 2, 12),
+    "mirror_n10": lambda: build_obc(make_cosine_model(1, 0, 1, np.pi / 2), 10),
+    "commuting_n7": lambda: build_obc(make_cosine_model(1, 0, 1, 0.0), 7),
+}
+
+
+@needs_dgeev
+@pytest.mark.parametrize("case", IN_PLACE_CASES)
+def test_in_place_solves_give_the_bits_of_numpy_eigvals(case):
+    ops = IN_PLACE_CASES[case]()
+    stacks = _generator_blocks(ops)[1]
+    assert (ops.mirror is not None) == (case == "mirror_n10")
+    dtypes = set()
+    for idx, stack in stacks:
+        expect = np.linalg.eigvals(stack)
+        solved = stack.copy(order="K")
+        for got in (_eigvals_in_place(solved), _eigvals_in_place(np.ascontiguousarray(stack))):
+            assert got.dtype == expect.dtype and got.tobytes() == expect.tobytes()
+        dtypes.add(expect.dtype)
+        if idx.shape[1] > 2:        # solved where it lies: the Schur form overwrote it
+            assert not np.array_equal(solved, stack)
+    if case == "mirror_n10":         # sectors of equal size share a stack
+        assert max(idx.shape[0] for idx, _ in stacks) > 1
+    if case == "commuting_n7":       # 1x1 and 2x2 stacks; the kernel's stack is all real
+        assert sorted(idx.shape[1] for idx, _ in stacks) == [1, 2]
+        assert dtypes == {np.dtype(float), np.dtype(complex)}
+
+
+@pytest.mark.parametrize("case", IN_PLACE_CASES)
+def test_without_dgeev_the_spectrum_falls_back_to_eigvals_with_the_same_bits(case, monkeypatch):
+    ops = IN_PLACE_CASES[case]()
+    found = [liouvillian_eigenvalues(ops), stationary_states(ops).eigenvalues]
+    monkeypatch.setattr(_threads, "dgeev", lambda: None)
+    fallback = [liouvillian_eigenvalues(ops), stationary_states(ops).eigenvalues]
+    for a, b in zip(found, fallback):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_propagator_eigenvalues_leave_its_pending_blocks_intact():
+    ops = build_hatano_nelson(1, 2, 9)
+    site = np.diag(np.eye(9)[4])
+    X = np.random.default_rng(6).normal(size=(9, 9, 2)) @ np.array([1.0, 1j])
+    full = X @ X.conj().T / np.trace(X @ X.conj().T).real
+    read = MasterPropagator(ops, site)
+    assert 0 < read.factored_blocks < len(read.blocks)
+    read.eigenvalues
+    fresh = MasterPropagator(ops, site)
+    for t in (0.5, 3.0):
+        assert read.evolve(full, t).tobytes() == fresh.evolve(full, t).tobytes()
+    assert read.factored_blocks == len(read.blocks)
+
+
+@pytest.mark.parametrize("in_place", [True, False], ids=["in_place", "fallback"])
+def test_a_non_finite_block_raises_numerical_failure(in_place, monkeypatch):
+    if not in_place:
+        monkeypatch.setattr(_threads, "dgeev", lambda: None)
+    elif _threads.dgeev() is None:
+        pytest.skip("numpy's LAPACK has no dgeev symbol to call")
+    for bad in (np.nan, np.inf, -np.inf):
+        stack = np.eye(3)[None].copy(order="K")
+        stack[0, 1, 2] = bad
+        with pytest.raises(NumericalFailure):
+            _block_eigenvalues([(np.arange(3)[None], stack)])
+    if in_place:                    # and no pointer to anything but real square matrices
+        for wrong in (np.eye(3, dtype=np.float32)[None], np.eye(3) + 0j, np.ones((1, 2, 3))):
+            with pytest.raises(ValueError):
+                _eigvals_in_place(wrong)
+
+
+def test_eigenvalue_solves_grow_the_resident_set_by_under_twice_the_blocks():
+    """ru_maxrss, unlike tracemalloc, sees LAPACK's buffers: numpy's copy of each block among them."""
+    script = """
+import resource
+import numpy as np
+from skinlab import build_hatano_nelson, liouvillian_eigenvalues
+from skinlab._threads import pinned
+ops = build_hatano_nelson(1, 2, 40)
+np.linalg.eigvals(np.eye(2))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+with pinned():
+    liouvillian_eigenvalues(ops)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+    grown = 1024 * int(subprocess.run([sys.executable, "-c", script], env=src_env(),
+                                      capture_output=True, text=True, timeout=300,
+                                      check=True).stdout)
+    blocks = 8 * sum(b.size**2 for b in _generator_blocks(build_hatano_nelson(1, 2, 40))[0])
+    assert grown <= 2 * blocks
 
 
 def test_spectrum_order_is_stable_under_round_off_in_tied_real_parts():

@@ -8,7 +8,7 @@ import threading
 import numpy as np
 import pytest
 
-from skinlab import _threads, build_hatano_nelson, build_obc, make_cosine_model
+from skinlab import _threads, build_hatano_nelson, build_obc, liouvillian, make_cosine_model
 from skinlab.cli import _RUNNERS, run_experiment, validate_config
 from skinlab.errors import NumericalFailure
 from skinlab.evolve import MasterPropagator
@@ -69,6 +69,8 @@ def solve_with_workers(monkeypatch, workers, solve):
     with monkeypatch.context() as patch:
         for name in ("eig", "eigvals", "svd", "inv"):
             patch.setattr(np.linalg, name, recording(getattr(np.linalg, name), names))
+        patch.setattr(liouvillian, "_eigvals_in_place",
+                      recording(liouvillian._eigvals_in_place, names))
         with block_workers(workers):
             result = solve()
     return result, names
@@ -155,6 +157,8 @@ def test_without_the_thread_control_runs_are_serial_and_write_the_same_bytes(tmp
            "model": {"type": "cosine", "J": 1, "T": 0, "R": 1, "phi": PHI_HALF_PI}}
     threads = []
     monkeypatch.setattr(np.linalg, "eigvals", recording(np.linalg.eigvals, threads))
+    monkeypatch.setattr(liouvillian, "_eigvals_in_place",
+                        recording(liouvillian._eigvals_in_place, threads))
     manifests = {}
     for name in ("pinned", "serial"):
         if name == "serial":

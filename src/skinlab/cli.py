@@ -10,7 +10,8 @@ and a trajectory chunk's tiles side by side on the cores instead (see
 :mod:`skinlab._threads`), so numeric output files are byte-identical
 across reruns of the same config at any BLAS pool size and core count;
 builds without the OpenBLAS thread control (MKL, Accelerate) promise that
-only at a fixed pool size.
+only at a fixed pool size.  Each experiment's fields, their defaults and
+checks are one table, ``FIELDS[experiment]``.
 
 Command line:
 
@@ -31,6 +32,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -38,7 +40,7 @@ from . import __version__
 from ._threads import pinned
 from .band import BandModel, make_cosine_model, pbc_spectrum
 from .bulk import bulk_wannier_density
-from .errors import ConfigError, SkinlabError
+from .errors import ConfigError, ParameterError, SkinlabError
 from .evolve import (
     DensityMatrix,
     MasterPropagator,
@@ -51,6 +53,7 @@ from .evolve import (
 from .lattice_ops import (
     Construction,
     LatticeOperators,
+    _check_range,
     build_hatano_nelson,
     build_obc,
     obc_spectrum,
@@ -59,6 +62,7 @@ from .lattice_ops import (
 from .liouvillian import (
     SPECTRUM_CAP,
     _blocked_eigenvalues,
+    _check_cap,
     _spectrum_order,
     stationary_states,
 )
@@ -70,22 +74,12 @@ from .serialize import (
     write_csv,
     write_json,
 )
-from .trajectories import run_ensemble
-
-EXPERIMENTS = (
-    "Spectra",
-    "BulkRelax",
-    "ObcRelax",
-    "LiouvillianSpectrum",
-    "EntropyTrace",
-    "Trajectories",
-    "HatanoNelson",
-    "SemiclassicalDrift",
-)
+from .trajectories import MAX_DT, _validate_run, run_ensemble
 
 DENSE_PROPAGATION_MAX = 32   # largest N propagated through the dense superoperator
 UNITS_NOTE = "units: energies in units of the hopping scale (J or J1), times in its inverse"
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+REQUIRED = object()   # the default of a field that a config must give
 
 
 @dataclass
@@ -99,32 +93,17 @@ class ExperimentConfig:
     n_k: int | None = None
     times: list[float] = field(default_factory=list)
     rho0_site: int | None = None
-    window: tuple[int, int] | None = None
+    window: list[int] | None = None
     t_final: float | None = None
     dt: float | None = None
     n_traj: int | None = None
     master_seed: int = 0
-    include_spectrum: bool = True
+    include_spectrum: bool = False   # HatanoNelson's row defaults it to true
 
     def resolved(self) -> dict:
-        """Canonical dict used for hashing and the manifest."""
-        out = {
-            "experiment": self.experiment,
-            "model": self.model,
-            "output_dir": self.output_dir,
-            "master_seed": self.master_seed,
-        }
-        for key in ("n_sites", "n_k", "rho0_site", "t_final", "dt", "n_traj"):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
-        if self.times:
-            out["times"] = list(self.times)
-        if self.window is not None:
-            out["window"] = list(self.window)
-        if self.experiment == "HatanoNelson":
-            out["include_spectrum"] = self.include_spectrum
-        return out
+        """Canonical dict for hashing and the manifest: the experiment and its table's fields."""
+        names = [row.name for row in BASE + FIELDS[self.experiment]]
+        return {"experiment": self.experiment, **{name: getattr(self, name) for name in names}}
 
     def config_hash(self) -> str:
         """Hash of the numerical identity of the experiment.
@@ -139,10 +118,46 @@ class ExperimentConfig:
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
+class Field(NamedTuple):
+    """A table row: how one config field is parsed, defaulted and checked (see :func:`_read`)."""
+
+    name: str
+    parse: Callable   # int, float or bool (see _cast), or (name, value) -> value or ConfigError
+    default: object = REQUIRED   # or a value, or a function of the fields before it
+    check: Callable | None = None   # (value, fields before it) -> whether the value holds
+    note: str = ""   # the error when it does not, formatted with the fields before it
+
+
+def _read(rows: tuple[Field, ...], raw: dict, prefix: str = "") -> dict:
+    """The fields of ``raw`` that ``rows`` name, parsed, defaulted and checked in row order.
+
+    A missing or null field takes its default unchecked.  A ParameterError
+    that a library check raises inside a row's check names the field.
+    """
+    fields: dict = {}
+    for row in rows:
+        name = prefix + row.name
+        if raw.get(row.name) is None:
+            if row.default is REQUIRED:
+                raise ConfigError(name, "missing required field")
+            fields[row.name] = row.default(fields) if callable(row.default) else row.default
+            continue
+        value, parse = raw[row.name], row.parse
+        value = _cast(name, value, parse) if isinstance(parse, type) else parse(name, value)
+        try:
+            holds = row.check is None or row.check(value, fields)
+        except ParameterError as exc:
+            raise ConfigError(name, str(exc)) from None
+        if not holds:
+            raise ConfigError(name, row.note.format(**fields))
+        fields[row.name] = value
+    return fields
+
+
 def _cast(name: str, value, kind):
-    """``value`` as ``kind``: strings and booleans as given, numbers finite and for int integral."""
-    if kind in (str, bool):
-        ok = isinstance(value, kind)
+    """``value`` as ``kind``: booleans as given, numbers finite and for int integral."""
+    if kind is bool:
+        ok = isinstance(value, bool)
     elif isinstance(value, bool) or not isinstance(value, (int, float)):
         ok = False
     elif isinstance(value, int):
@@ -155,80 +170,60 @@ def _cast(name: str, value, kind):
     return kind(value)
 
 
-def _require(raw: dict, name: str, kind, check=None, note=""):
-    if name not in raw:
-        raise ConfigError(name, "missing required field")
-    value = _cast(name, raw[name], kind)
-    if check is not None and not check(value):
-        raise ConfigError(name, note or f"value {value!r} out of range")
-    return value
+def _list(kind):
+    """Parser of a list of ``kind`` values."""
+    def parse(name: str, values) -> list:
+        if not isinstance(values, (list, tuple)):
+            raise ConfigError(name, f"must be a list of {kind.__name__}")
+        return [_cast(name, value, kind) for value in values]
+    return parse
 
 
-def _optional(raw: dict, name: str, kind, default=None, check=None, note=""):
-    if name not in raw or raw[name] is None:
-        return default
-    return _require(raw, name, kind, check, note)
+def _phases(name: str, phi) -> float | list[float]:
+    return _list(float)(name, phi) if isinstance(phi, (list, tuple)) else _cast(name, phi, float)
 
 
-def _times(raw: dict, required: bool = True) -> list[float]:
-    if "times" not in raw:
-        if required:
-            raise ConfigError("times", "missing required field")
-        return []
-    times = raw["times"]
-    if not isinstance(times, (list, tuple)) or not times:
-        raise ConfigError("times", "must be a non-empty list of times")
-    times = [_cast("times", t, float) for t in times]
-    if any(t < 0 for t in times) or any(b <= a for a, b in zip(times, times[1:])):
-        raise ConfigError("times", "must be non-negative and strictly increasing")
-    return times
+MODELS = {   # model type -> its parameter rows; BandModel checks the coefficient tables
+    "cosine": (
+        Field("J", float),
+        Field("T", float),
+        Field("R", float, check=lambda R, f: R >= 0, note="must be >= 0"),
+        Field("phi", _phases, 0.0),
+    ),
+    "hatano_nelson": (
+        Field("J1", float, check=lambda J1, f: J1 >= 0, note="must be >= 0"),
+        Field("J2", float, check=lambda J2, f: J2 >= f["J1"], note="must satisfy J2 >= J1"),
+    ),
+    "coeffs": (Field("h", lambda name, rows: rows), Field("p", lambda name, rows: rows)),
+}
 
 
-def _validate_model(obj, experiment: str) -> dict:
-    if not isinstance(obj, dict) or "type" not in obj:
-        raise ConfigError("model", 'must be an object with a "type" field')
-    kind = obj["type"]
-    if kind == "cosine":
-        out = {"type": "cosine"}
-        for key in ("J", "T", "R"):
-            out[key] = _require(obj, key, float)
-        if out["R"] < 0:
-            raise ConfigError("model.R", "must be >= 0")
-        phi = obj.get("phi", 0.0)
-        if isinstance(phi, (list, tuple)):
-            if experiment != "Spectra":
-                raise ConfigError("model.phi", "a list of phases is only valid for Spectra")
-            out["phi"] = [_cast("model.phi", p, float) for p in phi]
-        else:
-            out["phi"] = _cast("model.phi", phi, float)
-        return out
-    if kind == "coeffs":
-        for key in ("h", "p"):
-            if key not in obj:
-                raise ConfigError(f"model.{key}", "missing coefficient table")
+def _model(*types: str, phi_lists: bool = False):
+    """Parser of a model of one of ``types``; a list of phases is valid with ``phi_lists``."""
+    def parse(name: str, obj) -> dict:
+        if not isinstance(obj, dict) or "type" not in obj:
+            raise ConfigError(name, 'must be an object with a "type" field')
+        kind = obj["type"]
+        if kind not in types:
+            raise ConfigError("model.type", f"{kind!r} is not one of {', '.join(types)}")
+        out = {"type": kind, **_read(MODELS[kind], obj, "model.")}
+        if isinstance(out.get("phi"), list) and not phi_lists:
+            raise ConfigError("model.phi", "a list of phases is only valid for Spectra")
+        if kind != "coeffs":
+            return out
         try:
             model = BandModel.from_json(obj)
         except (SkinlabError, TypeError, ValueError) as exc:
-            raise ConfigError("model", f"invalid coefficient tables: {exc}") from None
+            raise ConfigError(name, f"invalid coefficient tables: {exc}") from None
         return {"type": "coeffs", **model.to_json()}
-    if kind == "hatano_nelson":
-        if experiment not in ("LiouvillianSpectrum", "HatanoNelson"):
-            raise ConfigError("model.type", f"hatano_nelson not supported by {experiment}")
-        J1 = _require(obj, "J1", float, lambda x: x >= 0, "must be >= 0")
-        J2 = _require(obj, "J2", float)
-        if J2 < J1:
-            raise ConfigError("model.J2", "must satisfy J2 >= J1")
-        return {"type": "hatano_nelson", "J1": J1, "J2": J2}
-    raise ConfigError("model.type", f"unknown model type {kind!r}")
+    return parse
 
 
 def _band_model(model: dict, phi: float | None = None) -> BandModel:
-    if model["type"] == "cosine":
-        use_phi = model["phi"] if phi is None else phi
-        return make_cosine_model(model["J"], model["T"], model["R"], use_phi)
     if model["type"] == "coeffs":
         return BandModel.from_json(model)
-    raise ConfigError("model.type", f"{model['type']!r} is not a band model")
+    phi = model["phi"] if phi is None else phi
+    return make_cosine_model(model["J"], model["T"], model["R"], phi)
 
 
 def _lattice(model: dict, n_sites: int) -> LatticeOperators:
@@ -237,88 +232,89 @@ def _lattice(model: dict, n_sites: int) -> LatticeOperators:
     return build_obc(_band_model(model), n_sites, Construction.TRUNCATE_P)
 
 
+def _room(n_sites: int, fields: dict, spectrum: bool = False) -> bool:
+    """Whether the chain has 2 sites or more and room for every harmonic of a band model.
+
+    With ``spectrum`` the dense superoperator must also fit SPECTRUM_CAP.  The
+    range and the cap are the library's own checks.
+    """
+    if n_sites < 2:
+        return False
+    if fields["model"]["type"] != "hatano_nelson":
+        band = _band_model(fields["model"], phi=0.0)   # its harmonics do not depend on phi
+        _check_range([*band.h_coeffs, *band.p_coeffs], n_sites)
+    if spectrum:
+        _check_cap(n_sites, SPECTRUM_CAP)
+    return True
+
+
+# The rows that FIELDS shares out.  Parsers: int, float, bool, _list(kind) and _model(types).
+BAND_MODEL = Field("model", _model("cosine", "coeffs"))
+N_SITES = Field("n_sites", int, REQUIRED, _room, "must be >= 2")
+SPECTRUM_SITES = Field("n_sites", int, REQUIRED,
+                       lambda n, f: _room(n, f, spectrum=f.get("include_spectrum", True)),
+                       "must be >= 2")
+DENSE_SITES = Field("n_sites", int, REQUIRED,
+                    lambda n, f: n <= DENSE_PROPAGATION_MAX and _room(n, f),
+                    f"must lie in 2..{DENSE_PROPAGATION_MAX}")
+N_K = Field("n_k", int, 512, lambda n_k, f: n_k >= 2, "must be >= 2")
+EVEN_N_K = Field("n_k", int, 512, lambda n_k, f: n_k >= 2 and n_k % 2 == 0,
+                 "must be even and >= 2")
+TIMES = Field("times", _list(float), REQUIRED,
+              lambda t, f: bool(t) and t[0] >= 0 and all(a < b for a, b in zip(t, t[1:])),
+              "must be non-empty, non-negative and strictly increasing")
+WINDOW = Field("window", _list(int),
+               lambda f: [-min(40, f["n_k"] // 2 - 1), min(40, f["n_k"] // 2 - 1)],
+               lambda w, f: len(w) == 2 and -f["n_k"] // 2 <= w[0] <= w[1] < f["n_k"] // 2,
+               "must be a pair [lo, hi] with -n_k/2 <= lo <= hi < n_k/2 (n_k = {n_k})")
+RHO0_SITE = Field("rho0_site", int, lambda f: (f["n_sites"] + 1) // 2,
+                  lambda site, f: 1 <= site <= f["n_sites"], "must lie in 1..{n_sites}")
+# Accepted and hashed, so shipped configs keep their hashes; no master route reads it.
+MASTER_DT = Field("dt", float, 0.002, lambda dt, f: dt > 0, "must be > 0")
+STEP_DT = Field("dt", float, REQUIRED, lambda dt, f: 0 < dt <= MAX_DT,
+                f"must satisfy 0 < dt <= {MAX_DT}")
+# _validate_run returns the step count; it raises unless t_final is a positive multiple of dt
+T_FINAL = Field("t_final", float, REQUIRED, lambda t, f: _validate_run(t, f["dt"]) > 0)
+N_TRAJ = Field("n_traj", int, REQUIRED, lambda n, f: n >= 2, "must be >= 2")
+
+BASE = (
+    Field("output_dir", lambda name, value: str(value), "out"),
+    Field("master_seed", int, 0, lambda seed, f: seed >= 0, "must be >= 0"),
+)
+FIELDS = {   # experiment -> its rows after BASE, in the order they are read
+    "Spectra": (Field("model", _model("cosine", "coeffs", phi_lists=True)), N_SITES, N_K),
+    "BulkRelax": (BAND_MODEL, EVEN_N_K, TIMES, WINDOW),
+    "ObcRelax": (BAND_MODEL, N_SITES, TIMES, MASTER_DT, RHO0_SITE),
+    "LiouvillianSpectrum": (Field("model", _model(*MODELS)), SPECTRUM_SITES),
+    "EntropyTrace": (BAND_MODEL, DENSE_SITES, TIMES, RHO0_SITE),
+    "Trajectories": (BAND_MODEL, N_SITES, STEP_DT, T_FINAL, N_TRAJ, RHO0_SITE),
+    "HatanoNelson": (Field("model", _model("hatano_nelson")),
+                     Field("include_spectrum", bool, True),
+                     SPECTRUM_SITES, TIMES, MASTER_DT, RHO0_SITE),
+    "SemiclassicalDrift": (BAND_MODEL, N_SITES, TIMES, MASTER_DT, RHO0_SITE),
+}
+EXPERIMENTS = tuple(FIELDS)
+
+
 def validate_config(raw: dict) -> ExperimentConfig:
-    """Check a raw config dict against the experiment's preconditions."""
+    """Check a raw config dict against its experiment's rows, ``BASE + FIELDS[experiment]``."""
     if not isinstance(raw, dict):
         raise ConfigError("config", "must be a JSON object")
-    experiment = _require(raw, "experiment", str, lambda e: e in EXPERIMENTS,
-                          f"must be one of {', '.join(EXPERIMENTS)}")
-    model = _validate_model(raw.get("model"), experiment)
-    cfg = ExperimentConfig(
-        experiment=experiment,
-        model=model,
-        output_dir=str(raw.get("output_dir", "out")),
-        master_seed=_optional(raw, "master_seed", int, 0, lambda s: s >= 0, "must be >= 0"),
-    )
-
-    needs_sites = experiment != "BulkRelax"
-    if needs_sites:
-        cfg.n_sites = _require(raw, "n_sites", int, lambda n: n >= 2, "must be >= 2")
-
-    if experiment == "Spectra":
-        cfg.n_k = _optional(raw, "n_k", int, 512, lambda n: n >= 2, "must be >= 2")
-    elif experiment == "BulkRelax":
-        cfg.n_k = _optional(
-            raw, "n_k", int, 512, lambda n: n >= 2 and n % 2 == 0, "must be even and >= 2"
-        )
-        cfg.times = _times(raw)
-        window = raw.get("window")
-        if window is None:
-            half = min(40, cfg.n_k // 2 - 1)
-            cfg.window = (-half, half)
-        else:
-            if not (isinstance(window, (list, tuple)) and len(window) == 2):
-                raise ConfigError("window", "must be a [lo, hi] pair")
-            lo, hi = (_cast("window", end, int) for end in window)
-            if lo > hi or lo < -cfg.n_k // 2 or hi >= cfg.n_k // 2:
-                raise ConfigError("window", f"must lie inside [-{cfg.n_k // 2}, {cfg.n_k // 2})")
-            cfg.window = (lo, hi)
-    elif experiment in ("ObcRelax", "HatanoNelson", "SemiclassicalDrift"):
-        cfg.times = _times(raw)
-        cfg.dt = _optional(raw, "dt", float, 0.002, lambda x: x > 0, "must be > 0")
-    elif experiment == "EntropyTrace":
-        cfg.times = _times(raw)
-        if cfg.n_sites > DENSE_PROPAGATION_MAX:
-            raise ConfigError(
-                "n_sites", f"EntropyTrace needs n_sites <= {DENSE_PROPAGATION_MAX}"
-            )
-    elif experiment == "Trajectories":
-        cfg.t_final = _require(raw, "t_final", float, lambda x: x > 0, "must be > 0")
-        cfg.dt = _require(raw, "dt", float, lambda x: 0 < x <= 0.01,
-                          "must satisfy 0 < dt <= 0.01")
-        cfg.n_traj = _require(raw, "n_traj", int, lambda n: n >= 2, "must be >= 2")
-        steps = round(cfg.t_final / cfg.dt)
-        if steps < 1 or abs(steps * cfg.dt - cfg.t_final) > 1e-9:
-            raise ConfigError("t_final", "must be a positive multiple of dt")
-    elif experiment == "LiouvillianSpectrum":
-        if cfg.n_sites**2 > SPECTRUM_CAP:
-            raise ConfigError("n_sites", f"dense superoperator needs n_sites**2 <= {SPECTRUM_CAP}")
-
-    if experiment == "HatanoNelson":
-        if model["type"] != "hatano_nelson":
-            raise ConfigError("model.type", "HatanoNelson requires a hatano_nelson model")
-        cfg.include_spectrum = _optional(raw, "include_spectrum", bool, True)
-        if cfg.include_spectrum and cfg.n_sites**2 > SPECTRUM_CAP:
-            raise ConfigError("n_sites", f"spectrum output needs n_sites**2 <= {SPECTRUM_CAP}")
-
-    if experiment in ("ObcRelax", "EntropyTrace", "Trajectories", "HatanoNelson",
-                      "SemiclassicalDrift"):
-        default_site = (cfg.n_sites + 1) // 2
-        cfg.rho0_site = _optional(
-            raw, "rho0_site", int, default_site,
-            lambda s: 1 <= s <= cfg.n_sites, f"must lie in 1..{cfg.n_sites}",
-        )
-    return cfg
+    experiment = raw.get("experiment")
+    if experiment not in EXPERIMENTS:
+        raise ConfigError("experiment", f"must be one of {', '.join(EXPERIMENTS)}")
+    return ExperimentConfig(experiment, **_read(BASE + FIELDS[experiment], raw))
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
+def load_config(path: str | Path, **overrides) -> ExperimentConfig:
+    """Read and validate a JSON config; ``overrides`` replace its fields before validation."""
     try:
         raw = json.loads(Path(path).read_text())
     except OSError as exc:
         raise ConfigError("config", f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError("config", f"invalid JSON: {exc}") from None
-    return validate_config(raw)
+    return validate_config({**raw, **overrides} if isinstance(raw, dict) else raw)
 
 
 def _headers(cfg: ExperimentConfig, dataset: str, columns: list[str], **extra) -> list[str]:
@@ -382,11 +378,9 @@ def _timeseries_rows(times, states, entropies) -> list:
 
 
 def _run_spectra(cfg: ExperimentConfig, outdir: Path, diagnostics: dict) -> list[str]:
-    phi_values = cfg.model.get("phi", 0.0) if cfg.model["type"] == "cosine" else None
-    if not isinstance(phi_values, (list, tuple)):
-        phi_values = [phi_values] if phi_values is not None else [None]
+    phis = cfg.model.get("phi")   # a cosine model's phase or list of phases; None for coeffs
     outputs, summary = [], []
-    for i, phi in enumerate(phi_values):
+    for i, phi in enumerate(phis if isinstance(phis, list) else [phis]):
         model = _band_model(cfg.model, phi)
         tag = f"phi{i}"
         k, energies = pbc_spectrum(model, cfg.n_k)
@@ -426,14 +420,9 @@ def _run_bulk_relax(cfg: ExperimentConfig, outdir: Path, diagnostics: dict) -> l
     return outputs + ["frames.json"]
 
 
-def _run_obc_relax(cfg: ExperimentConfig, outdir: Path, diagnostics: dict) -> list[str]:
+def _run_relaxation(cfg: ExperimentConfig, outdir: Path, diagnostics: dict) -> list[str]:
+    """timeseries.csv and frames.json, and spectrum.csv where include_spectrum (HatanoNelson)."""
     ops = _lattice(cfg.model, cfg.n_sites)
-    outputs, _, diagnostics["generator"] = _write_relaxation(cfg, outdir, ops)
-    return outputs
-
-
-def _write_relaxation(cfg: ExperimentConfig, outdir: Path, ops: LatticeOperators):
-    """Write timeseries.csv and frames.json; their names, dense propagator and generator record."""
     rho0 = DensityMatrix.site(cfg.n_sites, cfg.rho0_site)
     states, prop, entry = _master_states(ops, rho0, cfg.times)
     cols = ["t", "entropy", "purity", "first_moment"]
@@ -442,7 +431,16 @@ def _write_relaxation(cfg: ExperimentConfig, outdir: Path, ops: LatticeOperators
     sites = np.arange(1, cfg.n_sites + 1)
     frames = [(t, sites, s.rho) for t, s in zip(cfg.times, states)]
     write_json(outdir / "frames.json", {"config": cfg.config_hash(), **frames_to_json(frames)})
-    return ["timeseries.csv", "frames.json"], prop, entry
+    outputs = ["timeseries.csv", "frames.json"]
+    if cfg.include_spectrum:   # the frames' factorization when the dense route ran
+        if prop is None:
+            w, block_sizes = _blocked_eigenvalues(ops)
+            entry.update(_generator_entry(ops, block_sizes=block_sizes))
+        else:
+            w = prop.eigenvalues
+        outputs.append(_write_spectrum(cfg, outdir, w[_spectrum_order(w)]))
+    diagnostics["generator"] = entry
+    return outputs
 
 
 def _write_spectrum(cfg: ExperimentConfig, outdir: Path, eigenvalues) -> str:
@@ -519,20 +517,6 @@ def _run_trajectories(cfg: ExperimentConfig, outdir: Path, diagnostics: dict) ->
     return ["rho_estimate.csv", "ensemble.json"]
 
 
-def _run_hatano_nelson(cfg: ExperimentConfig, outdir: Path, diagnostics: dict) -> list[str]:
-    ops = _lattice(cfg.model, cfg.n_sites)
-    outputs, prop, entry = _write_relaxation(cfg, outdir, ops)
-    if cfg.include_spectrum:   # the frames' factorization when the dense route ran
-        if prop is None:
-            w, block_sizes = _blocked_eigenvalues(ops)
-            entry.update(_generator_entry(ops, block_sizes=block_sizes))
-        else:
-            w = prop.eigenvalues
-        outputs.append(_write_spectrum(cfg, outdir, w[_spectrum_order(w)]))
-    diagnostics["generator"] = entry
-    return outputs
-
-
 def _run_semiclassical_drift(cfg: ExperimentConfig, outdir: Path, diagnostics: dict) -> list[str]:
     ops = _lattice(cfg.model, cfg.n_sites)
     rho0 = DensityMatrix.site(cfg.n_sites, cfg.rho0_site)
@@ -564,11 +548,11 @@ def _run_semiclassical_drift(cfg: ExperimentConfig, outdir: Path, diagnostics: d
 _RUNNERS = {
     "Spectra": _run_spectra,
     "BulkRelax": _run_bulk_relax,
-    "ObcRelax": _run_obc_relax,
+    "ObcRelax": _run_relaxation,
     "LiouvillianSpectrum": _run_liouvillian_spectrum,
     "EntropyTrace": _run_entropy_trace,
     "Trajectories": _run_trajectories,
-    "HatanoNelson": _run_hatano_nelson,
+    "HatanoNelson": _run_relaxation,
     "SemiclassicalDrift": _run_semiclassical_drift,
 }
 
@@ -622,23 +606,18 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     run_p = sub.add_parser("run", help="run one experiment config")
     run_p.add_argument("config", help="path to the experiment JSON")
-    run_p.add_argument("--out", help="override output_dir")
-    run_p.add_argument("--seed", type=int, help="override master_seed")
+    run_p.add_argument("--out", dest="output_dir", help="override output_dir")
+    run_p.add_argument("--seed", dest="master_seed", type=int, help="override master_seed")
     val_p = sub.add_parser("validate", help="validate a config without running it")
     val_p.add_argument("config", help="path to the experiment JSON")
     args = parser.parse_args(argv)
 
     try:
-        cfg = load_config(args.config)
+        overrides = {k: getattr(args, k, None) for k in ("output_dir", "master_seed")}
+        cfg = load_config(args.config, **{k: v for k, v in overrides.items() if v is not None})
         if args.command == "validate":
             print(f"ok: {cfg.experiment} config (hash {cfg.config_hash()})")
             return 0
-        if args.out is not None:
-            cfg.output_dir = args.out
-        if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("master_seed", "must be >= 0")
-            cfg.master_seed = args.seed
         manifest = run_experiment(cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

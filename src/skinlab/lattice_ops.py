@@ -248,14 +248,18 @@ def _maxabs(M: np.ndarray) -> float:
     return float(np.abs(M).max()) if M.size else 0.0
 
 
+def _check_range(harmonics, n_sites: int) -> None:
+    """ParameterError unless every harmonic |m| is below n_sites: a Toeplitz truncation needs it."""
+    reach = max(map(abs, harmonics), default=0)
+    if reach >= n_sites:
+        raise ParameterError(f"coefficient range |m| = {reach} does not fit on {n_sites} sites")
+
+
 def toeplitz_from_coefficients(coeffs: Coefficients, n_sites: int) -> np.ndarray:
     """Dense Toeplitz matrix X_{n,n'} = c_{n-n'} on n_sites sites."""
+    _check_range(coeffs, n_sites)
     M = np.zeros((n_sites, n_sites), dtype=complex)
     for m in sorted(coeffs):
-        if abs(m) >= n_sites:
-            raise ParameterError(
-                f"coefficient range |m| = {abs(m)} does not fit on {n_sites} sites"
-            )
         # c_m lives on the (constant) diagonal with row - column = m
         M += coeffs[m] * np.eye(n_sites, k=-m)
     return M

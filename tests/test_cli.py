@@ -12,9 +12,11 @@ import skinlab.liouvillian
 from conftest import block_workers
 from skinlab import build_hatano_nelson, build_obc, make_cosine_model
 from skinlab._threads import _controls, _cores, dgeev
-from skinlab.cli import _blas, load_config, main, run_experiment, validate_config
-from skinlab.errors import ConfigError
+from skinlab.cli import (EXPERIMENTS, FIELDS, _RUNNERS, _blas, load_config, main, run_experiment,
+                         validate_config)
+from skinlab.errors import ConfigError, ParameterError
 from skinlab.evolve import _taylor_steps
+from skinlab.lattice_ops import toeplitz_from_coefficients
 from skinlab.serialize import matrix_from_json
 
 DENSE_LINALG = ("eig", "eigvals", "svd", "cond", "inv")
@@ -435,6 +437,81 @@ def test_main_run_with_overrides(tmp_path):
         main(["run", str(path), "--threads", "2"])
 
 
+def test_run_seed_override_is_validated_as_master_seed(tmp_path, capsys):
+    path = write_config(tmp_path, spectra_config(tmp_path), "cfg.json")
+    assert main(["run", str(path), "--seed", "-1"]) == 2
+    assert "error: master_seed:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert main(["run", str(path), "--seed", "5", "--out", str(tmp_path / "seeded")]) == 0
+    manifest = json.loads((tmp_path / "seeded" / "manifest.json").read_text())
+    assert manifest["config"]["master_seed"] == 5
+    assert manifest["config"]["output_dir"] == str(tmp_path / "seeded")
+
+
+# config_hash() of every shipped config, pinned: the validation table may not move one
+SHIPPED_HASHES = {
+    "bulk_relax": "80e09c732a2e7f6c",
+    "entropy_trace_n11": "3cc3c8081dcea090",
+    "hatano_nelson_n61": "c03070a9992d11ac",
+    "liouvillian_spectrum_n11": "0d1692ebdb9ffc82",
+    "obc_relax_n11": "baaae4df061004d8",
+    "semiclassical_drift_n61": "0e6b56427a8faed3",
+    "spectra_n50": "2d66154ffc947533",
+    "trajectories_n11": "7cacaaf0ef69e14f",
+}
+BASE_KEYS = {"experiment", "model", "output_dir", "master_seed"}
+RESOLVED_KEYS = {
+    "Spectra": BASE_KEYS | {"n_sites", "n_k"},
+    "BulkRelax": BASE_KEYS | {"n_k", "times", "window"},
+    "ObcRelax": BASE_KEYS | {"n_sites", "times", "dt", "rho0_site"},
+    "LiouvillianSpectrum": BASE_KEYS | {"n_sites"},
+    "EntropyTrace": BASE_KEYS | {"n_sites", "times", "rho0_site"},
+    "Trajectories": BASE_KEYS | {"n_sites", "t_final", "dt", "n_traj", "rho0_site"},
+    "HatanoNelson": BASE_KEYS | {"n_sites", "times", "dt", "rho0_site", "include_spectrum"},
+    "SemiclassicalDrift": BASE_KEYS | {"n_sites", "times", "dt", "rho0_site"},
+}
+OPTIONAL = ("output_dir", "master_seed", "n_k", "window", "rho0_site", "include_spectrum")
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_HASHES))
+def test_shipped_config_hashes_and_resolved_keys_are_pinned(name):
+    raw = json.loads((ROOT / "configs" / f"{name}.json").read_text())
+    cfg = validate_config(raw)
+    assert cfg.config_hash() == SHIPPED_HASHES[name]
+    assert set(cfg.resolved()) == RESOLVED_KEYS[cfg.experiment]
+    # the optional fields left out, their defaults are resolved under the same keys
+    minimal = {k: v for k, v in raw.items() if k not in OPTIONAL}
+    if cfg.experiment != "Trajectories":   # Trajectories' dt is required
+        minimal.pop("dt", None)
+    assert set(validate_config(minimal).resolved()) == RESOLVED_KEYS[cfg.experiment]
+
+
+def test_every_experiment_has_a_table_and_a_runner():
+    assert set(EXPERIMENTS) == set(FIELDS) == set(_RUNNERS) == set(RESOLVED_KEYS)
+
+
+@pytest.mark.parametrize("raw,harmonics", [
+    ({"experiment": "ObcRelax", "model": {"type": "cosine", "J": 1, "T": 0.5, "R": 1},
+      "n_sites": 2, "times": [1.0]}, {-2: 0.5, 2: 0.5}),
+    ({"experiment": "Spectra", "model": {"type": "coeffs", "h": [[3, 1, 0], [-3, 1, 0]],
+                                         "p": [[0, 1, 0]]}, "n_sites": 3}, {-3: 1, 3: 1}),
+], ids=["cosine_T_on_2_sites", "coeffs_range_3_on_3_sites"])
+def test_n_sites_below_the_model_range_fail_validation(tmp_path, capsys, raw, harmonics):
+    """The chain must hold every harmonic: the library's rule, checked before any output."""
+    with pytest.raises(ConfigError) as err:
+        validate_config(raw)
+    assert err.value.field == "n_sites"
+    with pytest.raises(ParameterError) as library:
+        toeplitz_from_coefficients(harmonics, raw["n_sites"])
+    assert str(err.value) == f"n_sites: {library.value}"
+    path = write_config(tmp_path, {**raw, "output_dir": str(tmp_path / "out")})
+    assert main(["validate", str(path)]) == 2
+    assert main(["run", str(path)]) == 2
+    assert "does not fit" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert validate_config({**raw, "n_sites": raw["n_sites"] + 1}).n_sites == raw["n_sites"] + 1
+
+
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "nope.json")
@@ -516,9 +593,15 @@ HATANO_NELSON = {"experiment": "HatanoNelson", "model": {"type": "hatano_nelson"
                               "p": [[0, 1, 0]]}}, "model"),
     ({**BULK_RELAX, "model": {"type": "coeffs", "h": [[1, 1, 0], [-1, 1, 0], [1, 2, 0]],
                               "p": [[0, 1, 0]]}}, "model"),
+    ({**OBC_RELAX, "model": {"type": "cosine", "T": 0, "R": 1}}, "model.J"),
+    ({**OBC_RELAX, "model": {**OBC_RELAX["model"], "T": "x"}}, "model.T"),
+    ({**OBC_RELAX, "model": {**OBC_RELAX["model"], "R": float("nan")}}, "model.R"),
+    ({**HATANO_NELSON, "model": {"type": "hatano_nelson", "J2": 2}}, "model.J1"),
+    ({**HATANO_NELSON, "model": {"type": "hatano_nelson", "J1": 1, "J2": "2"}}, "model.J2"),
 ], ids=["text_time", "text_window", "text_phi", "nan_time", "nan_phi", "fractional_n_sites",
         "fractional_rho0_site", "text_include_spectrum", "time_beyond_float", "nan_coefficient",
-        "fractional_harmonic", "repeated_harmonic"])
+        "fractional_harmonic", "repeated_harmonic", "missing_J", "text_T", "nan_R", "missing_J1",
+        "text_J2"])
 def test_malformed_values_are_config_errors_and_exit_2(tmp_path, capsys, raw, field):
     with pytest.raises(ConfigError) as err:
         validate_config(raw)

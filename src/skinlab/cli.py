@@ -188,7 +188,7 @@ MODELS = {   # model type -> its parameter rows; BandModel checks the coefficien
         Field("J", float),
         Field("T", float),
         Field("R", float, check=lambda R, f: R >= 0, note="must be >= 0"),
-        Field("phi", _phases, 0.0),
+        Field("phi", _phases, 0.0, lambda phi, f: phi != [], "must list at least one phase"),
     ),
     "hatano_nelson": (
         Field("J1", float, check=lambda J1, f: J1 >= 0, note="must be >= 0"),

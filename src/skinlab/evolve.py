@@ -129,29 +129,19 @@ def _checked_state(rho: np.ndarray) -> DensityMatrix:
         raise NumericalFailure(f"propagation lost positivity: {exc}") from exc
 
 
-def _real_eigenbasis(w: np.ndarray, V: np.ndarray):
-    """Real R with V = R U, U block-unitary, for the eigenvectors of real matrices (stacked).
+def _real_eigenbasis(stack: np.ndarray):
+    """``eig`` of real matrices (stacked) made real: w, R with V = R U (U block-unitary), partner.
 
-    Columns of V are real or come in conjugate pairs (v, conj v), the first
-    with Im w > 0; R keeps the real ones and turns each pair into
-    sqrt2 (Re v, Im v).  Returns R and the pairs' (matrix, first column) indices.
+    Columns of V are real or come in conjugate pairs (v, conj v), the first with Im w > 0; R
+    keeps the real ones and turns each pair into sqrt2 (Re v, Im v); V is not kept.  partner
+    numbers each column's pair partner, or itself, as a row of the stack's columns end to end.
     """
+    w, V = np.linalg.eig(stack)
     R = V.real.copy()
-    k, j = pairs = np.nonzero(w.imag > 0)
+    k, j = np.nonzero(w.imag > 0)
     R[k, :, j] *= np.sqrt(2.0)
     R[k, :, j + 1] = np.sqrt(2.0) * V.imag[k, :, j]
-    return R, pairs
-
-
-def _inverse_from_real(R: np.ndarray, pairs) -> np.ndarray:
-    """V^-1 = U^dagger R^-1 for R and its pairs from :func:`_real_eigenbasis`."""
-    R_inv = np.linalg.inv(R)
-    V_inv = R_inv.astype(complex)
-    k, j = pairs
-    first, second = R_inv[k, j], R_inv[k, j + 1]
-    V_inv[k, j] = (first - 1j * second) / np.sqrt(2.0)
-    V_inv[k, j + 1] = (first + 1j * second) / np.sqrt(2.0)
-    return V_inv
+    return w, R, np.arange(w.size).reshape(w.shape) + np.sign(w.imag).astype(np.intp)
 
 
 class MasterPropagator:
@@ -165,11 +155,11 @@ class MasterPropagator:
     exact only to ``SECTOR_TOL``, exceeds SECTOR_TOL times its largest in
     size, so the round-off a mirror-symmetric start leaves in the odd
     sectors stays out.
-    A block's eigenbasis is V = R U with R real (:func:`_real_eigenbasis`)
-    and V^-1 = U^dagger R^-1; ``cond`` is max sigma_max / min sigma_min of R
+    A block keeps R and R^-1, real rotations for conjugate pairs, from V = R U
+    (:func:`_real_eigenbasis`); ``cond`` is max sigma_max / min sigma_min of R
     over the factored blocks, the cond(V) of their whole eigenbasis.  Where
     a factored block's own cond(V) exceeds ``EIG_COND_LIMIT_MASTER`` or is
-    not finite, ``route`` is "taylor" and states come from
+    not finite, ``route`` is "taylor" and :meth:`states` come from
     :func:`_taylor_master_states` instead.  Raises ParameterError before
     allocating when N^2 exceeds ``SPECTRUM_CAP``.
     """
@@ -208,29 +198,27 @@ class MasterPropagator:
     def _factor(self, todo: np.ndarray) -> None:
         """Factor the blocks in mask ``todo`` not factored yet."""
         todo = todo & self._pending
-        if not todo.any():
-            return
-        self._pending &= ~todo
-        for w, s, factors in blockwise(self._factor_stack, self._stacks_of(todo)):
-            self._s_max = max(self._s_max, float(s[:, 0].max()))
-            self._s_min = min(self._s_min, float(s[:, -1].min()))
-            self._w.append(w.ravel())
-            self._factors.append(factors)
+        if todo.any():
+            self._pending &= ~todo
+            for w, s, factors in blockwise(self._factor_stack, self._stacks_of(todo)):
+                self._s_max = max(self._s_max, float(s[:, 0].max()))
+                self._s_min = min(self._s_min, float(s[:, -1].min()))
+                self._w.append(w.ravel())
+                self._factors.append(factors)
 
     @staticmethod
     def _factor_stack(item):
-        """One stack (idx, M_stack): eigenvalues, singular values of R and (idx, w, V, V^-1).
+        """One stack (idx, M_stack): eigenvalues, R's singular values, (idx, w, partner, R, R^-1).
 
-        The last is None, and no inverse is formed, where a block's cond(V)
-        exceeds ``EIG_COND_LIMIT_MASTER`` or is not finite.
+        The last is None, and R is not inverted, where a block's cond(V) exceeds
+        ``EIG_COND_LIMIT_MASTER`` or is not finite (:func:`_real_eigenbasis`).
         """
         idx, stack = item
-        w, V = np.linalg.eig(stack)
-        R, pairs = _real_eigenbasis(w, V)
+        w, R, partner = _real_eigenbasis(stack)
         s = np.linalg.svd(R, compute_uv=False)
         with np.errstate(divide="ignore", invalid="ignore"):
             spectral = bool((s[:, 0] / s[:, -1] <= EIG_COND_LIMIT_MASTER).all())
-        return w, s, (idx, w, V, _inverse_from_real(R, pairs)) if spectral else None
+        return w, s, (idx, w, partner, R, np.linalg.inv(R)) if spectral else None
 
     @property
     def cond(self) -> float:
@@ -256,20 +244,27 @@ class MasterPropagator:
         return np.concatenate(self._w + ([_block_eigenvalues(rest)] if rest else []))
 
     def apply(self, x: np.ndarray, t: float) -> np.ndarray:
-        """exp(M t) x; t = 0 returns x itself, free of V V^-1 round-off, as RK4 does."""
-        if t < 0:
-            raise ParameterError(f"propagation time must be >= 0, got {t}")
+        """exp(M t) x; t = 0 returns x itself, free of R R^-1 round-off, as RK4 does.
+
+        Real products on x's (Re, Im) columns, R B(t) R^-1 per block: B(t) is Re e^(wt) on the
+        diagonal plus Im e^(wt) from a pair's other column, a rotation by beta t on alpha +- i beta.
+        """
+        _checked_times([t])
+        x = np.array(x, dtype=complex)
         if t == 0:
-            return np.array(x, dtype=complex)
+            return x
         self._factor(self._reached(x))
-        if self.route == "taylor":
-            raise NumericalFailure(f"no spectral route: eigenbasis condition number "
-                                   f"{self.cond:.3e}", residual=self.cond)
-        out = np.zeros(x.shape, dtype=complex)
-        for idx, w, V, V_inv in self._factors:
-            y = np.exp(w * t) * (V_inv @ x[idx][..., None])[..., 0]
-            out[idx] = (V @ y[..., None])[..., 0]
-        return out
+        parts = x.view(float).reshape(-1, 2)
+        out = np.zeros_like(parts)
+        for factors in self._factors:
+            if factors is None:
+                raise NumericalFailure(f"no spectral route: eigenbasis condition number "
+                                       f"{self.cond:.3e}", residual=self.cond)
+            idx, w, partner, R, R_inv = factors
+            e = np.exp(w * t)[..., None]
+            y = R_inv @ parts[idx]
+            out[idx] = R @ (e.real * y + e.imag * y.reshape(-1, 2)[partner])
+        return out.view(complex).ravel()
 
     def evolve(self, rho0: np.ndarray, t: float) -> np.ndarray:
         """Raw matrix-form solution at time t on the spectral route, without state validation."""
@@ -278,16 +273,18 @@ class MasterPropagator:
 
     def propagate(self, rho0: DensityMatrix | np.ndarray, t: float) -> DensityMatrix:
         """Propagated state with invariant checks; aborts on drift beyond tolerance."""
-        if self.route == "taylor":
-            return _taylor_master_states(self.ops, rho0, [t])[0][0]
-        return _checked_state(self.evolve(rho0, t))
+        return self.states(rho0, [t])[0][0]
 
     def states(self, rho0: DensityMatrix | np.ndarray, times) -> tuple[list[DensityMatrix],
                                                                        dict | None]:
         """Checked states at ascending times and the Taylor route's record (None if spectral)."""
-        if self.route == "taylor":
+        times = _checked_times(times)
+        x = _hermitian_coords(self.ops, _matrix(rho0))
+        self._factor(self._reached(x))
+        if self.route == "taylor":      # the only route check, once the start's blocks are factored
             return _taylor_master_states(self.ops, rho0, times)
-        return [self.propagate(rho0, t) for t in times], None
+        return [_checked_state(_from_hermitian_coords(self.ops, self.apply(x, t)))
+                for t in times], None
 
     def stationary_projection(self, rho0: DensityMatrix | np.ndarray) -> np.ndarray:
         """Infinite-time limit Q Q^T rho0, Q the kernel basis of :func:`_stationary_kernel`.
@@ -325,8 +322,7 @@ def propagate_master_rk4(
     y <- rho + (h/k) L(y), k = 4, 3, 2, 1, of the RK4 step.  A start whose
     Hermiticity deviation exceeds ``DRIFT_ABORT`` raises NumericalFailure.
     """
-    if t_final < 0:
-        raise ParameterError(f"propagation time must be >= 0, got {t_final}")
+    _checked_times([t_final])
     if dt <= 0:
         raise ParameterError(f"dt must be > 0, got {dt}")
     rho = _hermitian_start(rho0, "RK4")
@@ -345,6 +341,14 @@ def propagate_master_rk4(
             X = (A @ y.view(float)).view(complex) if real else A @ y
             y = start + hk * (X + X.conj().T) + hk_D * y
     return _checked_state(V @ y @ V.conj().T)
+
+
+def _checked_times(times) -> list[float]:
+    """The times as floats; ParameterError unless they are >= 0 and ascending."""
+    times = [float(t) for t in times]
+    if any(b < a for a, b in zip([0.0] + times, times)):
+        raise ParameterError(f"propagation times must be >= 0 and ascending, got {times}")
+    return times
 
 
 def _hermitian_start(rho0: DensityMatrix | np.ndarray, route: str) -> np.ndarray:
@@ -423,9 +427,7 @@ def _taylor_master_states(
     states and a record of the route: its arithmetic, norm bound, m, s and
     the last-term ratio per interval and the number of generator products.
     """
-    times = [float(t) for t in times]
-    if any(t < 0 for t in np.diff([0.0] + times)):
-        raise ParameterError(f"propagation times must be >= 0 and ascending, got {times}")
+    times = _checked_times(times)
     rho = _hermitian_start(rho0, "Taylor")
     V, H_tilde = ops.V, ops.H_tilde
     h = H_tilde.diagonal().real
@@ -472,8 +474,7 @@ class SemiclassicalPropagator:
         self.norm = float(np.abs(self.A).sum(axis=0).max())
 
     def at(self, psi0: np.ndarray, t: float) -> np.ndarray:
-        if t < 0:
-            raise ParameterError(f"propagation time must be >= 0, got {t}")
+        _checked_times([t])
         psi = np.array(psi0, dtype=complex)
         return _taylor_action(self.A.__matmul__, psi, t, self.norm, self.mu)[0]
 
@@ -525,9 +526,7 @@ def entropy_trace(
     The infinite-time state is the projection of rho0 onto the kernel of the
     generator (not the last sampled time), on the spectral and Taylor routes alike.
     """
-    times = np.asarray(times, dtype=float)
-    if times.size and np.any(np.diff(times) < 0):
-        raise ParameterError("times must be sorted ascending")
+    times = np.array(_checked_times(times))
     prop = MasterPropagator(ops, rho0)
     states, taylor = prop.states(rho0, times)
     entropies = np.array([von_neumann_entropy(s) for s in states])

@@ -598,10 +598,12 @@ HATANO_NELSON = {"experiment": "HatanoNelson", "model": {"type": "hatano_nelson"
     ({**OBC_RELAX, "model": {**OBC_RELAX["model"], "R": float("nan")}}, "model.R"),
     ({**HATANO_NELSON, "model": {"type": "hatano_nelson", "J2": 2}}, "model.J1"),
     ({**HATANO_NELSON, "model": {"type": "hatano_nelson", "J1": 1, "J2": "2"}}, "model.J2"),
+    ({**OBC_RELAX, "model": {**OBC_RELAX["model"], "phi": []}, "experiment": "Spectra"},
+     "model.phi"),
 ], ids=["text_time", "text_window", "text_phi", "nan_time", "nan_phi", "fractional_n_sites",
         "fractional_rho0_site", "text_include_spectrum", "time_beyond_float", "nan_coefficient",
         "fractional_harmonic", "repeated_harmonic", "missing_J", "text_T", "nan_R", "missing_J1",
-        "text_J2"])
+        "text_J2", "empty_phi"])
 def test_malformed_values_are_config_errors_and_exit_2(tmp_path, capsys, raw, field):
     with pytest.raises(ConfigError) as err:
         validate_config(raw)

@@ -31,7 +31,6 @@ from skinlab import evolve
 from skinlab.evolve import (
     EIG_COND_LIMIT_MASTER,
     TAYLOR_THETA,
-    _inverse_from_real,
     _real_eigenbasis,
     _taylor_master_states,
     _taylor_steps,
@@ -266,6 +265,17 @@ def test_taylor_handoff_matches_spectral_route(skew11, monkeypatch):
         handoff.evolve(rho0.rho, 1.0)
 
 
+def test_both_master_routes_refuse_descending_times(skew11, monkeypatch):
+    ops, spectral = skew11
+    rho0 = DensityMatrix.site(11, 6)
+    monkeypatch.setattr(evolve, "EIG_COND_LIMIT_MASTER", 0.0)
+    handoff = MasterPropagator(ops, rho0)
+    assert (spectral.route, handoff.route) == ("spectral", "taylor")
+    for prop in (spectral, handoff):
+        with pytest.raises(ParameterError, match="ascending"):
+            prop.states(rho0, [2.0, 1.0])
+
+
 @pytest.mark.parametrize("n", [7, 61, 70])
 def test_no_jump_propagation_matches_expm_of_the_effective_hamiltonian(n):
     # cond(V) of H_eff is 1.1e9 at N = 61: there an eigenbasis route is off by 1e-6
@@ -329,13 +339,18 @@ def test_rk4_rejects_non_hermitian_start(skew11):
 def test_real_eigenbasis_gives_the_complex_condition_number_and_inverse(symmetric):
     A = np.random.default_rng(5).normal(size=(6, 9, 9))
     A = A + A.swapaxes(1, 2) if symmetric else A
-    w, V = np.linalg.eig(A)
-    R, pairs = _real_eigenbasis(w, V)
+    w, R, partner = _real_eigenbasis(A)
+    V = np.linalg.eig(A)[1]
     assert R.dtype == np.float64
-    assert (pairs[0].size == 0) == symmetric
+    assert (partner == np.arange(A.shape[0] * 9).reshape(-1, 9)).all() == symmetric
     assert np.abs(np.linalg.cond(R) / np.linalg.cond(V) - 1.0).max() <= 1e-10
-    V_inv = np.linalg.inv(V)
-    assert np.abs(_inverse_from_real(R, pairs) - V_inv).max() <= 1e-12 * np.abs(V_inv).max()
+    # R^-1 A R is diag(Re w) plus [[0, beta], [-beta, 0]] on each pair, beta = Im w > 0 first
+    blocks = np.zeros_like(A)
+    blocks[:, range(9), range(9)] = w.real
+    k, j = np.nonzero(w.imag > 0)
+    assert (partner[k, j] == 9 * k + j + 1).all() and (partner[k, j + 1] == 9 * k + j).all()
+    blocks[k, j, j + 1], blocks[k, j + 1, j] = w.imag[k, j], -w.imag[k, j]
+    assert np.abs(np.linalg.inv(R) @ A @ R - blocks).max() <= 1e-12 * np.abs(A).max()
 
 
 def test_blocked_condition_number_is_that_of_the_whole_eigenbasis():
@@ -347,6 +362,8 @@ def test_blocked_condition_number_is_that_of_the_whole_eigenbasis():
     for block in prop.blocks:
         V[np.ix_(block, block)] = np.linalg.eig(M[np.ix_(block, block)])[1]
     assert abs(prop.cond / np.linalg.cond(V) - 1.0) <= 1e-10
+    held = [stack for _, stack in prop._stacks] + [m for f in prop._factors for m in f[-2:]]
+    assert all(m.dtype == np.float64 for m in held)
     x = np.random.default_rng(9).normal(size=M.shape[0])
     assert np.abs(prop.apply(x, 0.8) - scipy.linalg.expm(0.8 * M) @ x).max() <= 1e-12
 

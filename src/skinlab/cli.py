@@ -129,10 +129,12 @@ class Field(NamedTuple):
 
 
 def _read(rows: tuple[Field, ...], raw: dict, prefix: str = "") -> dict:
-    """The fields of ``raw`` that ``rows`` name, parsed, defaulted and checked in row order.
+    """The fields of ``raw``, parsed, defaulted and checked in row order; every key needs a row.
 
     A missing or null field takes its default unchecked.  A ParameterError
-    that a library check raises inside a row's check names the field.
+    that a library check raises inside a row's check names the field.  Then
+    a key that no row names is a ConfigError, so a misspelt field fails
+    instead of leaving its default in place.
     """
     fields: dict = {}
     for row in rows:
@@ -151,6 +153,9 @@ def _read(rows: tuple[Field, ...], raw: dict, prefix: str = "") -> dict:
         if not holds:
             raise ConfigError(name, row.note.format(**fields))
         fields[row.name] = value
+    for key in raw:
+        if key not in fields:
+            raise ConfigError(prefix + key, "unknown field")
     return fields
 
 
@@ -194,7 +199,8 @@ MODELS = {   # model type -> its parameter rows; BandModel checks the coefficien
         Field("J1", float, check=lambda J1, f: J1 >= 0, note="must be >= 0"),
         Field("J2", float, check=lambda J2, f: J2 >= f["J1"], note="must satisfy J2 >= J1"),
     ),
-    "coeffs": (Field("h", lambda name, rows: rows), Field("p", lambda name, rows: rows)),
+    "coeffs": (Field("h", lambda name, rows: rows), Field("p", lambda name, rows: rows),
+               Field("label", lambda name, label: label, "")),
 }
 
 
@@ -206,7 +212,8 @@ def _model(*types: str, phi_lists: bool = False):
         kind = obj["type"]
         if kind not in types:
             raise ConfigError("model.type", f"{kind!r} is not one of {', '.join(types)}")
-        out = {"type": kind, **_read(MODELS[kind], obj, "model.")}
+        parameters = {key: value for key, value in obj.items() if key != "type"}
+        out = {"type": kind, **_read(MODELS[kind], parameters, "model.")}
         if isinstance(out.get("phi"), list) and not phi_lists:
             raise ConfigError("model.phi", "a list of phases is only valid for Spectra")
         if kind != "coeffs":
@@ -303,7 +310,9 @@ def validate_config(raw: dict) -> ExperimentConfig:
     experiment = raw.get("experiment")
     if experiment not in EXPERIMENTS:
         raise ConfigError("experiment", f"must be one of {', '.join(EXPERIMENTS)}")
-    return ExperimentConfig(experiment, **_read(BASE + FIELDS[experiment], raw))
+    # n_threads, a thread option of older configs, is accepted and ignored
+    rest = {key: value for key, value in raw.items() if key not in ("experiment", "n_threads")}
+    return ExperimentConfig(experiment, **_read(BASE + FIELDS[experiment], rest))
 
 
 def load_config(path: str | Path, **overrides) -> ExperimentConfig:

@@ -244,27 +244,36 @@ class MasterPropagator:
         return np.concatenate(self._w + ([_block_eigenvalues(rest)] if rest else []))
 
     def apply(self, x: np.ndarray, t: float) -> np.ndarray:
-        """exp(M t) x; t = 0 returns x itself, free of R R^-1 round-off, as RK4 does.
+        """exp(M t) x; t = 0 returns x itself, free of R R^-1 round-off, as RK4 does."""
+        return next(self._orbit(x, [t]))
 
-        Real products on x's (Re, Im) columns, R B(t) R^-1 per block: B(t) is Re e^(wt) on the
+    def _orbit(self, x: np.ndarray, times):
+        """exp(M t) x at each of the ascending times, from one y = R^-1 x per factored stack.
+
+        Real products on x's (Re, Im) columns, R B(t) y per block: B(t) is Re e^(wt) on the
         diagonal plus Im e^(wt) from a pair's other column, a rotation by beta t on alpha +- i beta.
         """
-        _checked_times([t])
+        times = _checked_times(times)
         x = np.array(x, dtype=complex)
-        if t == 0:
-            return x
-        self._factor(self._reached(x))
-        parts = x.view(float).reshape(-1, 2)
-        out = np.zeros_like(parts)
-        for factors in self._factors:
-            if factors is None:
-                raise NumericalFailure(f"no spectral route: eigenbasis condition number "
-                                       f"{self.cond:.3e}", residual=self.cond)
-            idx, w, partner, R, R_inv = factors
-            e = np.exp(w * t)[..., None]
-            y = R_inv @ parts[idx]
-            out[idx] = R @ (e.real * y + e.imag * y.reshape(-1, 2)[partner])
-        return out.view(complex).ravel()
+        parts, reduced = x.view(float).reshape(-1, 2), []
+        if any(times):
+            self._factor(self._reached(x))
+            for factors in self._factors:
+                if factors is None:
+                    raise NumericalFailure(f"no spectral route: eigenbasis condition number "
+                                           f"{self.cond:.3e}", residual=self.cond)
+                idx, w, partner, R, R_inv = factors
+                y = R_inv @ parts[idx]
+                reduced.append((idx, w, R, y, y.reshape(-1, 2)[partner]))
+        for t in times:
+            if t == 0:
+                yield x
+                continue
+            z = np.zeros_like(parts)
+            for idx, w, R, y, y_partner in reduced:
+                e = np.exp(w * t)[..., None]
+                z[idx] = R @ (e.real * y + e.imag * y_partner)
+            yield z.view(complex).ravel()
 
     def evolve(self, rho0: np.ndarray, t: float) -> np.ndarray:
         """Raw matrix-form solution at time t on the spectral route, without state validation."""
@@ -283,8 +292,8 @@ class MasterPropagator:
         self._factor(self._reached(x))
         if self.route == "taylor":      # the only route check, once the start's blocks are factored
             return _taylor_master_states(self.ops, rho0, times)
-        return [_checked_state(_from_hermitian_coords(self.ops, self.apply(x, t)))
-                for t in times], None
+        return [_checked_state(_from_hermitian_coords(self.ops, z))
+                for z in self._orbit(x, times)], None
 
     def stationary_projection(self, rho0: DensityMatrix | np.ndarray) -> np.ndarray:
         """Infinite-time limit Q Q^T rho0, Q the kernel basis of :func:`_stationary_kernel`.
@@ -416,10 +425,8 @@ def _taylor_master_states(
     of L over N^2), under the a-priori bound ||L - mu||_1 <= 2 ||A||_1 + max |E|;
     the a-posteriori record is, per interval, the largest max-norm ratio of a
     substep's last term to its sum.  With A and E real (the transpose sector)
-    the product is real: on the real matrix alone when the rotated start is
-    real to within its round-off ("real"), on y's interleaved (Re, Im) columns
-    otherwise ("interleaved"); any other model takes complex products
-    ("complex").
+    and the rotated start real to within its round-off the product is real
+    ("real"); any other model or start takes complex products ("complex").
 
     An interval of length 0 returns the checked state; a negative one raises
     ParameterError and a start whose Hermiticity deviation exceeds
@@ -437,13 +444,12 @@ def _taylor_master_states(
     norm = 2.0 * float(np.abs(A).sum(axis=0).max()) + float(np.abs(E).max())
     y = V.conj().T @ rho @ V
     arithmetic = "complex"
-    if not (A.imag.any() or E.imag.any()):
-        A, E, arithmetic = A.real, E.real, "interleaved"
-        if np.abs(y.imag).max() <= np.finfo(float).eps * np.abs(y).max():
-            y, arithmetic = y.real, "real"      # the symmetric sector
+    if not (A.imag.any() or E.imag.any()) and \
+            np.abs(y.imag).max() <= np.finfo(float).eps * np.abs(y).max():
+        A, E, y, arithmetic = A.real, E.real, y.real, "real"      # the symmetric sector
 
     def generator(y):
-        X = (A @ y.view(float)).view(complex) if arithmetic == "interleaved" else A @ y
+        X = A @ y
         return X + X.conj().T + E * y
 
     states, steps, t_prev = [], [], 0.0

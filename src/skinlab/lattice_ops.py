@@ -46,26 +46,6 @@ class Construction(Enum):
 
 
 @dataclass(frozen=True)
-class Mirror:
-    """A unitary W with W H W^dagger = H and W P W^dagger = c - P: a weak symmetry of L.
-
-    The dissipator -1/2 [P, [P, rho]] is unchanged under P -> c - P, so
-    rho -> W rho W^dagger commutes with the generator (Buca & Prosen, New J.
-    Phys. 14, 073007 (2012)); for the cosine chain at phi = pi/2 W is the
-    site mirror.  In the basis ``V`` (P's eigenvectors, columns rephased) W
-    maps e_a to signs[a] e_(N-1-a).  ``H_tilde`` = V^dagger H V and ``D`` are
-    made exactly mirror-symmetric, H_tilde[N-1-a, N-1-b] = signs[a] signs[b]
-    H_tilde[a, b] and D[N-1-a, N-1-b] = D[a, b], so the dense generator splits
-    into mirror sectors with exact zeros between them.
-    """
-
-    signs: np.ndarray
-    V: np.ndarray
-    H_tilde: np.ndarray
-    D: np.ndarray
-
-
-@dataclass(frozen=True)
 class LatticeOperators:
     """Dense N-site operators of a purely dissipative open chain.
 
@@ -78,9 +58,10 @@ class LatticeOperators:
     in that basis the generator is rho -> -i[H_tilde, rho] + D * rho.
     ``structure`` names what the basis makes exact (see :func:`_jump_eigenbasis`):
     "transpose_sector" when H_tilde - tr H / N is purely imaginary, "commuting"
-    when H_tilde is diagonal, "none" otherwise.  ``mirror`` is the weak
-    symmetry P -> c - P of a non-commuting model (see :class:`Mirror`), or
-    None.  ``eigenbasis`` lets a builder that already diagonalized P pass
+    when H_tilde is diagonal, "none" otherwise.  ``mirror`` holds the signs of
+    the weak symmetry P -> c - P of a non-commuting model, or None; with it V,
+    H_tilde and D are made exactly mirror-symmetric (see :func:`_find_mirror`).
+    ``eigenbasis`` lets a builder that already diagonalized P pass
     (p, V, H_tilde, structure) on.
     """
 
@@ -96,7 +77,7 @@ class LatticeOperators:
     H_tilde: np.ndarray = field(init=False, repr=False, compare=False)
     D: np.ndarray = field(init=False, repr=False, compare=False)
     structure: str = field(init=False, compare=False)
-    mirror: Mirror | None = field(init=False, repr=False, compare=False)
+    mirror: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, eigenbasis):
         for name in ("H", "P", "P2"):
@@ -116,13 +97,13 @@ class LatticeOperators:
         off = H_tilde - np.diag(H_tilde.diagonal())
         if _maxabs(off) <= COMMUTING_TOL * max(1.0, _maxabs(H_tilde)):
             H_tilde, structure = np.diag(H_tilde.diagonal().real).astype(complex), "commuting"
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "V", V)
-        object.__setattr__(self, "H_tilde", H_tilde)
-        object.__setattr__(self, "D", -0.5 * (p[:, None] - p[None, :]) ** 2)
-        object.__setattr__(self, "structure", structure)
-        object.__setattr__(self, "mirror", None if structure == "commuting"
-                           else _find_mirror(p, V, H_tilde))
+        D = -0.5 * (p[:, None] - p[None, :]) ** 2
+        mirror = None if structure == "commuting" else _find_mirror(p, V, H_tilde)
+        if mirror is not None:      # rephased V, exactly mirror-symmetric H_tilde and D
+            mirror, V, H_tilde, D = mirror
+        for name, value in (("p", p), ("V", V), ("H_tilde", H_tilde), ("D", D),
+                            ("structure", structure), ("mirror", mirror)):
+            object.__setattr__(self, name, value)
 
 
 def _transpose_gauge(H: np.ndarray, X: np.ndarray) -> np.ndarray | None:
@@ -167,16 +148,19 @@ def _forest_phases(linked: np.ndarray, step: np.ndarray) -> np.ndarray:
     return theta
 
 
-def _find_mirror(p: np.ndarray, V: np.ndarray, H_tilde: np.ndarray) -> Mirror | None:
-    """The :class:`Mirror` of P's eigenbasis (p ascending, V, H_tilde), or None.
+def _find_mirror(p: np.ndarray, V: np.ndarray, H_tilde: np.ndarray):
+    """(signs, V, H_tilde, D) of the mirror of P's eigenbasis (p ascending, V, H_tilde), or None.
 
-    Needs non-degenerate p with p_a + p_(N-1-a) = c, so W = diag-phased
-    reversal: W e_a = g_a e_(N-1-a).  Then W H_tilde W^dagger = H_tilde fixes
-    arg g_b - arg g_a from every nonzero H_tilde_ab, set along a spanning
-    forest; every entry and W^2 = const are checked to SECTOR_TOL.  The
-    cheap checks come first, so a model without the mirror costs O(N) or
-    O(N^2).  Real relative phases keep V (the transpose gauge stays real);
-    otherwise the columns are rephased to make W a signed reversal.
+    The mirror is a unitary W with W H W^dagger = H and W P W^dagger = c - P: the
+    dissipator -1/2 [P, [P, rho]] is unchanged under P -> c - P, so rho -> W rho W^dagger
+    commutes with L (Buca & Prosen, New J. Phys. 14, 073007 (2012)).  It needs
+    non-degenerate p with p_a + p_(N-1-a) = c, and then W e_a = g_a e_(N-1-a).
+    W H_tilde W^dagger = H_tilde fixes arg g_b - arg g_a from every nonzero H_tilde_ab,
+    set along a spanning forest; every entry and W^2 = const are checked to SECTOR_TOL,
+    the cheap checks first, so a model without the mirror costs O(N) or O(N^2).  V
+    keeps real relative phases (the transpose gauge); otherwise its columns are
+    rephased so that g = signs.  H_tilde and D come back exactly mirror-symmetric:
+    H_tilde[N-1-a, N-1-b] = signs[a] signs[b] H_tilde[a, b], D[N-1-a, N-1-b] = D[a, b].
     """
     scale_p = SECTOR_TOL * max(1.0, float(np.abs(p).max()))
     if np.diff(p).min() <= scale_p or np.abs(p + p[::-1] - (p[0] + p[-1])).max() > scale_p:
@@ -201,8 +185,8 @@ def _find_mirror(p: np.ndarray, V: np.ndarray, H_tilde: np.ndarray) -> Mirror | 
         return None
     h = _gauged(H_tilde, e)
     u = 0.5 * (p - p[::-1])                     # p - c/2, exactly odd under the reversal
-    return Mirror(signs, V * e, 0.5 * (h + np.outer(signs, signs) * h[::-1, ::-1]),
-                  -0.5 * (u[:, None] - u[None, :]) ** 2)
+    return (signs, V * e, 0.5 * (h + np.outer(signs, signs) * h[::-1, ::-1]),
+            -0.5 * (u[:, None] - u[None, :]) ** 2)
 
 
 def _gauged(M: np.ndarray, g: np.ndarray) -> np.ndarray:

@@ -21,7 +21,8 @@ its nonzero pattern), one at a time, with independent blocks solved side by
 side during a run (:func:`skinlab._threads.blockwise`).  The blocks are
 assembled from H_tilde and D in P's eigenbasis by scattering M's O(N^3)
 entries straight into them (:func:`_generator_blocks`); M itself is never
-formed.  A model with a mirror (:class:`skinlab.lattice_ops.Mirror`) has
+formed.  A model with a mirror (``ops.mirror``, whose eigenbasis
+:func:`skinlab.lattice_ops._find_mirror` makes exactly mirror-symmetric) has
 its blocks rotated to the mirror's even and odd coordinates, so they split
 into the mirror sectors.  Each block is stored column-major, so the
 eigenvalue-only solves hand it to LAPACK as it lies (:func:`_eigvals_in_place`).
@@ -291,20 +292,15 @@ def _spectrum_order(w: np.ndarray) -> np.ndarray:
     return by_real[np.lexsort((w.imag[by_real], group))]
 
 
-def _frame(ops: LatticeOperators):
-    """Where the dense route reads V, H_tilde and D: the mirror's symmetric copies, or ops."""
-    return ops if ops.mirror is None else ops.mirror
-
-
 def _mirror_pairs(ops: LatticeOperators):
     """(K, J, eps), K < J: rho -> W rho W^dagger maps coordinate K[i] to eps[i] times J[i].
 
-    In the mirror's basis W maps |a><a| to |a'><a'|, a' = N-1-a, S_ab to
-    s_a s_b S_b'a' and A_ab to -s_a s_b A_b'a' (s = ``ops.mirror.signs``).
+    In P's eigenbasis W maps |a><a| to |a'><a'|, a' = N-1-a, S_ab to
+    s_a s_b S_b'a' and A_ab to -s_a s_b A_b'a' (s = ``ops.mirror``).
     The coordinates W maps to plus or minus themselves (|c><c| at the centre
     c of odd N, S_aa' and A_aa') are left out: each lies in one sector.
     """
-    N, s = ops.n_sites, ops.mirror.signs
+    N, s = ops.n_sites, ops.mirror
     rows, cols = np.triu_indices(N, 1)
     pair = np.zeros((N, N), dtype=np.intp)
     pair[rows, cols] = np.arange(rows.size)
@@ -347,7 +343,7 @@ def _generator_entries(ops: LatticeOperators):
     """The entries of the real generator M, before any mirror rotation, as (rows, cols, values).
 
     M is L as a real N^2 x N^2 matrix in an orthonormal Hermitian basis of
-    P's eigenbasis (the mirror's, see :func:`_frame`): |a><a| (a = 0..N-1),
+    P's eigenbasis ``ops.V``: |a><a| (a = 0..N-1),
     then S_ab = (|a><b| + |b><a|)/sqrt2 and A_ab = i(|a><b| - |b><a|)/sqrt2
     over the pairs a < b in ``np.triu_indices`` order.  It is the real
     antisymmetric matrix of -i[H_tilde, .] plus the diagonal (0_N, D_ab, D_ab).
@@ -357,8 +353,7 @@ def _generator_entries(ops: LatticeOperators):
     <A_cd, S_cd> = H_tilde[d, d] - H_tilde[c, c]: O(N^3) of them, each
     position given once, exact zeros included.  Every other entry of M is zero.
     """
-    frame = _frame(ops)
-    N, h = ops.n_sites, frame.H_tilde
+    N, h = ops.n_sites, ops.H_tilde
     rows, cols = np.triu_indices(N, 1)
     n_pairs, sites = rows.size, np.arange(N)
     S = N + np.arange(n_pairs)                                  # index of S_ab; A_ab follows
@@ -399,8 +394,8 @@ def _generator_entries(ops: LatticeOperators):
            np.concatenate([site, S_de, site, S_de + n_pairs, S, A, S, A]),
            np.concatenate([g.imag.ravel(), -g.imag.ravel(), sign * g.real.ravel(),
                            -sign * g.real.ravel(), energies[cols] - energies[rows],
-                           energies[rows] - energies[cols], frame.D[rows, cols],
-                           frame.D[rows, cols]]))
+                           energies[rows] - energies[cols], ops.D[rows, cols],
+                           ops.D[rows, cols]]))
 
 
 def _generator_blocks(ops: LatticeOperators, cap: int = SPECTRUM_CAP):
@@ -496,8 +491,7 @@ def _hermitian_coords(ops: LatticeOperators, X: np.ndarray) -> np.ndarray:
     i(Y_ba - Y_ab)/sqrt2, rotated to the mirror sectors when there is a
     mirror: complex-linear, isometric, and real for Hermitian X.
     """
-    V = _frame(ops).V
-    Y = V.conj().T @ X @ V
+    Y = ops.V.conj().T @ X @ ops.V
     rows, cols = np.triu_indices(ops.n_sites, 1)
     upper, lower = Y[rows, cols], Y[cols, rows]
     x = np.concatenate([Y.diagonal(), (upper + lower) / np.sqrt(2.0),
@@ -507,7 +501,7 @@ def _hermitian_coords(ops: LatticeOperators, X: np.ndarray) -> np.ndarray:
 
 def _from_hermitian_coords(ops: LatticeOperators, x: np.ndarray) -> np.ndarray:
     """Inverse of :func:`_hermitian_coords`: sum_k x_k B_k in the site basis."""
-    N, V = ops.n_sites, _frame(ops).V
+    N, V = ops.n_sites, ops.V
     if ops.mirror is not None:
         x = _to_sectors(np.array(x, dtype=complex), _mirror_pairs(ops), inverse=True)
     rows, cols = np.triu_indices(N, 1)

@@ -23,7 +23,6 @@ from skinlab.liouvillian import (
     SPECTRUM_CAP,
     _check_cap,
     _components,
-    _frame,
     _mirror_pairs,
     _to_sectors,
 )
@@ -132,8 +131,8 @@ def hermitian_basis(n):
 def sector_rotation(ops):
     """Orthogonal R taking ``hermitian_basis`` coordinates to the mirror's even and odd ones.
 
-    Built from the mirror's action on the basis itself: with W_m the signed
-    reversal of ``ops.mirror``, each B_k maps to eps B_sigma(k); column k <
+    Built from the mirror's action on the basis itself: with W_m the reversal
+    signed by ``ops.mirror``, each B_k maps to eps B_sigma(k); column k <
     sigma(k) of R is (e_k + eps e_sigma(k))/sqrt2, column sigma(k) is
     (e_k - eps e_sigma(k))/sqrt2, and a fixed coordinate keeps e_k.
     Identity without a mirror.
@@ -142,7 +141,7 @@ def sector_rotation(ops):
     if ops.mirror is None:
         return np.eye(n * n)
     W = np.zeros((n, n))
-    W[np.arange(n)[::-1], np.arange(n)] = ops.mirror.signs
+    W[np.arange(n)[::-1], np.arange(n)] = ops.mirror
     U = hermitian_basis(n)
     S = (U.conj().T @ np.kron(W, W) @ U).real      # W real: conj(W) = W
     R = np.zeros((n * n, n * n))
@@ -160,11 +159,10 @@ def sector_rotation(ops):
 def generator_basis(ops):
     """Columns vec(B_k) in the site basis of the basis the real generator M works in.
 
-    W U R with W = kron(conj(V), V) of the dense route's eigenbasis (the
-    mirror's when there is one), U = ``hermitian_basis`` and R = ``sector_rotation``.
+    W U R with W = kron(conj(V), V) of P's eigenbasis ``ops.V``,
+    U = ``hermitian_basis`` and R = ``sector_rotation``.
     """
-    V = ops.V if ops.mirror is None else ops.mirror.V
-    return np.kron(V.conj(), V) @ hermitian_basis(ops.n_sites) @ sector_rotation(ops)
+    return np.kron(ops.V.conj(), ops.V) @ hermitian_basis(ops.n_sites) @ sector_rotation(ops)
 
 
 def hermitian_basis_generator(ops, cap=SPECTRUM_CAP):
@@ -177,8 +175,7 @@ def hermitian_basis_generator(ops, cap=SPECTRUM_CAP):
     ParameterError before allocating if N^2 exceeds ``cap``.
     """
     _check_cap(ops.n_sites, cap)
-    frame = _frame(ops)
-    N, h = ops.n_sites, frame.H_tilde
+    N, h = ops.n_sites, ops.H_tilde
     rows, cols = np.triu_indices(N, 1)
     n_pairs, sites = rows.size, np.arange(N)
     S = N + np.arange(n_pairs)                                  # index of S_ab; A_ab follows
@@ -207,7 +204,7 @@ def hermitian_basis_generator(ops, cap=SPECTRUM_CAP):
     energies = h.diagonal().real
     out[S + n_pairs, S] = energies[cols] - energies[rows]
     out[S, S + n_pairs] = energies[rows] - energies[cols]
-    out[S, S] = out[S + n_pairs, S + n_pairs] = frame.D[rows, cols]
+    out[S, S] = out[S + n_pairs, S + n_pairs] = ops.D[rows, cols]
     if ops.mirror is not None:
         pairs = _mirror_pairs(ops)
         _to_sectors(out, pairs)

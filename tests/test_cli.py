@@ -93,7 +93,7 @@ def test_validation_errors_name_the_field(tmp_path):
 
 def test_config_hash_ignores_output_plumbing(tmp_path):
     a = validate_config(spectra_config(tmp_path))
-    # unknown keys are ignored, n_threads of older configs among them
+    # n_threads of older configs is read and ignored
     b = validate_config(spectra_config(tmp_path, output_dir="elsewhere", n_threads=4))
     assert a.config_hash() == b.config_hash()
     c = validate_config(spectra_config(tmp_path, n_k=256))
@@ -522,11 +522,13 @@ def test_coefficient_table_model(tmp_path):
         "experiment": "Spectra",
         "model": {"type": "coeffs",
                   "h": [[1, 1.0, 0.0], [-1, 1.0, 0.0]],
-                  "p": [[0, 1.0, 0.0]]},
+                  "p": [[0, 1.0, 0.0]],
+                  "label": "chain"},
         "n_sites": 10,
         "n_k": 64,
         "output_dir": str(tmp_path / "coeffs"),
     })
+    assert cfg.model["label"] == "chain"
     manifest = run_experiment(cfg)
     assert "pbc_phi0.csv" in manifest["outputs"]
     # momentum-independent jump amplitude: every energy has Im = -1/2
@@ -556,12 +558,12 @@ def test_bad_coefficient_tables_fail_validation():
     assert err.value.field == "model"
 
 
-@pytest.mark.parametrize("experiment,model", [
-    ("LiouvillianSpectrum", {"type": "cosine", "J": 1, "T": 0, "R": 1}),
-    ("HatanoNelson", {"type": "hatano_nelson", "J1": 1, "J2": 2}),
+@pytest.mark.parametrize("experiment,model,rest", [
+    ("LiouvillianSpectrum", {"type": "cosine", "J": 1, "T": 0, "R": 1}, {}),
+    ("HatanoNelson", {"type": "hatano_nelson", "J1": 1, "J2": 2}, {"times": [1.0]}),
 ])
-def test_dense_spectrum_cap(experiment, model):
-    raw = {"experiment": experiment, "model": model, "times": [1.0]}
+def test_dense_spectrum_cap(experiment, model, rest):
+    raw = {"experiment": experiment, "model": model, **rest}
     assert validate_config({**raw, "n_sites": 64}).n_sites == 64
     with pytest.raises(ConfigError) as err:
         validate_config({**raw, "n_sites": 65})
@@ -611,6 +613,25 @@ def test_malformed_values_are_config_errors_and_exit_2(tmp_path, capsys, raw, fi
     path = write_config(tmp_path, {**raw, "output_dir": str(tmp_path / "out")})
     assert main(["run", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("raw,field", [
+    ({**OBC_RELAX, "rho0_sit": 2}, "rho0_sit"),
+    ({**OBC_RELAX, "model": {"type": "cosine", "J": 1, "T": 0, "R": 1, "Phi": PHI_HALF_PI}},
+     "model.Phi"),
+    ({**OBC_RELAX, "model": {**OBC_RELAX["model"], "label": "chain"}}, "model.label"),
+    ({**OBC_RELAX, "model": {**OBC_RELAX["model"], "n_threads": 2}}, "model.n_threads"),
+], ids=["rho0_sit", "Phi", "cosine_label", "model_n_threads"])
+def test_unknown_fields_are_config_errors_and_exit_2(tmp_path, capsys, raw, field):
+    """A misspelt key fails instead of leaving its field at the default (site 3, phi = 0)."""
+    with pytest.raises(ConfigError) as err:
+        validate_config(raw)
+    assert err.value.field == field and str(err.value) == f"{field}: unknown field"
+    path = write_config(tmp_path, {**raw, "output_dir": str(tmp_path / "out")})
+    assert main(["validate", str(path)]) == 2
+    assert main(["run", str(path)]) == 2
+    assert "unknown field" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -383,7 +383,7 @@ def test_taylor_route_matches_expm_and_rk4_on_every_suite_model(name):
     psi = np.random.default_rng(6).normal(size=(6, 2)) @ np.array([1.0, 1j])
     times = [0.0, 0.4, 1.5, 1.5, 4.0]
     for rho0, arithmetic in ((DensityMatrix.site(6, 3), "real" if real else "complex"),
-                             (DensityMatrix.pure(psi), "interleaved" if real else "complex")):
+                             (DensityMatrix.pure(psi), "complex")):
         states, record = _taylor_master_states(ops, rho0, times)
         assert record["arithmetic"] == arithmetic
         for state, exact in zip(states, expm_states(ops, rho0.rho, times)):

@@ -20,6 +20,7 @@ from skinlab import (
     sqrt_psd,
     winding_numbers,
 )
+from skinlab.lattice_ops import SECTOR_TOL
 from skinlab.serialize import matrix_from_json, matrix_to_json
 
 
@@ -209,8 +210,12 @@ def test_jump_eigenbasis_exposes_the_model_structure(name, n):
         assert not off.any() and not energies.imag.any()
     elif structure == "transpose_sector":
         assert not off.real.any() and not energies.imag.any() and np.ptp(energies.real) == 0
-    else:   # nothing dropped, however small
+    elif ops.mirror is None:   # nothing dropped, however small
         assert np.array_equal(H_tilde, V.conj().T @ ops.H @ V)
+    else:   # made mirror-symmetric, W H_tilde W^dagger = H_tilde with W the signed reversal
+        h = V.conj().T @ ops.H @ V
+        symmetrized = 0.5 * (h + np.outer(ops.mirror, ops.mirror) * h[::-1, ::-1])
+        assert np.abs(H_tilde - symmetrized).max() <= SECTOR_TOL * max(1.0, np.abs(h).max())
     if ops.construction is Construction.TRUNCATE_P2_THEN_SQRT:
         assert np.abs(ops.P - sqrt_psd(ops.P2)).max() <= 1e-13
 

@@ -439,7 +439,7 @@ def expected_block_sizes(ops, structure):
               "commuting": [(1, 0)] * n + [(2, 0)] * (n * (n - 1) // 2)}[structure]
     if ops.mirror is None:
         return sorted(d for d, _ in blocks)
-    kappa = int(ops.mirror.signs[0] * ops.mirror.signs[-1])
+    kappa = int(ops.mirror[0] * ops.mirror[-1])
     if structure == "transpose_sector":
         blocks = [(blocks[0][0], n % 2 + kappa * (n // 2)), (blocks[1][0], -kappa * (n // 2))]
     return sorted(size for d, trace in blocks for size in ((d + trace) // 2, (d - trace) // 2))

@@ -40,9 +40,9 @@ PROFILE = settings(max_examples=8, derandomize=True, deadline=None, database=Non
 
 def site_mirror_operator(ops):
     """W in the site basis, from the mirror's signed reversal of its eigenbasis."""
-    n, V = ops.n_sites, ops.mirror.V
+    n, V = ops.n_sites, ops.V
     W = np.zeros((n, n))
-    W[np.arange(n)[::-1], np.arange(n)] = ops.mirror.signs
+    W[np.arange(n)[::-1], np.arange(n)] = ops.mirror
     return V @ W @ V.conj().T
 
 
@@ -70,6 +70,15 @@ def test_mirror_commutes_with_the_generator_and_squares_to_one(name, n):
     S, L = superoperator(W), build_liouvillian(ops).L
     assert np.abs(L @ S - S @ L).max() <= 1e-13
     assert np.abs(S @ S - np.eye(n * n)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n", [7, 8, 11, 24])
+@pytest.mark.parametrize("name", sorted(MIRROR_MODELS))
+def test_the_lattice_operators_are_exactly_mirror_symmetric(name, n):
+    # the one copy of H_tilde and D that every route reads, not to round-off but exactly
+    ops = SUITE_MODELS[name][0](n)
+    assert np.array_equal(ops.H_tilde[::-1, ::-1], np.outer(ops.mirror, ops.mirror) * ops.H_tilde)
+    assert np.array_equal(ops.D[::-1, ::-1], ops.D)
 
 
 @pytest.mark.parametrize("n", [7, 8])

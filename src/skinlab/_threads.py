@@ -7,10 +7,12 @@ a call is split moves its last digits, so output bytes would depend on the
 pool size.  skinlab calls no LAPACK but numpy's OpenBLAS: through
 ``np.linalg``, and its ``dgeev`` directly (:func:`dgeev`) for the
 eigenvalue-only block solves.  Inside :func:`pinned` its
-OpenBLAS runs one thread, and :func:`blockwise` spreads independent items (a
-generator's block stacks, a chunk's trajectory tiles) over the available
-cores instead.  Each item is the same single-threaded computation whichever
-thread runs it, so no result depends on the number of cores.
+OpenBLAS runs one thread, and :func:`blockwise` spreads a generator's block
+stacks over the available cores instead.  Each item is the same
+single-threaded computation whichever thread runs it, so no result depends
+on the number of cores.  Trajectory tiles do not come here: a step of a
+tile is a few small numpy calls that hold the GIL, so they run one after
+another in the calling thread (:mod:`skinlab.trajectories`).
 
 The pool size is read and set through the library's own
 ``openblas_{get,set}_num_threads`` (with a ``scipy_`` prefix in the wheels'

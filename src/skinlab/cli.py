@@ -6,9 +6,9 @@ wall time, how the generator was factored, the numpy version and the BLAS
 library it links, the BLAS thread variables and what the run did with
 threads.  Every LAPACK call is numpy's; no run imports scipy.  A run sets
 numpy's OpenBLAS to one thread and solves a generator's independent blocks
-and a trajectory chunk's tiles side by side on the cores instead (see
-:mod:`skinlab._threads`), so numeric output files are byte-identical
-across reruns of the same config at any BLAS pool size and core count;
+side by side on the cores instead (see :mod:`skinlab._threads`), so numeric
+output files are byte-identical across reruns of the same config at any
+BLAS pool size and core count;
 builds without the OpenBLAS thread control (MKL, Accelerate) promise that
 only at a fixed pool size.  Each experiment's fields, their defaults and
 checks are one table, ``FIELDS[experiment]``.
@@ -501,7 +501,8 @@ def _run_trajectories(cfg: ExperimentConfig, outdir: Path, diagnostics: dict) ->
     psi0[cfg.rho0_site - 1] = 1.0
     ens = run_ensemble(ops, psi0, cfg.t_final, cfg.dt, cfg.n_traj, cfg.master_seed)
     drift = float(np.abs(ens.norms - 1.0).max())
-    diagnostics["trajectories"] = {"steps": round(cfg.t_final / cfg.dt), "max_norm_drift": drift}
+    diagnostics["trajectories"] = {"steps": round(cfg.t_final / cfg.dt),
+                                   "phase_rows": ens.phase_rows, "max_norm_drift": drift}
     sites = np.arange(1, cfg.n_sites + 1)
     cols = ["n", "m", "re", "im", "abs"]
     write_csv(outdir / "rho_estimate.csv", cols, density_rows(sites, ens.rho_estimate),

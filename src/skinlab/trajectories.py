@@ -17,15 +17,21 @@ eigenbasis comes with the lattice operators and H_tilde = V^dagger H V is
 diagonalized once per run.  The phases of a block of steps (about
 ``PHASE_BLOCK`` of them) are taken at once from the real angles -p dW as
 cos + i sin, so one step of a batch of trajectories is a phase multiply and
-one matrix product.
+one matrix product.  With the mirror of the lattice (``ops.mirror``), p + p
+reversed is the constant c, so the phases are taken with the exactly odd
+u = (p - p[::-1])/2 = p - c/2: only the first N - N//2 rows need cos and
+sin, each mirrored row is the conjugate of its partner, and the dropped
+global phase exp(-i (c/2) sum dW) goes back on each returned state.
 
 Noise streams are counter-based (Philox): trajectory j of master seed s is
 the stream of key s whose counter starts at j * 2**128, the master stream
 jumped j times, so any trajectory can be regenerated in isolation.  An
-ensemble is evolved in fixed tiles of ``TILE`` trajectories, spread over
-the cores by :func:`skinlab._threads.blockwise`, and reduced chunk by chunk
-of ``CHUNK`` trajectories in a fixed order, so its bytes do not depend on
-how many cores run it and its noise memory is a tile per thread.
+ensemble is evolved in fixed tiles of ``TILE`` trajectories, one after
+another in the calling thread (a step at these sizes is a few small numpy
+calls that hold the GIL, so threads would mostly wait on each other), and
+reduced chunk by chunk of ``CHUNK`` trajectories in a fixed order, so its
+bytes do not depend on how many cores or BLAS threads run it and its noise
+memory is one tile.
 """
 
 from __future__ import annotations
@@ -35,7 +41,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._threads import blockwise
 from .band import BandModel, momentum_grid
 from .errors import ParameterError
 from .lattice_ops import LatticeOperators
@@ -43,7 +48,7 @@ from .lattice_ops import LatticeOperators
 MAX_DT = 0.01
 CHUNK = 512  # trajectories reduced per batch; fixed so reductions never reorder
 TILE = 64    # trajectories evolved per task; CHUNK is a multiple of it
-PHASE_BLOCK = 2**13  # jump phases taken per cos/sin call
+PHASE_BLOCK = 2**14  # jump phases taken per cos/sin call
 
 
 class NoiseStream:
@@ -77,6 +82,8 @@ class TrajectoryEnsemble:
     projectors divided by sqrt(n_traj).  ``psi_mean`` and ``psi_mean_se``
     give the ensemble-mean wavefunction with per-component standard errors
     (the mean wavefunction follows the no-jump H_eff evolution).
+    ``phase_rows`` is the number of jump-phase rows taken by cos/sin per
+    step: N - N//2 where the lattice has a mirror, N otherwise.
     """
 
     n_traj: int
@@ -88,28 +95,54 @@ class TrajectoryEnsemble:
     master_seed: int
     dt: float
     t_final: float
+    phase_rows: int
 
 
 def _split_factors(ops: LatticeOperators, dt: float):
-    """(p, V, W_half, W) of the Strang step: P = V diag(p) V^dagger from ``ops`` and
-    W_half = V^dagger exp(-i H dt/2) V = exp(-i H_tilde dt/2), W = W_half @ W_half."""
+    """(u, V, W_half, W, shift) of the Strang step in P's eigenbasis, P = V diag(p) V^dagger.
+
+    W_half = V^dagger exp(-i H dt/2) V = exp(-i H_tilde dt/2) and W = W_half @ W_half.
+    Without a mirror u = p and shift is None.  With one (``ops.mirror``)
+    u = (p - p[::-1])/2, exactly odd under the reversal as in ``ops.D``, and
+    shift = c/2 with c = p[0] + p[-1]: the jump factor is exp(-i u dW) times
+    the global phase exp(-i shift dW).
+    """
     h, U = np.linalg.eigh(ops.H_tilde)
     W_half = (U * np.exp(-0.5j * dt * h)) @ U.conj().T
-    return ops.p, ops.V, W_half, W_half @ W_half
+    p, W = ops.p, W_half @ W_half
+    if ops.mirror is None:
+        return p, ops.V, W_half, W, None
+    return 0.5 * (p - p[::-1]), ops.V, W_half, W, 0.5 * (p[0] + p[-1])
 
 
-def _jump_phases(p: np.ndarray, dW: np.ndarray, angle: np.ndarray, z: np.ndarray) -> None:
-    """z[s, a, j] = exp(-i p[a] dW[j, s]) for a (c, steps) block of increments.
+def _phase_rows(factors) -> int:
+    """Rows of the jump phases taken by cos/sin per step: N - N//2 with a mirror, N without."""
+    u, *_, shift = factors
+    return u.size - u.size // 2 if shift is not None else u.size
 
-    Taken as cos + i sin of the real angles, into ``angle`` and ``z`` of
-    shape (steps, N, c).  These are the bits of the complex exp of
-    np.outer(-1j * p, dW[:, s]), whose real parts are +-0 and whose
-    imaginary parts are -(p dW), +0 rather than -0 where p dW is 0.
+
+def _jump_phases(u: np.ndarray, dW: np.ndarray, angle: np.ndarray, z: np.ndarray) -> None:
+    """z[s, a, j] = exp(-i u[a] dW[j, s]) for a (c, steps) block of increments.
+
+    ``z`` has shape (steps, N, c) and ``angle`` (steps, rows, c).  The first
+    ``rows`` rows are taken as cos + i sin of the real angles -u dW.  These
+    are the bits of the complex exp of np.outer(-1j * u, dW[:, s]), whose
+    real parts are +-0 and whose imaginary parts are -(u dW), +0 rather than
+    -0 where u dW is 0.  With rows = N - N//2, u must be odd under the
+    reversal (u[N-1-a] = -u[a]), and each row N-1-a with a < N//2 is filled
+    as (cos, 0.0 - sin) of row a: the same bits, as cos is even and sin odd
+    bit for bit, and 0.0 - (+0) gives the complex exp's +0 (np.negative
+    would give -0).
     """
-    np.multiply(p[:, None], dW.T[:, None, :], out=angle)
+    rows = angle.shape[1]
+    np.multiply(u[:rows, None], dW.T[:, None, :], out=angle)
     np.subtract(0.0, angle, out=angle)
-    np.cos(angle, out=z.real)
-    np.sin(angle, out=z.imag)
+    np.cos(angle, out=z.real[:, :rows])
+    np.sin(angle, out=z.imag[:, :rows])
+    mirrored = u.size - rows
+    if mirrored:
+        z.real[:, rows:] = z.real[:, mirrored - 1::-1]
+        np.subtract(0.0, z.imag[:, mirrored - 1::-1], out=z.imag[:, rows:])
 
 
 def _split_evolve(factors, psi0: np.ndarray, dW: np.ndarray, return_path: bool = False):
@@ -121,29 +154,38 @@ def _split_evolve(factors, psi0: np.ndarray, dW: np.ndarray, return_path: bool =
     eigenbasis as an N x c array, so each step is one phase multiply and one
     GEMM for the whole batch; W_half is applied only at the ends.  The phases
     of a block of steps, about ``PHASE_BLOCK`` of them, come from one
-    :func:`_jump_phases`.
+    :func:`_jump_phases`, mirror-halved where ``factors`` carry a shift,
+    whose global phase exp(-i shift W) multiplies each returned state, W the
+    sum of the increments so far.
     """
-    p, V, W_half, W = factors
+    u, V, W_half, W, shift = factors
     psi0 = np.asarray(psi0, dtype=complex)
     c, n_steps = dW.shape
     phi = np.repeat((W_half @ (V.conj().T @ psi0))[:, None], c, axis=1)
     path = [np.repeat(psi0[:, None], c, axis=1)] if return_path else None
-    block = min(n_steps, max(1, PHASE_BLOCK // (p.size * c)))
-    angle = np.empty((block, p.size, c))
-    phases = np.empty((block, p.size, c), dtype=complex)
+    turns = None
+    if shift is not None and return_path:
+        turns = np.exp(-1j * shift * np.cumsum(dW, axis=1))
+    block = min(n_steps, max(1, PHASE_BLOCK // (u.size * c)))
+    angle = np.empty((block, _phase_rows(factors), c))
+    phases = np.empty((block, u.size, c), dtype=complex)
     for lo in range(0, n_steps, block):
         steps = min(block, n_steps - lo)
         z = phases[:steps]
-        _jump_phases(p, dW[:, lo:lo + steps], angle[:steps], z)
+        _jump_phases(u, dW[:, lo:lo + steps], angle[:steps], z)
         for s in range(steps):
             if lo + s:
                 phi = W @ phi
             phi *= z[s]
             if return_path:
-                path.append(V @ (W_half @ phi))
+                psi = V @ (W_half @ phi)
+                path.append(psi if turns is None else psi * turns[:, lo + s])
     if return_path:
         return np.stack(path).transpose(0, 2, 1)
-    return np.ascontiguousarray((V @ (W_half @ phi)).T)
+    psi = np.ascontiguousarray((V @ (W_half @ phi)).T)
+    if shift is not None:
+        psi *= np.exp(-1j * shift * dW.sum(axis=1))[:, None]
+    return psi
 
 
 def trajectory_step(ops: LatticeOperators, psi: np.ndarray, dt: float, dW: float) -> np.ndarray:
@@ -230,12 +272,11 @@ def run_ensemble(
     """Seeded trajectory ensemble reduced to a density-matrix estimate.
 
     The ensemble is split into fixed chunks of ``CHUNK`` trajectories, each
-    evolved as tiles of ``TILE`` through :func:`skinlab._threads.blockwise`
-    (side by side inside :func:`skinlab._threads.pinned`); a chunk is reduced
-    from its tiles' states in index order and chunk results are combined by
-    a pairwise tree in chunk order, so the output is bit-identical for any
-    core count.  Chunks run one after another, so at most one tile of noise
-    per thread is held at a time.
+    evolved as tiles of ``TILE`` one after another in the calling thread; a
+    chunk is reduced from its tiles' states in index order and chunk results
+    are combined by a pairwise tree in chunk order, so the output is
+    bit-identical for any core count.  At most one tile of noise is held at a
+    time.
     """
     if n_traj < 2:
         raise ParameterError(f"need n_traj >= 2, got {n_traj}")
@@ -249,7 +290,7 @@ def run_ensemble(
     for lo in range(0, n_traj, CHUNK):
         hi = min(lo + CHUNK, n_traj)
         tiles = [range(t, min(t + TILE, hi)) for t in range(lo, hi, TILE)]
-        parts.append(_reduce_chunk(np.concatenate(blockwise(evolve, tiles))))
+        parts.append(_reduce_chunk(np.concatenate([evolve(tile) for tile in tiles])))
 
     proj_sum, psi_sum, abs2_sum = (_pairwise_sum(np.stack([p[key] for p in parts]))
                                    for key in ("proj_sum", "psi_sum", "abs2_sum"))
@@ -275,6 +316,7 @@ def run_ensemble(
         master_seed=int(master_seed),
         dt=dt,
         t_final=t_final,
+        phase_rows=_phase_rows(factors),
     )
 
 

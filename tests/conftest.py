@@ -255,10 +255,13 @@ def split_evolve_oracle(factors, psi0, dW, return_path=False):
     """Reference Strang-split kernel: each step's phases from one complex exp.
 
     The same steps as ``skinlab.trajectories._split_evolve`` with the jump
-    factor exp(np.outer(-1j p, dW[:, s])) taken per step, on complex
-    arguments whose real part is +-0; arguments and returns as there.
+    factor exp(np.outer(-1j u, dW[:, s])) taken per step for every row, on
+    complex arguments whose real part is +-0, with no mirroring; where the
+    factors carry a shift, each returned state then takes the global phase
+    exp(-i shift W), W the increments summed so far.  Arguments and returns
+    as there.
     """
-    p, V, W_half, W = factors
+    u, V, W_half, W, shift = factors
     psi0 = np.asarray(psi0, dtype=complex)
     c, n_steps = dW.shape
     phi = np.repeat((W_half @ (V.conj().T @ psi0))[:, None], c, axis=1)
@@ -266,12 +269,18 @@ def split_evolve_oracle(factors, psi0, dW, return_path=False):
     for s in range(n_steps):
         if s:
             phi = W @ phi
-        phi *= np.exp(np.outer(-1j * p, dW[:, s]))
+        phi *= np.exp(np.outer(-1j * u, dW[:, s]))
         if return_path:
             path.append(V @ (W_half @ phi))
     if return_path:
+        if shift is not None:
+            turns = np.exp(-1j * shift * np.cumsum(dW, axis=1))
+            path[1:] = [psi * turns[:, s] for s, psi in enumerate(path[1:])]
         return np.stack(path).transpose(0, 2, 1)
-    return np.ascontiguousarray((V @ (W_half @ phi)).T)
+    psi = np.ascontiguousarray((V @ (W_half @ phi)).T)
+    if shift is not None:
+        psi *= np.exp(-1j * shift * dW.sum(axis=1))[:, None]
+    return psi
 
 
 def site_basis_rk4(ops, rho0, t_final, dt):

@@ -235,7 +235,8 @@ def test_trajectories_manifest_records_steps_and_drift_and_the_workers_once(tmp_
                 validate_config({**base, "output_dir": str(outdir)}))["diagnostics"]
         record = diagnostics["trajectories"]
         summary = json.loads((outdir / "ensemble.json").read_text())
-        assert record == {"steps": 40, "max_norm_drift": summary["max_norm_drift"]}
+        # the mirror leaves cos/sin for 3 of the 5 phase rows
+        assert record == {"steps": 40, "phase_rows": 3, "max_norm_drift": summary["max_norm_drift"]}
         assert record["max_norm_drift"] < 1e-12
         assert diagnostics["environment"]["block_workers"] == (workers if controlled else 0)
         for name in ("rho_estimate.csv", "ensemble.json"):

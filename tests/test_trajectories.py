@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -32,6 +33,7 @@ from skinlab.trajectories import (
     CHUNK,
     TILE,
     _jump_phases,
+    _reduce_chunk,
     _split_evolve,
     _split_factors,
     _wiener_rows,
@@ -100,8 +102,17 @@ def noise(seed, c, n_steps, dt=0.005):
     return np.sqrt(dt) * np.random.default_rng(seed).standard_normal((c, n_steps))
 
 
-def test_kernel_matches_the_complex_exp_oracle_bit_for_bit(skew11, center11, monkeypatch):
-    factors = _split_factors(skew11, 0.005)
+@pytest.mark.parametrize("phi, mirror", [(np.pi / 2, True), (np.pi / 4, False)])
+def test_kernel_matches_the_complex_exp_oracle_bit_for_bit(center11, monkeypatch, phi, mirror):
+    ops = build_obc(make_cosine_model(1, 0, 1, phi), 11)
+    factors = _split_factors(ops, 0.005)
+    u, shift = factors[0], factors[4]
+    assert (ops.mirror is not None) == mirror
+    if mirror:      # the odd u of the mirror and the global rate c/2
+        assert np.array_equal(u, 0.5 * (ops.p - ops.p[::-1])) and np.array_equal(u, -u[::-1])
+        assert shift == 0.5 * (ops.p[0] + ops.p[-1])
+    else:           # the arithmetic of every row's exp(-i p dW), no global phase
+        assert u is ops.p and shift is None
     dW = noise(1, 64, 50)
     # blocks of 7 steps, which do not divide 50
     monkeypatch.setattr(trajectories, "PHASE_BLOCK", 7 * 11 * 64 + 5)
@@ -110,17 +121,31 @@ def test_kernel_matches_the_complex_exp_oracle_bit_for_bit(skew11, center11, mon
     path = _split_evolve(factors, center11, dW, return_path=True)
     assert path.shape == (51, 64, 11)
     assert path.tobytes() == split_evolve_oracle(factors, center11, dW, True).tobytes()
+    ens = run_ensemble(ops, center11, 0.01, 0.005, 2, master_seed=1)
+    assert ens.phase_rows == (6 if mirror else 11)
 
 
-def test_jump_phases_are_the_complex_exp_bits_also_at_exact_zeros():
-    p = np.array([0.0, 0.3, 1.7])
-    dW = noise(2, 5, 9)
+def odd_part(p):
+    return 0.5 * (p - p[::-1])
+
+
+@pytest.mark.parametrize("u, rows", [
+    (np.array([0.0, 0.3, 1.7]), 3),                                   # every row by cos/sin
+    (np.array([-1.7, -0.3, 0.0, 0.3, 1.7]), 3),                       # odd u, odd N
+    (np.array([-2.9, -1.7, -0.3, 0.3, 1.7, 2.9]), 3),                 # odd u, even N
+    (odd_part(np.arange(8.0) ** 1.5), 4),                             # as the mirror takes u
+])
+def test_jump_phases_are_the_complex_exp_bits_also_at_exact_zeros(u, rows):
+    # the mirrored rows rest on np.cos(-x) == np.cos(x) and np.sin(-x) == -np.sin(x) bit for bit
+    assert rows == u.size or np.array_equal(u, -u[::-1])
+    dW = noise(2, 64, 40)
     dW[:, ::3] = 0.0
-    dW[1, 4] = -0.0
-    angle, z = np.empty((9, 3, 5)), np.empty((9, 3, 5), complex)
-    _jump_phases(p, dW, angle, z)
-    expect = np.stack([np.exp(np.outer(-1j * p, dW[:, s])) for s in range(9)])
+    dW[1, 4] = dW[7, 10] = -0.0
+    angle, z = np.empty((40, rows, 64)), np.empty((40, u.size, 64), complex)
+    _jump_phases(u, dW, angle, z)
+    expect = np.stack([np.exp(np.outer(-1j * u, dW[:, s])) for s in range(40)])
     assert z.tobytes() == expect.tobytes()
+    assert np.signbit(z.imag[4, :, 1]).sum() == 0       # +0 where u dW is -0, as the complex exp
 
 
 def test_tiles_evolved_one_by_one_give_the_whole_chunk(skew11, center11):
@@ -142,17 +167,33 @@ def ensemble_at(workers: int, *args, **kwargs):
 
 def test_ensemble_evolves_fixed_tiles_of_each_chunk(skew11, center11, monkeypatch):
     assert CHUNK % TILE == 0
-    chunks = []
+    events = []     # (start, stop, thread) of each tile evolved, then the size of its chunk
 
-    def blockwise(fn, tiles):
-        chunks.append([(r.start, r.stop) for r in tiles])
-        return [fn(tile) for tile in tiles]
+    def split_evolve(factors, psi0, dW):
+        events.append(threading.current_thread())
+        return _split_evolve(factors, psi0, dW)
 
-    monkeypatch.setattr(trajectories, "blockwise", blockwise)
-    for n_traj in (600, 100, 2):
-        run_ensemble(skew11, center11, 0.01, 0.005, n_traj, master_seed=9)
-    assert chunks == [[(lo, lo + TILE) for lo in range(0, CHUNK, TILE)],
-                      [(512, 576), (576, 600)], [(0, 64), (64, 100)], [(0, 2)]]
+    def wiener_rows(master_seed, tile, n_steps, dt):
+        events.append((tile.start, tile.stop))
+        return _wiener_rows(master_seed, tile, n_steps, dt)
+
+    def reduce_chunk(psi):
+        events.append(len(psi))
+        return _reduce_chunk(psi)
+
+    for name, spy in (("_split_evolve", split_evolve), ("_wiener_rows", wiener_rows),
+                      ("_reduce_chunk", reduce_chunk)):
+        monkeypatch.setattr(trajectories, name, spy)
+    with block_workers(3):
+        for n_traj in (600, 100, 2):
+            run_ensemble(skew11, center11, 0.01, 0.005, n_traj, master_seed=9)
+    chunks = [[(lo, lo + TILE) for lo in range(0, CHUNK, TILE)],
+              [(512, 576), (576, 600)], [(0, 64), (64, 100)], [(0, 2)]]
+    # one tile after another in the calling thread, even with block workers
+    main = threading.main_thread()
+    assert events == [event for chunk in chunks
+                      for event in [*(e for tile in chunk for e in (tile, main)),
+                                    sum(hi - lo for lo, hi in chunk)]]
 
 
 @pytest.mark.parametrize("n_traj", [200, 600])
@@ -180,9 +221,9 @@ def test_ensemble_noise_memory_is_a_tile_per_thread(workers):
         finally:
             tracemalloc.stop()
     tile_noise = TILE * n_steps * 8
-    threads = pin.workers + 1       # the caller and its workers; 8 tiles a chunk bound neither
     assert pin.workers == (workers if pin.set is not None else 0)
-    assert peak <= 1.25 * threads * tile_noise + 2**19
+    # one tile: the tiles run in the calling thread whatever the workers; 8 a chunk bound neither
+    assert peak <= 1.25 * tile_noise + 2**19
     assert peak < CHUNK * n_steps * 8 / 2
 
 

@@ -109,42 +109,40 @@ class LatticeOperators:
 def _transpose_gauge(H: np.ndarray, X: np.ndarray) -> np.ndarray | None:
     """Unit-modulus g making G^dagger X G real and G^dagger (H - tr H / N) G imaginary, or None.
 
-    G = diag(g).  Each nonzero X_ab or H_ab fixes arg g_b - arg g_a modulo pi;
-    one pass along a spanning forest of that pattern sets every phase, and
-    every entry is then checked: the parts dropped must stay below
-    SECTOR_TOL * max(1, max|X|) and SECTOR_TOL * max(1, max|H|).
+    G = diag(g).  Each X_ab, or else H_ab, above its tolerance SECTOR_TOL * max(1, max|X|)
+    or SECTOR_TOL * max(1, max|H|) fixes arg g_b - arg g_a modulo pi; one pass along the
+    spanning forest of the entries largest over their tolerance sets every phase, and
+    every entry is then checked: the parts dropped must stay below those tolerances.
     """
     N = H.shape[0]
     Hc = H - (np.trace(H).real / N) * np.eye(N)
     tol_x, tol_h = (SECTOR_TOL * max(1.0, _maxabs(M)) for M in (X, H))
-    on_x = np.abs(X) > tol_x
+    size_x, size_h = np.abs(X) / tol_x, np.abs(Hc) / tol_h
+    on_x = size_x > 1.0
     step = np.where(on_x, -np.angle(X), 0.5 * np.pi - np.angle(Hc))
-    g = np.exp(1j * _forest_phases(on_x | (np.abs(Hc) > tol_h), step))
+    g = np.exp(1j * _forest_phases(np.where(on_x, size_x, size_h * (size_h > 1.0)), step))
     if _maxabs(_gauged(X, g).imag) > tol_x or _maxabs(_gauged(Hc, g).real) > tol_h:
         return None
     return g
 
 
-def _forest_phases(linked: np.ndarray, step: np.ndarray) -> np.ndarray:
-    """Angles theta with theta_b = theta_a + step[a, b] along a spanning forest of ``linked``.
+def _forest_phases(weight: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """Angles theta with theta_b = theta_a + step[a, b] along a maximum-weight spanning forest.
 
-    Each tree's root (its smallest unset index) gets angle 0, then one BFS
-    level at a time: a new node takes its first linked parent in frontier
-    order, and the next frontier is ordered by parent, then index.
+    ``weight`` is symmetric, zero where a and b are not linked.  Prim's algorithm roots each
+    tree at its smallest index, angle 0, and adds the outside index with the heaviest link
+    into the tree (the first of equals), so no phase comes through a small entry, whose
+    angle carries the most round-off, where a heavier path reaches it.
     """
-    theta = np.full(linked.shape[0], np.nan)
-    for root in range(linked.shape[0]):
-        if not np.isnan(theta[root]):
-            continue
-        theta[root], frontier = 0.0, np.array([root])
-        while frontier.size:
-            reach = linked[frontier] & np.isnan(theta)
-            new = np.flatnonzero(reach.any(axis=0))
-            first = reach[:, new].argmax(axis=0)
-            order = np.lexsort((new, first))
-            new, parent = new[order], frontier[first[order]]
-            theta[new] = np.mod(theta[parent] + step[parent, new], 2.0 * np.pi)
-            frontier = new
+    n = weight.shape[0]
+    theta, best, parent = np.zeros(n), np.zeros(n), np.zeros(n, dtype=np.intp)
+    for _ in range(n):
+        b = int(np.argmax(best))                # best 0: nothing links in, b roots a tree
+        if best[b] > 0:
+            theta[b] = np.mod(theta[parent[b]] + step[parent[b], b], 2.0 * np.pi)
+        best[b] = -1.0                          # in the tree
+        closer = (weight[b] > best) & (best >= 0)
+        best[closer], parent[closer] = weight[b, closer], b
     return theta
 
 
@@ -155,10 +153,10 @@ def _find_mirror(p: np.ndarray, V: np.ndarray, H_tilde: np.ndarray):
     dissipator -1/2 [P, [P, rho]] is unchanged under P -> c - P, so rho -> W rho W^dagger
     commutes with L (Buca & Prosen, New J. Phys. 14, 073007 (2012)).  It needs
     non-degenerate p with p_a + p_(N-1-a) = c, and then W e_a = g_a e_(N-1-a).
-    W H_tilde W^dagger = H_tilde fixes arg g_b - arg g_a from every nonzero H_tilde_ab,
-    set along a spanning forest; every entry and W^2 = const are checked to SECTOR_TOL,
-    the cheap checks first, so a model without the mirror costs O(N) or O(N^2).  V
-    keeps real relative phases (the transpose gauge); otherwise its columns are
+    W H_tilde W^dagger = H_tilde fixes arg g_b - arg g_a from every nonzero H_tilde_ab, set
+    along the maximum-|H_tilde_ab| spanning forest; every entry and W^2 = const are checked
+    to SECTOR_TOL, the cheap checks first, so a model without the mirror costs O(N) or
+    O(N^2).  V keeps real relative phases (the transpose gauge); otherwise its columns are
     rephased so that g = signs.  H_tilde and D come back exactly mirror-symmetric:
     H_tilde[N-1-a, N-1-b] = signs[a] signs[b] H_tilde[a, b], D[N-1-a, N-1-b] = D[a, b].
     """
@@ -170,7 +168,8 @@ def _find_mirror(p: np.ndarray, V: np.ndarray, H_tilde: np.ndarray):
     if (np.abs(H_tilde.diagonal() - flipped.diagonal()).max() > tol
             or _maxabs(np.abs(H_tilde) - np.abs(flipped)) > tol):
         return None
-    g = np.exp(1j * _forest_phases(np.abs(H_tilde) > tol, np.angle(H_tilde) - np.angle(flipped)))
+    weight = np.abs(H_tilde) * (np.abs(H_tilde) > tol)
+    g = np.exp(1j * _forest_phases(weight, np.angle(H_tilde) - np.angle(flipped)))
     kappa = g * g[::-1]
     if (_maxabs(_gauged(H_tilde, g.conj()) - flipped) > tol
             or _maxabs(kappa - kappa[0]) > SECTOR_TOL):

@@ -16,15 +16,16 @@ above is frozen package-wide.
 
 L preserves Hermiticity, so in an orthonormal basis of Hermitian matrices it
 is a real matrix M with the same spectrum, singular values and cond(V).
-Every dense solve runs on M's diagonal blocks (the connected components of
-its nonzero pattern), one at a time, with independent blocks solved side by
-side during a run (:func:`skinlab._threads.blockwise`).  The blocks are
-assembled from H_tilde and D in P's eigenbasis by scattering M's O(N^3)
-entries straight into them (:func:`_generator_blocks`); M itself is never
-formed.  A model with a mirror (``ops.mirror``, whose eigenbasis
-:func:`skinlab.lattice_ops._find_mirror` makes exactly mirror-symmetric) has
-its blocks rotated to the mirror's even and odd coordinates, so they split
-into the mirror sectors.  Each block is stored column-major, so the
+Every dense solve runs on M's diagonal blocks, one at a time, with
+independent blocks solved side by side (:func:`skinlab._threads.blockwise`).
+The blocks, the commutant and weak-symmetry sectors of {H, P} (Buca &
+Prosen, New J. Phys. 14, 073007 (2012)), are read off the lattice's
+structure (:func:`_labels`), and M's O(N^3) entries, from H_tilde and D in
+P's eigenbasis, scattered straight into them (:func:`_generator_blocks`); M
+itself is never formed.  A model with a mirror (``ops.mirror``, whose
+eigenbasis :func:`skinlab.lattice_ops._find_mirror` makes exactly
+mirror-symmetric) has its blocks rotated to the mirror's even and odd
+coordinates, the sectors.  Each block is stored column-major, so the
 eigenvalue-only solves hand it to LAPACK as it lies (:func:`_eigvals_in_place`).
 """
 
@@ -133,40 +134,20 @@ def liouvillian_spectrum(Lm: LiouvillianMatrix, eigenvectors: bool = False,
 
 
 def _components(linked: np.ndarray) -> list[np.ndarray]:
-    """Index sets of the connected components of a symmetric boolean pattern; ``linked`` is spent.
+    """Sorted index sets of the connected components of a symmetric boolean pattern, by BFS.
 
-    Each set is sorted and the sets come in order of their first index.  A
-    BFS finds the components.  When index 0 has at most one link, as every
-    index has in the commuting case, the components of one or two indices are
-    first peeled off in one vectorized step.
+    The sets come in order of their first index.  The program searches N x N
+    patterns with it (:func:`_labels`), the tests' dense oracle M's.
     """
-    n = linked.shape[0]
-    blocks, unseen = [], np.ones(n, dtype=bool)
-    if np.count_nonzero(linked[0, 1:]) <= 1:
-        linked[np.diag_indices(n)] = False
-        # each row's first link, then whether a second one follows (argmax stops at the first)
-        rows = np.arange(n)
-        partner = linked.argmax(axis=1)
-        lone = ~linked[rows, partner]
-        linked[rows, partner] = False
-        single = ~lone & ~linked[rows, linked.argmax(axis=1)]
-        linked[rows, partner] = ~lone
-        paired = single & single[partner]
-        first = np.flatnonzero(paired & (partner > rows))
-        blocks = [*np.flatnonzero(lone)[:, None], *np.stack([first, partner[first]], axis=1)]
-        unseen = ~(lone | paired)
-    for start in np.flatnonzero(unseen):
-        if not unseen[start]:
-            continue
-        members = np.zeros_like(unseen)
-        members[start] = True
-        frontier = members.copy()
+    blocks, unseen = [], np.ones(linked.shape[0], dtype=bool)
+    while unseen.any():
+        members = frontier = np.arange(unseen.size) == np.argmax(unseen)
         while frontier.any():
             frontier = linked[frontier].any(axis=0) & ~members
             members |= frontier
         unseen &= ~members
         blocks.append(np.flatnonzero(members))
-    return sorted(blocks, key=lambda b: b[0])
+    return blocks
 
 
 def _stacked(blocks: list[np.ndarray]):
@@ -190,9 +171,9 @@ def _stacked(blocks: list[np.ndarray]):
 def _filled(n: int, blocks: list[np.ndarray], entries) -> list:
     """:func:`_stacked` pairs of ``blocks`` holding the (rows, cols, values) ``entries`` in them.
 
-    Each coordinate's block and the flat position of its column are
-    tabulated, so an entry lands in its stack in one scatter; entries between
-    blocks, or on a coordinate no block holds, are dropped.
+    Each coordinate's block and the flat position of its column are tabulated, so an
+    entry lands in its stack in one scatter; one off every block is dropped, and a
+    nonzero one from a block to any other coordinate raises NumericalFailure.
     """
     stacks, flat = _stacked(blocks)
     block = np.full(n, -1)
@@ -206,9 +187,11 @@ def _filled(n: int, blocks: list[np.ndarray], entries) -> list:
         count, lo = count + k, lo + k * s * s
     for r, c, v in entries:
         of_r = block[r]
-        inside = (of_r == block[c]) & (of_r >= 0)
-        at = column[c] + local[r]
-        flat[at[inside]] = v[inside]
+        inside = of_r == block[c]
+        if v[~inside].any():
+            raise NumericalFailure("a nonzero entry of the generator joins two of its blocks")
+        inside &= of_r >= 0
+        flat[(column[c] + local[r])[inside]] = v[inside]
     return stacks
 
 
@@ -293,12 +276,12 @@ def _spectrum_order(w: np.ndarray) -> np.ndarray:
 
 
 def _mirror_pairs(ops: LatticeOperators):
-    """(K, J, eps), K < J: rho -> W rho W^dagger maps coordinate K[i] to eps[i] times J[i].
+    """(sigma, eps): rho -> W rho W^dagger maps coordinate k to eps[k] times coordinate sigma[k].
 
     In P's eigenbasis W maps |a><a| to |a'><a'|, a' = N-1-a, S_ab to
-    s_a s_b S_b'a' and A_ab to -s_a s_b A_b'a' (s = ``ops.mirror``).
-    The coordinates W maps to plus or minus themselves (|c><c| at the centre
-    c of odd N, S_aa' and A_aa') are left out: each lies in one sector.
+    s_a s_b S_b'a' and A_ab to -s_a s_b A_b'a' (s = ``ops.mirror``).  sigma
+    is an involution; the coordinates it fixes (|c><c| at the centre c of odd
+    N, S_aa' and A_aa') each lie in the sector of their sign.
     """
     N, s = ops.n_sites, ops.mirror
     rows, cols = np.triu_indices(N, 1)
@@ -307,25 +290,25 @@ def _mirror_pairs(ops: LatticeOperators):
     image = pair[N - 1 - cols, N - 1 - rows]
     sign = s[rows] * s[cols]
     sigma = np.concatenate([np.arange(N)[::-1], N + image, N + rows.size + image])
-    eps = np.concatenate([np.ones(N), sign, -sign])
-    K = np.flatnonzero(np.arange(N * N) < sigma)
-    return K, sigma[K], eps[K]
+    return sigma, np.concatenate([np.ones(N), sign, -sign])
 
 
 def _to_sectors(x: np.ndarray, pairs, inverse: bool = False) -> np.ndarray:
     """Rotate axis 0 of x in place to the mirror's even and odd coordinates, or back.
 
-    With (K, J, eps) from :func:`_mirror_pairs`, x_K, x_J become
-    (x_K + eps x_J)/sqrt2 and (x_K - eps x_J)/sqrt2: even at K, odd at J.
-    Rows go in chunks of about _CHUNK entries.  A generator that commutes with
-    the mirror exactly gets exact zeros between the sectors, since every
-    entry pair there rounds the same sum.
+    With (sigma, eps) from :func:`_mirror_pairs`, x_K, x_J for each pair
+    K < J = sigma[K] become (x_K + eps x_J)/sqrt2 and (x_K - eps x_J)/sqrt2:
+    even at K, odd at J; a coordinate sigma fixes is left as it is.  Rows go
+    in chunks of about _CHUNK entries.  A generator that commutes with the
+    mirror exactly gets exact zeros between the sectors, since every entry
+    pair there rounds the same sum.
     """
-    K, J, eps = pairs
+    sigma, eps = pairs
+    K = np.flatnonzero(np.arange(sigma.size) < sigma)
     step = max(1, _CHUNK // max(1, x[0].size))
     for lo in range(0, K.size, step):
-        k, j = K[lo:lo + step], J[lo:lo + step]
-        e = eps[lo:lo + step].reshape((-1,) + (1,) * (x.ndim - 1))
+        k = K[lo:lo + step]
+        j, e = sigma[k], eps[k].reshape((-1,) + (1,) * (x.ndim - 1))
         a, b = x[k], x[j]
         if not inverse:
             b *= e
@@ -398,67 +381,85 @@ def _generator_entries(ops: LatticeOperators):
                            ops.D[rows, cols]]))
 
 
+def _labels(ops: LatticeOperators) -> np.ndarray:
+    """A label per coordinate of M: |a><a|, S_ab, A_ab get {comp(a), comp(b)}, A apart if exact.
+
+    comp are the components of H_tilde's nonzero off-diagonal graph, as each entry of M joins
+    two coordinates through one H_tilde[e, c]; A's links to |a><a| and S vanish in the
+    "transpose_sector", and in the "commuting" case where E_a == E_b.  A label is a union of
+    M's components (one on the suite's models): M splits further where H_tilde or E_a - E_b
+    vanish by accident, as with a diagonal P and a sparse H, and then a block is larger.
+    """
+    N, h = ops.n_sites, ops.H_tilde
+    comp = np.empty(N, dtype=np.intp)
+    for k, members in enumerate(_components((h != 0) & ~np.eye(N, dtype=bool))):
+        comp[members] = k
+    rows, cols = np.triu_indices(N, 1)
+    pair = np.minimum(comp[rows], comp[cols]) * N + np.maximum(comp[rows], comp[cols])
+    same = h.real[rows, rows] == h.real[cols, cols]
+    apart = same if ops.structure == "commuting" else ops.structure == "transpose_sector"
+    return np.concatenate([comp * (N + 1), pair, pair + N * N * apart])
+
+
+def _groups(label: np.ndarray) -> list[np.ndarray]:
+    """Sorted index sets of the coordinates sharing a label, in order of their first index."""
+    order = np.argsort(label, kind="stable")
+    return sorted(np.split(order, np.flatnonzero(np.diff(label[order])) + 1), key=lambda g: g[0])
+
+
 def _generator_blocks(ops: LatticeOperators, cap: int = SPECTRUM_CAP):
     """The diagonal blocks of the real generator M and their (idx, stack) pairs, without M.
 
-    The blocks are the connected components of M's nonzero pattern, each a
-    sorted index set, in order of their first index; every entry of M
-    between two of them is exactly zero.  The stacks batch equal-size blocks,
-    largest first (:func:`_stacked`), with stack[i] = M[idx[i]][:, idx[i]].
-    The pattern (N^4 booleans) comes from :func:`_generator_entries`, which
-    then fill the stacks directly.  With a mirror, the pattern also links the
-    coordinates :func:`_mirror_pairs` pairs, and each merged block it gives
-    in turn is filled, rotated to the sectors by :func:`_to_sectors` on its own
-    rows and columns (the same arithmetic per entry as on all of M, so the
-    zeros between sectors stay exact) and split into its components, which
-    are copied into the stacks at the end; without other structure the one
-    merged block is all of M.  Raises ParameterError before allocating if
-    N^2 exceeds ``cap``.
+    The blocks, sorted index sets in order of their first index, are the coordinates of one
+    :func:`_labels` label, known before anything is filled.  The stacks batch equal-size
+    blocks, largest first (:func:`_stacked`), stack[i] = M[idx[i]][:, idx[i]], filled from
+    :func:`_generator_entries` in one pass.  With a mirror, each label merges with its image
+    under :func:`_mirror_pairs` and splits into even (K, and a fixed coordinate of sign +1)
+    and odd sectors, whose stacks are allocated first; then each merged block in turn is
+    filled, rotated and copied in (:func:`_rotated_sectors`).  Raises ParameterError before
+    allocating if N^2 exceeds ``cap``, NumericalFailure if a nonzero entry joins two blocks.
     """
     _check_cap(ops.n_sites, cap)
     n = ops.n_sites**2
-    linked = np.zeros((n, n), dtype=bool)
-    pattern = linked.reshape(-1)
-    for r, c, v in _generator_entries(ops):
-        on = v != 0
-        r, c = r[on], c[on]
-        pattern[r * n + c] = pattern[c * n + r] = True
-    if ops.mirror is not None:
-        K, J, _ = pairs = _mirror_pairs(ops)
-        pattern[K * n + J] = pattern[J * n + K] = True      # merge what the mirror maps together
-    blocks = _components(linked)
-    del linked, pattern
+    label = _labels(ops)
     if ops.mirror is None:
+        blocks = _groups(label)
         return blocks, _filled(n, blocks, _generator_entries(ops))
-    sectors = {}
-    for group in blocks:
-        for part, m in _rotated_sectors(n, group, pairs, _generator_entries(ops)):
-            sectors[part[0]] = part, m
-    blocks = [sectors[first][0] for first in sorted(sectors)]
+    sigma, eps = pairs = _mirror_pairs(ops)
+    image = np.empty(label.max() + 1, dtype=np.intp)
+    image[label] = label[sigma]
+    if not np.array_equal(image[label], label[sigma]):
+        raise NumericalFailure("the mirror maps one block of the generator onto two")
+    label = np.minimum(label, image[label])
+    odd = np.where(sigma == np.arange(n), eps < 0, sigma < np.arange(n))   # J = sigma[K] > K
+    blocks = _groups(2 * label + odd)
     stacks = _stacked(blocks)[0]
-    for idx, stack in stacks:
-        for i, b in enumerate(idx):
-            stack[i] = sectors.pop(b[0])[1]
+    slots = {b[0]: stack[i] for idx, stack in stacks for i, b in enumerate(idx)}
+    for group in _groups(label):
+        _rotated_sectors(n, group, odd[group], pairs, _generator_entries(ops), slots)
     return blocks, stacks
 
 
-def _rotated_sectors(n: int, group: np.ndarray, pairs, entries) -> list:
-    """(idx, matrix) of the sectors of block ``group`` of M, closed under :func:`_mirror_pairs`.
+def _rotated_sectors(n: int, group: np.ndarray, odd: np.ndarray, pairs, entries, slots) -> None:
+    """Fill M's merged block ``group``, rotate it to the sectors and copy them to ``slots``.
 
-    The group's block is filled from ``entries``, its rows and then its
-    columns rotated by :func:`_to_sectors` with the ``pairs`` inside it, and
-    the rotated block cut into its components.
+    Rows, then columns, by :func:`_to_sectors`: the arithmetic per entry of
+    all of M, so the zeros between sectors stay exact; a nonzero one raises
+    NumericalFailure.  A cache-sized band of columns at a time, so nothing
+    block-sized but the block is held.
     """
     m = _filled(n, [group], entries)[0][1][0]   # column-major
-    K, J, eps = pairs
-    on = np.isin(K, group)
-    inside = (np.searchsorted(group, K[on]), np.searchsorted(group, J[on]), eps[on])
+    inside = np.searchsorted(group, pairs[0][group]), pairs[1][group]
     band = max(1, _CHUNK // group.size)
-    for lo in range(0, group.size, band):       # rows, a cache-sized band of columns at a time
+    for lo in range(0, group.size, band):
         _to_sectors(m[:, lo:lo + band], inside)
     _to_sectors(m.T, inside)
-    nonzero = m != 0
-    return [(group[part], m[np.ix_(part, part)]) for part in _components(nonzero | nonzero.T)]
+    for part in (np.flatnonzero(~odd), np.flatnonzero(odd)):
+        for lo in range(0, part.size, band):
+            columns = m[:, part[lo:lo + band]]
+            if columns[odd != odd[part[0]]].any():
+                raise NumericalFailure("an entry of the rotated generator joins two mirror sectors")
+            slots[group[part[0]]][:, lo:lo + band] = columns[part]
 
 
 def liouvillian_eigenvalues(ops: LatticeOperators, cap: int = SPECTRUM_CAP) -> np.ndarray:

@@ -20,7 +20,7 @@ from skinlab import (
     sqrt_psd,
     winding_numbers,
 )
-from skinlab.lattice_ops import SECTOR_TOL
+from skinlab.lattice_ops import SECTOR_TOL, _forest_phases
 from skinlab.serialize import matrix_from_json, matrix_to_json
 
 
@@ -236,3 +236,26 @@ def test_square_root_constructions_diagonalize_once(monkeypatch):
     calls.clear()
     build_obc(make_cosine_model(1, 0, 1, 0.4), 9, Construction.TRUNCATE_P2_THEN_SQRT)
     assert calls == ["eigh"]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_forest_phases_come_along_the_heaviest_links(seed):
+    """M = G (R + E) G^dagger: R real symmetric with a row of 1e-6 entries, E round-off.
+
+    E is the size of the noise V^dagger H V leaves, 1e-16 max|R|, and blurs the
+    angles of the 1e-6 entries by about 1e-10.  Every index links to index 0,
+    the first root, so a breadth-first forest would take every phase from
+    those entries; the heaviest links gauge M real to round-off.
+    """
+    rng = np.random.default_rng(seed)
+    n = 12
+    R = rng.normal(size=(n, n))
+    R += R.T
+    R[0, 1:] = R[1:, 0] = 1e-6 * rng.normal(size=n - 1)
+    E = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    E = 0.5e-16 * np.abs(R).max() * (E + E.conj().T)
+    G = np.exp(2j * np.pi * rng.random(n))
+    M = G[:, None] * (R + E) * G.conj()[None, :]
+    g = np.exp(1j * _forest_phases(np.abs(M), -np.angle(M)))
+    gauged = g.conj()[:, None] * M * g[None, :]
+    assert np.abs(gauged.imag).max() <= 1e-14 * np.abs(M).max()

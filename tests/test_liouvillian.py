@@ -38,7 +38,7 @@ from skinlab import (
     unvec,
     vec,
 )
-from skinlab import _threads
+from skinlab import _threads, liouvillian
 from skinlab.lattice_ops import Construction
 from skinlab.liouvillian import (
     SORT_TIE_TOL,
@@ -288,6 +288,66 @@ def test_real_generator_assembly_allocates_little_beyond_its_output():
         # the pattern is N^4 booleans; the dense generator alone would be N^4 floats
         assert peak <= 2.5 * held + ops.n_sites**4
         assert peak < 8 * ops.n_sites**4
+
+
+def test_commuting_blocks_are_assembled_without_an_n4_pattern():
+    ops = build_obc(make_cosine_model(1, 0, 1, 0.0), 64)
+    assert ops.structure == "commuting"
+    (blocks, _), peak = traced_peak(lambda: _generator_blocks(ops))
+    assert {b.size for b in blocks} == {1, 2}
+    # the blocks take 65 kB; an N^4-boolean pattern alone would take 16.8 MB
+    assert peak < ops.n_sites**4 / 4
+
+
+def with_one_block_split(labels, coords):
+    """:func:`liouvillian._labels` with the coordinates ``coords`` given a label of their own."""
+    def split(ops):
+        label = labels(ops)
+        label[coords] = label.max() + 1
+        return label
+    return split
+
+
+def with_one_sign_flipped(mirror_pairs):
+    """:func:`liouvillian._mirror_pairs` with the sign of |0><0| -> |N-1><N-1| flipped."""
+    def flipped(ops):
+        sigma, eps = mirror_pairs(ops)
+        eps[0] = -eps[0]
+        return sigma, eps
+    return flipped
+
+
+WRONG_BLOCKS = {   # name: (lattice, the patch that makes its blocks wrong)
+    # |0><0| cut off its block, without a mirror and with one (|0><0| and its image |5><5|)
+    "split_block": (lambda: build_hatano_nelson(1, 2, 6),
+                    lambda: ("_labels", with_one_block_split(liouvillian._labels, [0]))),
+    "split_mirror_block": (lambda: build_obc(make_cosine_model(1, 0, 1, np.pi / 2), 6),
+                           lambda: ("_labels", with_one_block_split(liouvillian._labels, [0, 5]))),
+    # |0><0| alone: the mirror maps one label onto two
+    "unpaired_mirror_block": (lambda: build_obc(make_cosine_model(1, 0, 1, np.pi / 2), 6),
+                              lambda: ("_labels", with_one_block_split(liouvillian._labels, [0]))),
+    # the rotation mixes the two sectors
+    "flipped_sector": (lambda: build_obc(make_cosine_model(1, 0, 1, np.pi / 2), 6),
+                       lambda: ("_mirror_pairs", with_one_sign_flipped(liouvillian._mirror_pairs))),
+}
+
+
+@pytest.mark.parametrize("call", [liouvillian_eigenvalues, stationary_states, MasterPropagator],
+                         ids=["eigenvalues", "stationary", "propagator"])
+@pytest.mark.parametrize("case", WRONG_BLOCKS)
+def test_wrong_blocks_raise_before_any_lapack_call(case, call, monkeypatch):
+    build, patch = WRONG_BLOCKS[case]
+    ops = build()
+    monkeypatch.setattr(liouvillian, *patch())
+
+    def lapack(*args, **kwargs):
+        raise AssertionError("a LAPACK routine ran on blocks that are not the generator's")
+
+    for name in ("eig", "eigvals", "svd", "inv", "cond", "solve"):
+        monkeypatch.setattr(np.linalg, name, lapack)
+    monkeypatch.setattr(liouvillian, "_eigvals_in_place", lapack)
+    with pytest.raises(NumericalFailure):
+        call(ops)
 
 
 @pytest.mark.parametrize("build,multiple", [

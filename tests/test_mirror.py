@@ -33,6 +33,7 @@ from skinlab import (
     vec,
 )
 from skinlab.lattice_ops import Construction, LatticeOperators, _find_mirror
+from skinlab.liouvillian import _generator_blocks
 
 MIRROR_MODELS = {"cosine_phi_half_pi", "cosine_phi_half_pi_T05"}
 PROFILE = settings(max_examples=8, derandomize=True, deadline=None, database=None)
@@ -72,13 +73,33 @@ def test_mirror_commutes_with_the_generator_and_squares_to_one(name, n):
     assert np.abs(S @ S - np.eye(n * n)).max() <= 1e-13
 
 
-@pytest.mark.parametrize("n", [7, 8, 11, 24])
+@pytest.mark.parametrize("n", [7, 8, 11, 24, 61, 64])
 @pytest.mark.parametrize("name", sorted(MIRROR_MODELS))
 def test_the_lattice_operators_are_exactly_mirror_symmetric(name, n):
     # the one copy of H_tilde and D that every route reads, not to round-off but exactly
     ops = SUITE_MODELS[name][0](n)
     assert np.array_equal(ops.H_tilde[::-1, ::-1], np.outer(ops.mirror, ops.mirror) * ops.H_tilde)
     assert np.array_equal(ops.D[::-1, ::-1], ops.D)
+
+
+@pytest.mark.parametrize("n", [61, 64, 80])
+def test_the_mirror_of_a_long_chain_is_found(n):
+    # H_tilde's smallest entries (8e-5 at N = 61) carry angles blurred by round-off;
+    # the phases come along the largest ones
+    ops = cosine(np.pi / 2, T=0.5)(n)
+    assert ops.structure == "none" and ops.mirror is not None
+    found = _find_mirror(ops.p, ops.V, ops.H_tilde)
+    assert found is not None and np.array_equal(found[0], ops.mirror)
+    W = site_mirror_operator(ops)
+    assert np.abs(W @ ops.H @ W.conj().T - ops.H).max() <= 1e-12
+    c = ops.p[0] + ops.p[-1]
+    assert np.abs(W @ ops.P @ W.conj().T - (c * np.eye(n) - ops.P)).max() <= 1e-12
+
+
+def test_the_mirror_halves_the_n61_generator():
+    blocks, stacks = _generator_blocks(cosine(np.pi / 2, T=0.5)(61))
+    assert [b.size for b in blocks] == [1861, 1860]
+    assert [stack.shape for _, stack in stacks] == [(1, 1861, 1861), (1, 1860, 1860)]
 
 
 @pytest.mark.parametrize("n", [7, 8])

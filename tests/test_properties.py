@@ -353,6 +353,48 @@ def test_blocked_assembly_is_the_dense_generator_bit_for_bit(ops):
         assert stack.tobytes() == M[idx[:, :, None], idx[:, None, :]].tobytes()
 
 
+def direct_lattice(p, H):
+    """Lattice operators with P = diag(p) and this H, built directly, not from a band model."""
+    P = np.diag(np.array(p, dtype=complex))
+    H = np.array(H, dtype=complex)
+    return LatticeOperators(len(p), H, P, P @ P, H - 0.5j * P @ P, Construction.TRUNCATE_P)
+
+
+@st.composite
+def diagonal_jump_lattices(draw):
+    """P diagonal with few levels (degenerate ones likely), H sparse with few values, 2 <= N <= 6.
+
+    Equal energies, real H_tilde and zeros that the symmetries do not explain
+    turn up often, so M may split further than its labels.
+    """
+    n = draw(st.integers(2, 6))
+    p = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=n, max_size=n))
+    H = np.diag(draw(st.lists(st.sampled_from([0.0, 0.5]), min_size=n, max_size=n))).astype(complex)
+    for a, b in zip(*np.triu_indices(n, 1)):
+        H[a, b] = draw(st.sampled_from([0.0, 0.0, 0.3, -0.3, 0.3j, 0.2 + 0.1j]))
+        H[b, a] = np.conj(H[a, b])
+    return direct_lattice(p, H)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(ops=diagonal_jump_lattices())
+@example(ops=direct_lattice([0.5, 2.0, 0.5], [[0, 0, 0], [0, 0.5, 0.3], [0, 0.3, 0.5]]))   # splits
+@example(ops=direct_lattice([0.0, 1.0, 2.0], [[0, 0.3, 0], [0.3, 0.5, 0.3], [0, 0.3, 0]]))  # mirror
+def test_blocks_are_unions_of_the_generators_components(ops):
+    M = hermitian_basis_generator(ops)
+    blocks, stacks = _generator_blocks(ops)
+    label = np.empty(M.shape[0], dtype=int)
+    for k, block in enumerate(blocks):
+        label[block] = k
+    for component in diagonal_blocks(M):
+        assert np.all(label[component] == label[component[0]])
+    assert not M[label[:, None] != label[None, :]].any()
+    for idx, stack in stacks:
+        assert stack.tobytes() == M[idx[:, :, None], idx[:, None, :]].tobytes()
+    assert_multiset_close(liouvillian_eigenvalues(ops),
+                          liouvillian_spectrum(build_liouvillian(ops)), 1e-10)
+
+
 @PROFILE
 @given(ops=lattices())
 def test_models_without_structure_keep_a_single_block(ops):
